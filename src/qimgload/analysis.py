@@ -11,8 +11,8 @@ import numpy as np
 from . import compiler
 from .errors import ValidationError
 from .image_codec import STRAIGHT, BitOrdering, ImageGrid, downscale, encode_amplitudes
-from .mps import MPS, from_dense, to_dense
-from .simulator import run
+from .mps import from_dense
+from .simulator import dense_amplitudes, run
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,9 @@ class PowerLawFit:
         }
 
 
-def _as_dense(state) -> np.ndarray:
-    if isinstance(state, MPS):
-        return to_dense(state)
-    return compiler._target_dense(state)
-
-
 def infidelity(a, b) -> float:
     """1 - |<a|b>| for MPS, StateVector, AmplitudeState, or raw vectors."""
-    va, vb = _as_dense(a), _as_dense(b)
+    va, vb = dense_amplitudes(a), dense_amplitudes(b)
     if va.size != vb.size:
         raise ValidationError("dimension mismatch")
     value = 1.0 - abs(np.vdot(va, vb))

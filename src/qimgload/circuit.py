@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .mps import MPS, isometry_defect
+from .mps import CANONICAL_ISOMETRY_TOL, MPS, isometry_defect, isometry_error
 
 CIRCUIT_FORMAT_VERSION = 1
 
@@ -31,8 +31,10 @@ class TwoQubitGate:
         m = np.asarray(self.matrix)
         if m.shape != (4, 4):
             raise ValidationError("gate matrix must be 4x4")
-        if np.max(np.abs(m.conj().T @ m - np.eye(4))) > 1e-10:
-            raise ValidationError(f"gate at site {self.site} is not unitary within 1e-10")
+        if isometry_error(m) > CANONICAL_ISOMETRY_TOL:
+            raise ValidationError(
+                f"gate at site {self.site} is not unitary within {CANONICAL_ISOMETRY_TOL}"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -94,8 +96,8 @@ def embed_isometry(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 2 or v.shape[0] not in (2, 4) or v.shape[1] > v.shape[0]:
         raise ValidationError(f"expected a tall 2- or 4-row isometry, got shape {v.shape}")
-    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > 1e-10:
-        raise ValidationError("input columns are not orthonormal within 1e-10")
+    if isometry_error(v) > CANONICAL_ISOMETRY_TOL:
+        raise ValidationError(f"input columns are not orthonormal within {CANONICAL_ISOMETRY_TOL}")
     dim, m = v.shape
     if m == dim:
         return np.array(v)
@@ -128,8 +130,8 @@ def layer_from_chi2_mps(m: MPS) -> CircuitLayer:
         raise ValidationError("need at least 2 sites to build a layer")
     if m.max_bond > 2:
         raise ValidationError(f"max bond {m.max_bond} exceeds 2; truncate first")
-    if isometry_defect(m) > 1e-10:
-        raise ValidationError("MPS is not left-canonical within 1e-10")
+    if isometry_defect(m) > CANONICAL_ISOMETRY_TOL:
+        raise ValidationError(f"MPS is not left-canonical within {CANONICAL_ISOMETRY_TOL}")
     dtype = np.result_type(*(t.dtype for t in m.tensors))
     gates = []
     for k in range(m.n_sites - 2, 0, -1):
@@ -212,11 +214,3 @@ def deserialize(data: bytes) -> LayeredCircuit:
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
     return circuit_from_dict(d)
 
-
-def flat_gate_list(c: LayeredCircuit) -> list:
-    """(layer, site, matrix) triples in application order, for downstream transpilers."""
-    return [
-        {"layer": i, "site": g.site, "matrix": _matrix_to_json(g.matrix)}
-        for i, layer in enumerate(c.layers)
-        for g in layer.gates
-    ]

@@ -12,13 +12,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, compiler
-from .circuit import cnot_count, circuit_to_dict, circuit_from_dict
+from .circuit import cnot_count, deserialize, serialize
 from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
     SNAKE,
@@ -40,46 +40,36 @@ EXIT_INPUT_FORMAT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-_DEFAULTS = {
-    "image": "builtin:sign",
-    "format": "auto",
-    "target_l": 16,
-    "ordering": "straight",
-    "chi_max": 32,
-    "depth": 3,
-    "sweeps": 200,
-    "shots": 10000,
-    "seed": 0,
-    "out_dir": "out",
-    "method": "grow",
-}
+_ORDERINGS = {"straight": STRAIGHT, "snake": SNAKE}
+
+
+def _bit_ordering(name: str):
+    """The BitOrdering a config or provenance ordering name stands for."""
+    if name not in _ORDERINGS:
+        raise ValidationError(f"unknown ordering {name!r}")
+    return _ORDERINGS[name]
 
 
 @dataclass
 class PipelineConfig:
-    image: str
-    format: str
-    target_l: int
-    ordering: str
-    chi_max: int
-    depth: int
-    sweeps: int
-    shots: int
-    seed: int
-    out_dir: str
-    method: str
+    """Every option a subcommand reads; each default also fixes the option's type."""
 
-    def bit_ordering(self):
-        if self.ordering == "straight":
-            return STRAIGHT
-        if self.ordering == "snake":
-            return SNAKE
-        raise ValidationError(f"unknown ordering {self.ordering!r}")
+    image: str = "builtin:sign"
+    format: str = "auto"
+    target_l: int = 16
+    ordering: str = "straight"
+    chi_max: int = compiler.DEFAULT_CHI_MAX
+    depth: int = 3
+    sweeps: int = compiler.DEFAULT_SWEEPS
+    shots: int = 10000
+    seed: int = 0
+    out_dir: str = "out"
+    method: str = "grow"
 
     def hash(self) -> str:
         # out_dir only says where artifacts land, not what they contain
-        fields = {k: v for k, v in vars(self).items() if k != "out_dir"}
-        canon = json.dumps(fields, sort_keys=True)
+        values = {k: v for k, v in vars(self).items() if k != "out_dir"}
+        canon = json.dumps(values, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -97,20 +87,22 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_config(args) -> PipelineConfig:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_DEFAULTS)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    for key in ("target_l", "chi_max", "depth", "sweeps", "shots", "seed"):
-        merged[key] = int(merged[key])
-    return PipelineConfig(**merged)
+    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    options = fields(PipelineConfig)
+    unknown = set(file_values) - {f.name for f in options}
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for f in options:
+        value = getattr(args, f.name, None)  # explicit flags win over the file
+        if value is None:
+            value = file_values.get(f.name, f.default)
+        kind = type(f.default)
+        try:
+            values[f.name] = kind(value)
+        except ValueError:
+            raise ValidationError(f"{f.name}={value!r} is not a valid {kind.__name__}") from None
+    return PipelineConfig(**values)
 
 
 def _provenance(cfg: PipelineConfig) -> dict:
@@ -137,7 +129,7 @@ def _prepare_target(cfg: PipelineConfig):
     grid = _load_grid(cfg)
     if cfg.target_l < grid.side_length:
         grid = downscale(grid, cfg.target_l)
-    state = encode_amplitudes(grid, cfg.bit_ordering())
+    state = encode_amplitudes(grid, _bit_ordering(cfg.ordering))
     mps, report = from_dense(state, chi_max=cfg.chi_max)
     return grid, state, mps, report
 
@@ -194,7 +186,7 @@ def cmd_compile(args) -> int:
     provenance["target_image"] = cfg.image
     provenance["ordering"] = cfg.ordering
     circuit = type(circuit)(circuit.n_qubits, circuit.layers, provenance)
-    (out / "circuit.json").write_text(json.dumps(circuit_to_dict(circuit), indent=1))
+    (out / "circuit.json").write_bytes(serialize(circuit))
     (out / "trace.csv").write_text(_csv_header(cfg) + trace.to_csv())
     print(
         f"compiled depth-{circuit.depth} circuit on {circuit.n_qubits} qubits: "
@@ -206,12 +198,11 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
-    circuit = circuit_from_dict(json.loads(Path(args.circuit).read_text()))
+    circuit = deserialize(Path(args.circuit).read_bytes())
     if circuit.n_qubits % 2:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
-    ordering_name = circuit.provenance.get("ordering", cfg.ordering)
-    ordering = STRAIGHT if ordering_name == "straight" else SNAKE
+    ordering = _bit_ordering(circuit.provenance.get("ordering", cfg.ordering))
     state = run(circuit)
     exact_probs = state.probabilities()
     if args.exact:
@@ -238,14 +229,19 @@ def cmd_reconstruct(args) -> int:
     for line in Path(args.histogram).read_text().splitlines():
         if not line or line.startswith("#") or line.startswith("index"):
             continue
-        counts.append(float(line.split(",")[2]))
+        try:
+            counts.append(float(line.split(",")[2]))
+        except (IndexError, ValueError):
+            raise InputFormatError(f"histogram row without a numeric count: {line!r}") from None
     counts = np.array(counts)
+    if not np.all(np.isfinite(counts)):
+        raise InputFormatError("histogram counts must be finite")
     if counts.sum() <= 0:
         raise NumericError("histogram holds no counts")
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):
         raise ValidationError("histogram length is not a square")
-    grid = decode_probabilities(counts / counts.sum(), L, cfg.bit_ordering())
+    grid = decode_probabilities(counts / counts.sum(), L, _bit_ordering(cfg.ordering))
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
     return 0
@@ -255,11 +251,12 @@ def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
     grid = _load_grid(cfg)
+    ordering = _bit_ordering(cfg.ordering)
     image_id = cfg.image
     if args.sweep == "chi":
         chi_list = [int(c) for c in args.chi_list.split(",")]
         records = analysis.chi_scaling_sweep(
-            grid, chi_list, ordering=cfg.bit_ordering(), image_id=image_id
+            grid, chi_list, ordering=ordering, image_id=image_id
         )
         name = "chi_sweep"
     elif args.sweep == "depth":
@@ -270,14 +267,14 @@ def cmd_analyze(args) -> int:
             method="gate_by_gate" if cfg.method == "grow" else "iterative",
             sweeps=cfg.sweeps,
             chi_max=cfg.chi_max,
-            ordering=cfg.bit_ordering(),
+            ordering=ordering,
             image_id=image_id,
         )
         name = "depth_sweep"
     elif args.sweep == "resolution":
         L_list = [int(v) for v in args.l_list.split(",")]
         records = analysis.chi_scaling_sweep(
-            grid, [cfg.chi_max], L_list=L_list, ordering=cfg.bit_ordering(), image_id=image_id
+            grid, [cfg.chi_max], L_list=L_list, ordering=ordering, image_id=image_id
         )
         name = "resolution_sweep"
     else:
@@ -297,7 +294,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .mps import to_dense, truncate
-    from .simulator import overlap as sv_overlap
 
     checks = []
 
@@ -348,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--image", help="image path or builtin:{sign,scene,digit}")
         p.add_argument("--format", choices=["auto", "pgm", "csv"])
         p.add_argument("--target-l", dest="target_l", type=int, help="downscale target side")
-        p.add_argument("--ordering", choices=["straight", "snake"])
+        p.add_argument("--ordering", choices=list(_ORDERINGS))
         p.add_argument("--chi-max", dest="chi_max", type=int)
         p.add_argument("--depth", type=int)
         p.add_argument("--sweeps", type=int)

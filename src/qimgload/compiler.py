@@ -26,16 +26,14 @@ import numpy as np
 
 from .circuit import CircuitLayer, LayeredCircuit, TwoQubitGate, layer_from_chi2_mps
 from .errors import NumericError, ValidationError
-from .image_codec import AmplitudeState
 from .mps import (
     MPS,
     apply_two_qubit_gate,
     inner,
     left_canonicalize,
-    to_dense,
     truncate,
 )
-from .simulator import StateVector, apply_gate_dense
+from .simulator import apply_gate_dense, dense_amplitudes
 
 DEFAULT_CHI_MAX = 32
 DEFAULT_SWEEPS = 200
@@ -72,20 +70,6 @@ class OptimizerTrace:
             lines.append(f"{r.stage},{r.sweep},{repr(r.overlap)},{repr(r.infidelity)}")
         return "\n".join(lines) + "\n"
 
-    @property
-    def final_overlap(self) -> float:
-        return self.records[-1].overlap if self.records else float("nan")
-
-
-def _target_dense(target) -> np.ndarray:
-    if isinstance(target, MPS):
-        return to_dense(target)
-    if isinstance(target, AmplitudeState):
-        return np.asarray(target.amplitudes)
-    if isinstance(target, StateVector):
-        return np.asarray(target.amplitudes)
-    return np.asarray(target)
-
 
 def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
     """F[c, r] = sum over spectators of prefix[x, c, y] * conj(suffix[x, r, y])."""
@@ -115,7 +99,7 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTe
     if not 1 <= m <= len(gates):
         raise ValidationError(f"gate index {m} out of range 1..{len(gates)}")
     n = circuit.n_qubits
-    targ = _target_dense(target)
+    targ = dense_amplitudes(target)
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
     prefix = np.zeros(2**n, dtype=targ.dtype)
@@ -152,7 +136,6 @@ def sweep_optimize(
     n_sweeps: int,
     trace: OptimizerTrace | None = None,
     stage: int = 0,
-    rel_tol: float | None = None,
 ):
     """Gate-by-gate sweeps in forward application order.
 
@@ -163,14 +146,13 @@ def sweep_optimize(
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
-    targ = _target_dense(target)
+    targ = dense_amplitudes(target)
     n = circuit.n_qubits
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
     trace = trace if trace is not None else OptimizerTrace()
     gates = list(circuit.all_gates())
     m_total = len(gates)
-    previous = None
     for sweep in range(1, n_sweeps + 1):
         suffix = [None] * (m_total + 1)
         suffix[m_total] = targ
@@ -188,9 +170,6 @@ def sweep_optimize(
             trace.gate_overlaps.append(overlap)
             prefix = apply_gate_dense(prefix, w, site, n)
         trace.records.append(TraceRecord(stage, sweep, overlap))
-        if rel_tol is not None and previous is not None and overlap - previous < rel_tol:
-            break
-        previous = overlap
     return _rebuild(circuit, gates), trace
 
 

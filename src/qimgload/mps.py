@@ -11,11 +11,11 @@ staircase circuit conversion consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import AmplitudeState
 
 DENSE_SITE_CAP = 20  # 2**20 amplitudes is the desk-scale memory ceiling
@@ -86,6 +86,11 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray):
         u[:, j] /= phase
         vt[j, :] *= phase
     return u, vt
+
+
+def isometry_error(mat: np.ndarray) -> float:
+    """Largest entry of |V^dagger V - I|: zero when the columns of `mat` are orthonormal."""
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
 
 
 def _keep_count(s: np.ndarray, chi_max, eps_max: float) -> int:
@@ -176,6 +181,25 @@ def left_canonicalize(m: MPS) -> MPS:
     return MPS(tuple(tensors), canonical_form="left")
 
 
+def _move_center_left(tensors: list, stop: int, chi=None) -> list:
+    """Move the canonical center from the last site onto site ``stop`` by SVDs.
+
+    Rewrites ``tensors`` in place, capping each bond right of ``stop`` at
+    ``chi`` (no cap if None).  Returns the discarded weight per bond, 0.0
+    for the bonds the sweep does not reach.
+    """
+    eps = [0.0] * (len(tensors) - 1)
+    for i in range(len(tensors) - 1, stop, -1):
+        left, _, right = tensors[i].shape
+        u, s, vt = np.linalg.svd(tensors[i].reshape(left, 2 * right), full_matrices=False)
+        u, vt = _fix_svd_signs(u, vt)
+        keep = len(s) if chi is None else min(len(s), chi)
+        eps[i - 1] = float(np.sum(s[keep:] ** 2))
+        tensors[i] = vt[:keep].reshape(keep, 2, right)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], u[:, :keep] * s[:keep], axes=(2, 0))
+    return eps
+
+
 def truncate(m: MPS, chi: int):
     """Cap every bond at ``chi`` via an SVD sweep; returns (MPS, TruncationReport).
 
@@ -187,17 +211,8 @@ def truncate(m: MPS, chi: int):
     ml = left_canonicalize(m)
     if ml.max_bond <= chi:
         return ml, TruncationReport((0.0,) * (ml.n_sites - 1))
-    tensors = [np.array(t) for t in ml.tensors]
-    eps = [0.0] * (ml.n_sites - 1)
-    for i in range(ml.n_sites - 1, 0, -1):
-        left, _, right = tensors[i].shape
-        u, s, vt = np.linalg.svd(tensors[i].reshape(left, 2 * right), full_matrices=False)
-        u, vt = _fix_svd_signs(u, vt)
-        keep = min(len(s), chi)
-        eps[i - 1] = float(np.sum(s[keep:] ** 2))
-        tensors[i] = vt[:keep].reshape(keep, 2, right)
-        carry = u[:, :keep] * s[:keep]
-        tensors[i - 1] = np.tensordot(tensors[i - 1], carry, axes=(2, 0))
+    tensors = list(ml.tensors)
+    eps = _move_center_left(tensors, 0, chi)
     out = left_canonicalize(MPS(tuple(tensors), canonical_form="none"))
     return out, TruncationReport(tuple(eps))
 
@@ -224,19 +239,14 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
     gate = np.asarray(gate)
     if gate.shape != (4, 4):
         raise ValidationError("gate must be 4x4")
-    if np.max(np.abs(gate.conj().T @ gate - np.eye(4))) > 1e-10:
-        raise ValidationError("gate is not unitary within 1e-10")
+    if isometry_error(gate) > CANONICAL_ISOMETRY_TOL:
+        raise ValidationError(f"gate is not unitary within {CANONICAL_ISOMETRY_TOL}")
     if not (0 <= site < m.n_sites - 1):
         raise ValidationError(f"gate site {site} out of range for {m.n_sites} sites")
     # move the canonical center onto the gate so the local singular values
     # are the true Schmidt coefficients of the bond being re-split
-    tensors = [np.asarray(t) for t in left_canonicalize(m).tensors]
-    for i in range(m.n_sites - 1, site + 1, -1):
-        l_dim, _, r_dim = tensors[i].shape
-        u, s, vt = np.linalg.svd(tensors[i].reshape(l_dim, 2 * r_dim), full_matrices=False)
-        u, vt = _fix_svd_signs(u, vt)
-        tensors[i] = vt.reshape(len(s), 2, r_dim)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+    tensors = list(left_canonicalize(m).tensors)
+    weights = _move_center_left(tensors, site + 1)
     theta = np.tensordot(tensors[site], tensors[site + 1], axes=(2, 0))
     theta = np.einsum("stuv,luvr->lstr", gate.reshape(2, 2, 2, 2), theta)
     left, _, _, right = theta.shape
@@ -248,18 +258,13 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
     s = s / np.linalg.norm(s)
     tensors[site] = u[:, :keep].reshape(left, 2, keep)
     tensors[site + 1] = (s[:, None] * vt[:keep]).reshape(keep, 2, right)
-    weights = [0.0] * (m.n_sites - 1)
     weights[site] = eps
     return MPS(tuple(tensors), canonical_form="none"), TruncationReport(tuple(weights))
 
 
 def isometry_defect(m: MPS) -> float:
     """Largest deviation of any tensor from the left-canonical isometry condition."""
-    worst = 0.0
-    for t in m.tensors:
-        mat = t.reshape(-1, t.shape[2])
-        worst = max(worst, float(np.max(np.abs(mat.conj().T @ mat - np.eye(t.shape[2])))))
-    return worst
+    return max(isometry_error(t.reshape(-1, t.shape[2])) for t in m.tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +273,28 @@ def isometry_defect(m: MPS) -> float:
 MPS_FORMAT_VERSION = 1
 
 
+def _tensor_to_json(t: np.ndarray) -> dict:
+    entry = {"shape": list(t.shape), "data": np.asarray(np.real(t), dtype=float).ravel().tolist()}
+    if np.iscomplexobj(t):
+        entry["imag"] = np.imag(t).ravel().tolist()
+    return entry
+
+
+def _tensor_from_json(d: dict) -> np.ndarray:
+    t = np.array(d["data"], dtype=float)
+    if "imag" in d:
+        t = t + 1j * np.array(d["imag"], dtype=float)
+    return t.reshape(d["shape"])
+
+
 def mps_to_dict(m: MPS, metadata: dict | None = None) -> dict:
+    """JSON-ready container; complex tensors add an "imag" list beside "data"."""
     return {
         "version": MPS_FORMAT_VERSION,
         "n_sites": m.n_sites,
         "bond_dims": m.bond_dims,
         "canonical_form": m.canonical_form,
-        "tensors": [
-            {"shape": list(t.shape), "data": np.asarray(t, dtype=float).ravel().tolist()}
-            for t in m.tensors
-        ],
+        "tensors": [_tensor_to_json(t) for t in m.tensors],
         "metadata": dict(metadata or {}),
     }
 
@@ -285,7 +302,8 @@ def mps_to_dict(m: MPS, metadata: dict | None = None) -> dict:
 def mps_from_dict(d: dict) -> MPS:
     if d.get("version") != MPS_FORMAT_VERSION:
         raise ValidationError(f"unsupported MPS container version {d.get('version')}")
-    tensors = tuple(
-        np.array(t["data"], dtype=float).reshape(t["shape"]) for t in d["tensors"]
-    )
+    try:
+        tensors = tuple(_tensor_from_json(t) for t in d["tensors"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"corrupt MPS payload: {exc}") from None
     return MPS(tensors, canonical_form=d.get("canonical_form", "none"))

@@ -12,7 +12,8 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .errors import ValidationError
-from .mps import DENSE_SITE_CAP
+from .image_codec import AmplitudeState
+from .mps import DENSE_SITE_CAP, MPS, to_dense
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
@@ -48,6 +49,15 @@ class ShotHistogram:
             raise ValidationError("histogram counts must sum to the shot total")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+
+
+def dense_amplitudes(state) -> np.ndarray:
+    """Amplitude vector of an MPS, StateVector, AmplitudeState, or raw array."""
+    if isinstance(state, MPS):
+        return to_dense(state)
+    if isinstance(state, (StateVector, AmplitudeState)):
+        return np.asarray(state.amplitudes)
+    return np.asarray(state)
 
 
 def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:

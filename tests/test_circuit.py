@@ -17,7 +17,6 @@ from qimgload.circuit import (
     cnot_count,
     deserialize,
     embed_isometry,
-    flat_gate_list,
     layer_from_chi2_mps,
     serialize,
 )
@@ -175,10 +174,3 @@ class TestSerialization:
             deserialize(b"not json")
         with pytest.raises(InputFormatError):
             circuit_from_dict({"version": 0})
-
-    def test_flat_gate_list_order(self, rng):
-        c = random_staircase_circuit(rng, 4, 2)
-        flat = flat_gate_list(c)
-        assert [(e["layer"], e["site"]) for e in flat] == [
-            (0, 2), (0, 1), (0, 0), (1, 2), (1, 1), (1, 0)
-        ]

@@ -18,6 +18,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 class TestEncode:
     def test_writes_artifacts(self, out):
         assert run_cli("encode", "--image", "builtin:digit", "--target-l", "8",
@@ -78,6 +83,26 @@ class TestCompileSimulate:
                     "--shots", "500", "--seed", "3", "--out-dir", str(d))
         assert (a / "histogram.csv").read_text() == (b / "histogram.csv").read_text()
 
+    def test_compile_determinism(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            assert run_cli("compile", "--method", "grow", "--image", "builtin:digit",
+                           "--target-l", "8", "--depth", "2", "--sweeps", "10",
+                           "--out-dir", str(d)) == 0
+        for name in ("circuit.json", "trace.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_unknown_provenance_ordering(self, out, capsys):
+        run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                "--depth", "1", "--method", "iterative", "--out-dir", str(out))
+        payload = json.loads((out / "circuit.json").read_text())
+        payload["provenance"]["ordering"] = "zigzag"
+        (out / "circuit.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("simulate", "--circuit", str(out / "circuit.json"),
+                       "--exact", "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: unknown ordering 'zigzag'")
+
 
 class TestReconstruct:
     def test_histogram_roundtrip(self, out):
@@ -89,6 +114,13 @@ class TestReconstruct:
         assert run_cli("reconstruct", "--histogram", str(out / "histogram.csv"),
                        "--out-dir", str(out)) == 0
         assert (out / "reconstructed.pgm").read_bytes() == direct
+
+    @pytest.mark.parametrize("row", ["0,0,x,0.5", "0,0", "0,0,nan,0.5"])
+    def test_malformed_row(self, tmp_path, out, capsys, row):
+        hist = tmp_path / "histogram.csv"
+        hist.write_text(f"index,bitstring,count,probability\n{row}\n1,1,3,0.5\n")
+        assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: histogram")
 
 
 class TestAnalyze:
@@ -122,6 +154,12 @@ class TestConfigFile:
         cfg.write_text("tempo = allegro\n")
         assert run_cli("encode", "--config", str(cfg), "--out-dir", str(out)) == 3
 
+    def test_unparseable_value_rejected(self, tmp_path, out, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("depth = three\n")
+        assert run_cli("compile", "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: depth='three'")
+
 
 class TestExitCodes:
     def test_input_format_error(self, tmp_path, out):
@@ -134,6 +172,12 @@ class TestExitCodes:
 
     def test_validation_error(self, out):
         assert run_cli("encode", "--image", "builtin:nothere", "--out-dir", str(out)) == 3
+
+    def test_corrupt_circuit_json(self, tmp_path, out, capsys):
+        bad = tmp_path / "circuit.json"
+        bad.write_text("{not json")
+        assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: corrupt circuit payload")
 
     def test_unknown_format_flag(self, tmp_path, out):
         weird = tmp_path / "img.dat"

@@ -1,13 +1,15 @@
 """MPS compression, canonical form, truncation, and gate application,
 checked against dense linear algebra throughout."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_apply_gate, random_state, random_unitary4
-from qimgload.errors import ValidationError
+from qimgload.errors import InputFormatError, ValidationError
 from qimgload.mps import (
     MPS,
     TruncationReport,
@@ -225,6 +227,20 @@ class TestSerialization:
         assert again.canonical_form == "left"
         for ta, tb in zip(m.tensors, again.tensors):
             np.testing.assert_array_equal(ta, tb)
+
+        # the imaginary part survives: [1, 1j, 0, 0] / sqrt(2) on two sites
+        vec = np.array([1, 1j, 0, 0]) / np.sqrt(2)
+        m, _ = from_dense(vec)
+        again = mps_from_dict(json.loads(json.dumps(mps_to_dict(m))))
+        np.testing.assert_array_equal(to_dense(again), to_dense(m))
+        np.testing.assert_allclose(to_dense(again), vec, atol=1e-15)
+
+        # a real MPS stays a real payload, with no imaginary list
+        real = mps_to_dict(from_dense(random_state(rng, 3))[0])
+        assert all(set(t) == {"shape", "data"} for t in real["tensors"])
+
+        with pytest.raises(InputFormatError):
+            mps_from_dict({"version": 1})
 
     def test_bad_version_rejected(self):
         with pytest.raises(ValidationError):
