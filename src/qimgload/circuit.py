@@ -189,6 +189,8 @@ def circuit_to_dict(c: LayeredCircuit) -> dict:
 
 
 def circuit_from_dict(d: dict) -> LayeredCircuit:
+    if not isinstance(d, dict):
+        raise InputFormatError(f"corrupt circuit payload: {type(d).__name__}, not an object")
     if d.get("version") != CIRCUIT_FORMAT_VERSION:
         raise InputFormatError(f"unsupported circuit format version {d.get('version')}")
     try:

@@ -247,6 +247,13 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _int_list(option: str, text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{option}={text!r} is not a comma-separated list of int") from None
+
+
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
@@ -254,13 +261,13 @@ def cmd_analyze(args) -> int:
     ordering = _bit_ordering(cfg.ordering)
     image_id = cfg.image
     if args.sweep == "chi":
-        chi_list = [int(c) for c in args.chi_list.split(",")]
+        chi_list = _int_list("chi_list", args.chi_list)
         records = analysis.chi_scaling_sweep(
             grid, chi_list, ordering=ordering, image_id=image_id
         )
         name = "chi_sweep"
     elif args.sweep == "depth":
-        depth_list = [int(d) for d in args.depth_list.split(",")]
+        depth_list = _int_list("depth_list", args.depth_list)
         records = analysis.depth_scaling_sweep(
             grid,
             depth_list,
@@ -272,7 +279,7 @@ def cmd_analyze(args) -> int:
         )
         name = "depth_sweep"
     elif args.sweep == "resolution":
-        L_list = [int(v) for v in args.l_list.split(",")]
+        L_list = _int_list("l_list", args.l_list)
         records = analysis.chi_scaling_sweep(
             grid, [cfg.chi_max], L_list=L_list, ordering=ordering, image_id=image_id
         )
@@ -280,7 +287,9 @@ def cmd_analyze(args) -> int:
     else:
         raise ValidationError(f"unknown sweep {args.sweep!r}")
     (out / f"{name}.csv").write_text(_csv_header(cfg) + analysis.records_to_csv(records))
-    positive = [(r.x, r.infidelity) for r in records if r.infidelity > 0]
+    # a resolution sweep's x is the one chi_max on every record, so it fits against L
+    by_l = args.sweep == "resolution"
+    positive = [(r.L if by_l else r.x, r.infidelity) for r in records if r.infidelity > 0]
     if len(positive) >= 3:
         fit = analysis.fit_power_law(positive)
         (out / f"{name}_fit.json").write_text(

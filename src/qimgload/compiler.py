@@ -72,12 +72,16 @@ class OptimizerTrace:
 
 
 def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """F[c, r] = sum over spectators of prefix[x, c, y] * conj(suffix[x, r, y])."""
+    """F[c, r] = sum over spectators of prefix[x, c, y] * conj(suffix[x, r, y]).
+
+    The gate axis is moved to the front of both vectors, so the spectator sum
+    is one (4, 2^N) @ (2^N, 4) GEMM.
+    """
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
-    a = prefix.reshape(pre, 4, post)
-    b = suffix.reshape(pre, 4, post)
-    return np.einsum("xcy,xry->cr", a, np.conj(b))
+    a = prefix.reshape(pre, 4, post).transpose(1, 0, 2).reshape(4, -1)
+    b = suffix.reshape(pre, 4, post).transpose(1, 0, 2).reshape(4, -1)
+    return a @ b.conj().T
 
 
 def _optimal_gate(f: np.ndarray):

@@ -64,9 +64,10 @@ def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: i
     """Apply a 4x4 gate on adjacent qubits (site, site+1) to a dense vector."""
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
-    block = vec.reshape(pre, 4, post)
-    out = np.einsum("rc,pcq->prq", matrix, block)
-    return out.reshape(-1)
+    if post == 1:
+        # one (pre, 4) @ (4, 4) GEMM; a batch of pre matrix-vector products is slower
+        return (vec.reshape(pre, 4) @ matrix.T).reshape(-1)
+    return np.matmul(matrix, vec.reshape(pre, 4, post)).reshape(-1)
 
 
 def run(c: LayeredCircuit, site_cap: int = DENSE_SITE_CAP) -> StateVector:
@@ -105,18 +106,30 @@ def histogram_to_probs(h: ShotHistogram) -> np.ndarray:
     return h.counts / h.shots
 
 
+def _python_scalars(a: np.ndarray):
+    """The entries of a as Python scalars.
+
+    tolist() converts in C, far faster than iterating numpy scalars; doing it
+    4096 entries at a time keeps 2^N Python objects from being alive at once.
+    """
+    for start in range(0, a.size, 4096):
+        yield from a[start : start + 4096].tolist()
+
+
 def histogram_to_csv(h: ShotHistogram) -> str:
     n_bits = max(int(np.log2(len(h.counts))), 1)
     lines = ["index,bitstring,count,probability"]
     probs = histogram_to_probs(h)
-    for i, (count, p) in enumerate(zip(h.counts, probs)):
-        lines.append(f"{i},{i:0{n_bits}b},{int(count)},{repr(float(p))}")
+    for i, (count, p) in enumerate(zip(_python_scalars(h.counts), _python_scalars(probs))):
+        lines.append(f"{i},{i:0{n_bits}b},{count},{p!r}")
     return "\n".join(lines) + "\n"
 
 
 def state_to_csv(v: StateVector) -> str:
+    # tolist() of a float64/complex128 array yields Python floats or complexes,
+    # whose repr is the CSV text
+    amplitudes = v.amplitudes.astype(np.result_type(v.amplitudes.dtype, float), copy=False)
     lines = ["index,amplitude"]
-    for i, a in enumerate(v.amplitudes):
-        value = repr(float(np.real(a))) if not np.iscomplexobj(v.amplitudes) else repr(complex(a))
-        lines.append(f"{i},{value}")
+    for i, a in enumerate(_python_scalars(amplitudes)):
+        lines.append(f"{i},{a!r}")
     return "\n".join(lines) + "\n"

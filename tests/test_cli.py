@@ -139,6 +139,21 @@ class TestAnalyze:
                        "--out-dir", str(out)) == 0
         assert (out / "depth_sweep.csv").exists()
 
+    def test_resolution_sweep_fits_against_L(self, out):
+        assert run_cli("analyze", "--sweep", "resolution", "--image", "builtin:scene",
+                       "--target-l", "32", "--chi-max", "2", "--l-list", "4,8,16,32",
+                       "--out-dir", str(out)) == 0
+        fit = json.loads((out / "resolution_sweep_fit.json").read_text())
+        assert fit["range"] == [4.0, 32.0]
+
+    @pytest.mark.parametrize(
+        "sweep,flag", [("chi", "--chi-list"), ("depth", "--depth-list"), ("resolution", "--l-list")]
+    )
+    def test_unparseable_list_rejected(self, out, capsys, sweep, flag):
+        assert run_cli("analyze", "--sweep", sweep, "--image", "builtin:digit",
+                       "--target-l", "4", flag, "2,x", "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: ")
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, out):
@@ -176,6 +191,12 @@ class TestExitCodes:
     def test_corrupt_circuit_json(self, tmp_path, out, capsys):
         bad = tmp_path / "circuit.json"
         bad.write_text("{not json")
+        assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: corrupt circuit payload")
+
+    def test_circuit_json_not_an_object(self, tmp_path, out, capsys):
+        bad = tmp_path / "circuit.json"
+        bad.write_text("[1]")
         assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
         assert_one_line_error(capsys, "input format error: corrupt circuit payload")
 

@@ -11,6 +11,7 @@ from conftest import (
 )
 from qimgload.compiler import (
     OptimizerTrace,
+    _environment,
     _optimal_gate,
     environment_tensor,
     grow_and_optimize,
@@ -51,6 +52,20 @@ class TestEnvironmentTensor:
                 w = random_unitary4(rng, complex_valued=True)
                 direct = overlap_with_replacement(circuit, m, w, target)
                 assert abs(np.trace(w @ f.matrix) - direct) < 1e-9
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_kernel_matches_defining_contraction(self, rng, complex_valued):
+        n = 6
+        prefix = random_state(rng, n, complex_valued)
+        suffix = random_state(rng, n, complex_valued)
+        for site in range(n - 1):
+            shape = (2**site, 4, 2 ** (n - site - 2))
+            expected = np.einsum(
+                "xcy,xry->cr", prefix.reshape(shape), np.conj(suffix.reshape(shape))
+            )
+            np.testing.assert_allclose(
+                _environment(prefix, suffix, site, n), expected, rtol=0, atol=1e-12
+            )
 
     def test_gate_index_bounds(self, rng):
         circuit = random_staircase_circuit(rng, 4, 1)

@@ -29,15 +29,15 @@ from qimgload.simulator import (
 
 class TestApplyGateDense:
     def test_matches_kron_oracle_every_site(self, rng):
-        n = 5
-        vec = random_state(rng, n, complex_valued=True)
-        for site in range(n - 1):
-            gate = random_unitary4(rng, complex_valued=True)
-            np.testing.assert_allclose(
-                apply_gate_dense(vec, gate, site, n),
-                oracle_apply_gate(vec, gate, site, n),
-                atol=1e-12,
-            )
+        # sites 0 and n-2 cover the pre == 1 and post == 1 branches
+        n = 6
+        for complex_valued in (False, True):
+            vec = random_state(rng, n, complex_valued)
+            for site in range(n - 1):
+                gate = random_unitary4(rng, complex_valued)
+                out = apply_gate_dense(vec, gate, site, n)
+                assert out.dtype == vec.dtype and out.shape == vec.shape
+                np.testing.assert_allclose(out, oracle_apply_gate(vec, gate, site, n), atol=1e-12)
 
     def test_site_bit_is_most_significant(self):
         # [DERIVED] a NOT on the gate's first qubit must flip the higher bit
@@ -152,4 +152,10 @@ class TestHistogram:
         v = StateVector(2, random_state(rng, 2))
         lines = state_to_csv(v).splitlines()[1:]
         values = [float(line.split(",")[1]) for line in lines]
+        np.testing.assert_array_equal(values, v.amplitudes)
+
+    def test_state_csv_roundtrips_complex(self, rng):
+        v = StateVector(3, random_state(rng, 3, complex_valued=True))
+        lines = state_to_csv(v).splitlines()[1:]
+        values = [complex(line.split(",")[1]) for line in lines]
         np.testing.assert_array_equal(values, v.amplitudes)
