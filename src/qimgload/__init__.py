@@ -35,7 +35,6 @@ from .circuit import (
     CircuitLayer,
     LayeredCircuit,
     TwoQubitGate,
-    adjoint,
     cnot_count,
     embed_isometry,
     layer_from_chi2_mps,
@@ -49,7 +48,7 @@ from .compiler import (
     sweep_optimize,
     update_gate,
 )
-from .simulator import ShotHistogram, StateVector, histogram_to_probs, overlap, run, sample
+from .simulator import ShotHistogram, StateVector, histogram_to_probs, run, sample
 from .analysis import (
     PowerLawFit,
     ScalingRecord,

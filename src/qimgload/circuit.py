@@ -28,6 +28,8 @@ class TwoQubitGate:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.site, (int, np.integer)):
+            raise ValidationError(f"gate site {self.site!r} is not an integer")
         m = np.asarray(self.matrix)
         if m.shape != (4, 4):
             raise ValidationError("gate matrix must be 4x4")
@@ -37,9 +39,6 @@ class TwoQubitGate:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def adjoint(self) -> "TwoQubitGate":
-        return TwoQubitGate(self.site, self.matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ class LayeredCircuit:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.n_qubits, (int, np.integer)):
+            raise ValidationError(f"qubit count {self.n_qubits!r} is not an integer")
         layers = tuple(self.layers)
         if not layers:
             raise ValidationError("a circuit needs at least one layer")
@@ -145,15 +146,6 @@ def layer_from_chi2_mps(m: MPS) -> CircuitLayer:
     return CircuitLayer(tuple(gates))
 
 
-def adjoint(c: LayeredCircuit) -> LayeredCircuit:
-    """Inverse circuit: layers and within-layer order reversed, gates conjugated."""
-    layers = tuple(
-        CircuitLayer(tuple(g.adjoint() for g in reversed(layer.gates)))
-        for layer in reversed(c.layers)
-    )
-    return LayeredCircuit(c.n_qubits, layers, provenance=dict(c.provenance))
-
-
 def cnot_count(c: LayeredCircuit) -> int:
     """CNOT-equivalent count at 2 per staircase gate: 2 * depth * (N - 1)."""
     return 2 * c.depth * (c.n_qubits - 1)
@@ -170,9 +162,12 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _matrix_from_json(d: dict) -> np.ndarray:
-    m = np.array(d["real"], dtype=float)
-    if "imag" in d:
-        m = m + 1j * np.array(d["imag"], dtype=float)
+    try:
+        m = np.array(d["real"], dtype=float)
+        if "imag" in d:
+            m = m + 1j * np.array(d["imag"], dtype=float)
+    except ValueError as exc:  # ragged or non-numeric entries
+        raise InputFormatError(f"corrupt circuit payload: {exc}") from None
     return m
 
 
@@ -193,6 +188,9 @@ def circuit_from_dict(d: dict) -> LayeredCircuit:
         raise InputFormatError(f"corrupt circuit payload: {type(d).__name__}, not an object")
     if d.get("version") != CIRCUIT_FORMAT_VERSION:
         raise InputFormatError(f"unsupported circuit format version {d.get('version')}")
+    provenance = d.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise InputFormatError("corrupt circuit payload: provenance is not an object")
     try:
         layers = tuple(
             CircuitLayer(
@@ -200,7 +198,7 @@ def circuit_from_dict(d: dict) -> LayeredCircuit:
             )
             for layer in d["layers"]
         )
-        return LayeredCircuit(d["n_qubits"], layers, provenance=dict(d.get("provenance", {})))
+        return LayeredCircuit(d["n_qubits"], layers, provenance=dict(provenance))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
 

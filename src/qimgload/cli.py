@@ -45,7 +45,7 @@ _ORDERINGS = {"straight": STRAIGHT, "snake": SNAKE}
 
 def _bit_ordering(name: str):
     """The BitOrdering a config or provenance ordering name stands for."""
-    if name not in _ORDERINGS:
+    if not isinstance(name, str) or name not in _ORDERINGS:
         raise ValidationError(f"unknown ordering {name!r}")
     return _ORDERINGS[name]
 
@@ -234,8 +234,8 @@ def cmd_reconstruct(args) -> int:
         except (IndexError, ValueError):
             raise InputFormatError(f"histogram row without a numeric count: {line!r}") from None
     counts = np.array(counts)
-    if not np.all(np.isfinite(counts)):
-        raise InputFormatError("histogram counts must be finite")
+    if not np.all(np.abs(counts) <= 2.0**53):  # NaN fails too; the sum cannot overflow
+        raise InputFormatError("histogram counts must be finite, at most 2^53 in magnitude")
     if counts.sum() <= 0:
         raise NumericError("histogram holds no counts")
     L = int(round(np.sqrt(len(counts))))
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FORMAT
 

@@ -186,8 +186,13 @@ def _zero_amplitude(m: MPS) -> float:
 
 
 def _apply_layer_adjoint(residual: MPS, layer: CircuitLayer, chi_max: int) -> MPS:
-    for g in reversed(layer.gates):
-        residual, _ = apply_two_qubit_gate(residual, g.matrix.conj().T, g.site, chi_max)
+    """Undo a layer in one left-to-right sweep of adjoint gates.
+
+    The layer must apply pair (N-2, N-1) first and (0, 1) last, as every
+    layer from `layer_from_chi2_mps` does.
+    """
+    stack = np.stack([g.matrix.conj().T for g in reversed(layer.gates)])
+    residual, _ = apply_two_qubit_gate(residual, stack, 0, chi_max)
     return residual
 
 

@@ -63,7 +63,7 @@ class ImageGrid:
                 f"side length {p.shape[0]} is not a power of two; "
                 "downscale a valid input or pre-pad before loading"
             )
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):  # NaN fails both comparisons
             raise ValidationError("pixel intensities must lie in [0, 1]")
         p = np.clip(p, 0.0, 1.0)
         p.setflags(write=False)
@@ -304,10 +304,6 @@ def write_pgm(g: ImageGrid) -> bytes:
     lines = ["P2", f"{L} {L}", "255"]
     lines += [" ".join(str(v) for v in row) for row in samples]
     return ("\n".join(lines) + "\n").encode()
-
-
-def write_csv(g: ImageGrid) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in g.pixels) + "\n"
 
 
 def curve_to_csv(seq: np.ndarray) -> str:

@@ -77,42 +77,44 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     Gives a deterministic SVD representative for golden tests; complex
     inputs are rotated so that entry becomes real positive.
     """
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        pivot = u[k, j]
-        if pivot == 0:
-            continue
-        phase = pivot / abs(pivot)
-        u[:, j] /= phase
-        vt[j, :] *= phase
+    # singular vectors have unit norm, so no pivot is zero
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    phase = pivot / np.abs(pivot)
+    u /= phase
+    vt *= phase[:, None]
     return u, vt
 
 
 def isometry_error(mat: np.ndarray) -> float:
-    """Largest entry of |V^dagger V - I|: zero when the columns of `mat` are orthonormal."""
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
+    """Largest entry of |V^dagger V - I|: zero when the columns of `mat` are orthonormal.
+
+    Non-finite input, or entries so large that the product overflows, give
+    inf, so no tolerance check can pass them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
+    return err if np.isfinite(err) else float("inf")
 
 
-def _keep_count(s: np.ndarray, chi_max, eps_max: float) -> int:
-    k = len(s)
-    weights = s**2
-    keep_eps = k
-    discarded = 0.0
-    while keep_eps > 1 and discarded + weights[keep_eps - 1] <= eps_max:
-        discarded += weights[keep_eps - 1]
-        keep_eps -= 1
-    keep = keep_eps
-    if chi_max is not None:
-        keep = min(keep, chi_max)
-    return max(keep, 1)
+def _cut(mat: np.ndarray, chi=None):
+    """SVD of a bond matrix cut to at most ``chi`` (no cap if None) nonzero singular values.
+
+    At least one value is kept.  Returns (u, s, vt, discarded weight), with
+    sign-fixed singular vectors and the kept columns/rows only.
+    """
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    u, vt = _fix_svd_signs(u, vt)
+    keep = max(int(np.count_nonzero(s**2)), 1)
+    if chi is not None:
+        keep = min(keep, chi)
+    return u[:, :keep], s[:keep], vt[:keep], float(np.sum(s[keep:] ** 2))
 
 
-def from_dense(v, chi_max=None, eps_max: float = 0.0):
+def from_dense(v, chi_max=None):
     """Compress a unit vector into a left-canonical MPS by successive SVDs.
 
-    Returns (MPS, TruncationReport).  At each bond the smallest singular
-    values are dropped down to ``chi_max``, plus any further values whose
-    cumulative discarded weight stays within ``eps_max``.
+    Returns (MPS, TruncationReport).  Each bond keeps at most ``chi_max``
+    singular values and drops those that are exactly zero.
     """
     if isinstance(v, AmplitudeState):
         vec = np.asarray(v.amplitudes, dtype=float)
@@ -133,14 +135,10 @@ def from_dense(v, chi_max=None, eps_max: float = 0.0):
     eps = []
     work = vec.reshape(1, -1)
     for _ in range(n - 1):
-        left = work.shape[0] * 2
-        mat = work.reshape(left, -1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        u, vt = _fix_svd_signs(u, vt)
-        keep = _keep_count(s, chi_max, eps_max)
-        eps.append(float(np.sum(s[keep:] ** 2)))
-        tensors.append(u[:, :keep].reshape(-1, 2, keep))
-        work = s[:keep, None] * vt[:keep]
+        u, s, vt, discarded = _cut(work.reshape(work.shape[0] * 2, -1), chi_max)
+        eps.append(discarded)
+        tensors.append(u.reshape(-1, 2, len(s)))
+        work = s[:, None] * vt
     last = work.reshape(-1, 2, 1)
     tensors.append(last / np.linalg.norm(last))
     return MPS(tuple(tensors), canonical_form="left"), TruncationReport(tuple(eps))
@@ -191,12 +189,9 @@ def _move_center_left(tensors: list, stop: int, chi=None) -> list:
     eps = [0.0] * (len(tensors) - 1)
     for i in range(len(tensors) - 1, stop, -1):
         left, _, right = tensors[i].shape
-        u, s, vt = np.linalg.svd(tensors[i].reshape(left, 2 * right), full_matrices=False)
-        u, vt = _fix_svd_signs(u, vt)
-        keep = len(s) if chi is None else min(len(s), chi)
-        eps[i - 1] = float(np.sum(s[keep:] ** 2))
-        tensors[i] = vt[:keep].reshape(keep, 2, right)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], u[:, :keep] * s[:keep], axes=(2, 0))
+        u, s, vt, eps[i - 1] = _cut(tensors[i].reshape(left, 2 * right), chi)
+        tensors[i] = vt.reshape(len(s), 2, right)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
     return eps
 
 
@@ -230,36 +225,38 @@ def inner(a: MPS, b: MPS):
 
 
 def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
-    """Contract a 4x4 unitary into sites (site, site+1) and re-split by SVD.
+    """Contract 4x4 unitaries into adjacent site pairs and re-split each by SVD.
 
-    Gate row/column index order is (bit of `site`, bit of `site+1`) with
-    the first qubit most significant.  Returns (MPS, TruncationReport)
-    with the state renormalized to unit norm.
+    ``gate`` is one 4x4 unitary for sites (site, site+1), or a (k, 4, 4)
+    stack applied left to right on the pairs starting at site, site+1, ...,
+    site+k-1 in one sweep.  Gate row/column index order is (bit of the left
+    site, bit of the right site) with the left qubit most significant.
+    Returns (MPS, TruncationReport) with the state renormalized to unit
+    norm; the MPS is left-canonical when the stack ends at the last pair.
     """
-    gate = np.asarray(gate)
-    if gate.shape != (4, 4):
-        raise ValidationError("gate must be 4x4")
-    if isometry_error(gate) > CANONICAL_ISOMETRY_TOL:
+    gates = np.asarray(gate)
+    if gates.ndim == 2:
+        gates = gates[None]
+    if gates.ndim != 3 or gates.shape[1:] != (4, 4) or not len(gates):
+        raise ValidationError("gate must be 4x4 or a (k, 4, 4) stack")
+    if any(isometry_error(g) > CANONICAL_ISOMETRY_TOL for g in gates):
         raise ValidationError(f"gate is not unitary within {CANONICAL_ISOMETRY_TOL}")
-    if not (0 <= site < m.n_sites - 1):
-        raise ValidationError(f"gate site {site} out of range for {m.n_sites} sites")
-    # move the canonical center onto the gate so the local singular values
-    # are the true Schmidt coefficients of the bond being re-split
+    last = site + len(gates)  # rightmost site the stack touches
+    if not (0 <= site and last < m.n_sites):
+        raise ValidationError(f"gates on sites {site}..{last} out of range for {m.n_sites} sites")
+    # the canonical center sits on the pair being split and is carried right
+    # with each split, so every bond is cut at its true Schmidt coefficients
     tensors = list(left_canonicalize(m).tensors)
     weights = _move_center_left(tensors, site + 1)
-    theta = np.tensordot(tensors[site], tensors[site + 1], axes=(2, 0))
-    theta = np.einsum("stuv,luvr->lstr", gate.reshape(2, 2, 2, 2), theta)
-    left, _, _, right = theta.shape
-    u, s, vt = np.linalg.svd(theta.reshape(left * 2, 2 * right), full_matrices=False)
-    u, vt = _fix_svd_signs(u, vt)
-    keep = min(len(s), chi_max) if chi_max is not None else len(s)
-    eps = float(np.sum(s[keep:] ** 2))
-    s = s[:keep]
-    s = s / np.linalg.norm(s)
-    tensors[site] = u[:, :keep].reshape(left, 2, keep)
-    tensors[site + 1] = (s[:, None] * vt[:keep]).reshape(keep, 2, right)
-    weights[site] = eps
-    return MPS(tuple(tensors), canonical_form="none"), TruncationReport(tuple(weights))
+    for i, g in enumerate(gates, start=site):
+        theta = np.tensordot(tensors[i], tensors[i + 1], axes=(2, 0))
+        theta = np.einsum("stuv,luvr->lstr", g.reshape(2, 2, 2, 2), theta)
+        left, _, _, right = theta.shape
+        u, s, vt, weights[i] = _cut(theta.reshape(left * 2, 2 * right), chi_max)
+        tensors[i] = u.reshape(left, 2, len(s))
+        tensors[i + 1] = (s[:, None] / np.linalg.norm(s) * vt).reshape(len(s), 2, right)
+    form = "left" if last == m.n_sites - 1 else "none"
+    return MPS(tuple(tensors), canonical_form=form), TruncationReport(tuple(weights))
 
 
 def isometry_defect(m: MPS) -> float:

@@ -82,13 +82,6 @@ def run(c: LayeredCircuit, site_cap: int = DENSE_SITE_CAP) -> StateVector:
     return StateVector(c.n_qubits, vec)
 
 
-def overlap(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|, the fidelity amplitude."""
-    if a.n_qubits != b.n_qubits:
-        raise ValidationError("qubit-count mismatch")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
 def sample(v: StateVector, shots: int, seed: int = 0) -> ShotHistogram:
     """Multinomial draw from |amplitudes|^2 with a seeded PCG64 generator."""
     if shots < 1:

@@ -200,6 +200,25 @@ class TestExitCodes:
         assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
         assert_one_line_error(capsys, "input format error: corrupt circuit payload")
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_pixel_rejected(self, tmp_path, out, capsys, entry):
+        path = tmp_path / "img.csv"
+        path.write_text(f"{entry},0.5\n0.5,0.5\n")
+        assert run_cli("encode", "--image", str(path), "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: pixel intensities must lie in [0, 1]")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nan_gate_rejected(self, out, capsys, exact):
+        run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                "--depth", "1", "--method", "iterative", "--out-dir", str(out))
+        payload = json.loads((out / "circuit.json").read_text())
+        payload["layers"][0][0]["matrix"]["real"][0][0] = float("nan")
+        (out / "circuit.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["simulate", "--circuit", str(out / "circuit.json"), "--out-dir", str(out)]
+        assert run_cli(*argv, *(["--exact"] if exact else [])) == 3
+        assert_one_line_error(capsys, "validation error: gate at site 2 is not unitary")
+
     def test_unknown_format_flag(self, tmp_path, out):
         weird = tmp_path / "img.dat"
         weird.write_bytes(b"123")

@@ -13,6 +13,7 @@ from qimgload.errors import InputFormatError, ValidationError
 from qimgload.mps import (
     MPS,
     TruncationReport,
+    _fix_svd_signs,
     apply_two_qubit_gate,
     from_dense,
     inner,
@@ -56,19 +57,6 @@ class TestFromDense:
             err = np.linalg.norm(vec - to_dense(m)) ** 2
             assert err <= 2 * report.total + 1e-12
 
-    def test_eps_budget_drops_small_weights(self, rng):
-        # a product state perturbed at amplitude ~1e-6 compresses to chi=1
-        # once the budget covers the perturbation's Schmidt weight
-        factors = [random_state(rng, 1) for _ in range(4)]
-        base = factors[0]
-        for f in factors[1:]:
-            base = np.kron(base, f)
-        vec = base + 1e-6 * random_state(rng, 4)
-        vec /= np.linalg.norm(vec)
-        m, report = from_dense(vec, eps_max=1e-10)
-        assert m.max_bond == 1
-        assert 0 < report.total < 1e-10
-
     def test_deterministic(self, rng):
         vec = random_state(rng, 6)
         a, _ = from_dense(vec, chi_max=4)
@@ -92,6 +80,34 @@ class TestFromDense:
         chi = int(local.integers(1, 9))
         m, _ = from_dense(vec, chi_max=chi)
         assert abs(np.linalg.norm(to_dense(m)) - 1.0) < 1e-10
+
+
+def fix_svd_signs_loop(u, vt):
+    """Reference: the per-column form of `_fix_svd_signs`."""
+    for j in range(u.shape[1]):
+        pivot = u[int(np.argmax(np.abs(u[:, j]))), j]
+        phase = pivot / abs(pivot)
+        u[:, j] /= phase
+        vt[j, :] *= phase
+    return u, vt
+
+
+class TestFixSvdSigns:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_matches_column_loop(self, rng, complex_valued):
+        for shape in [(2, 2), (8, 3), (3, 8), (16, 16)]:
+            a = rng.standard_normal(shape)
+            if complex_valued:
+                a = a + 1j * rng.standard_normal(shape)
+            u, _, vt = np.linalg.svd(a, full_matrices=False)
+            got = _fix_svd_signs(u.copy(), vt.copy())
+            want = fix_svd_signs_loop(u.copy(), vt.copy())
+            for g, w in zip(got, want):
+                if complex_valued:
+                    # numpy's scalar and array complex abs round differently
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+                else:
+                    np.testing.assert_array_equal(g, w)
 
 
 class TestCanonicalForm:
@@ -194,11 +210,67 @@ class TestApplyTwoQubitGate:
         m, _ = from_dense(random_state(rng, 4))
         with pytest.raises(ValidationError):
             apply_two_qubit_gate(m, np.ones((4, 4)), 0)
+        with pytest.raises(ValidationError):
+            apply_two_qubit_gate(m, np.full((4, 4), np.nan), 0)
 
     def test_rejects_bad_site(self, rng):
         m, _ = from_dense(random_state(rng, 4))
         with pytest.raises(ValidationError):
             apply_two_qubit_gate(m, np.eye(4), 3)
+
+    @pytest.mark.parametrize("chi", [None, 2])
+    @pytest.mark.parametrize("site, k", [(0, 5), (1, 4), (1, 2)])
+    def test_stack_matches_one_gate_at_a_time(self, rng, chi, site, k):
+        n = 6
+        vec = random_state(rng, n)
+        gates = np.stack([random_unitary4(rng, complex_valued=bool(j % 2)) for j in range(k)])
+        m, _ = from_dense(vec)
+        stacked, report = apply_two_qubit_gate(m, gates, site, chi)
+        single = m
+        for i, g in enumerate(gates, start=site):
+            single, _ = apply_two_qubit_gate(single, g, i, chi)
+        np.testing.assert_allclose(to_dense(stacked), to_dense(single), atol=1e-10)
+        if chi is None:
+            assert report.total == 0.0
+            expected = vec
+            for i, g in enumerate(gates, start=site):
+                expected = oracle_apply_gate(expected, g, i, n)
+            np.testing.assert_allclose(to_dense(stacked), expected, atol=1e-10)
+        if site + k == n - 1:
+            assert stacked.canonical_form == "left"
+            assert isometry_defect(stacked) < 1e-10
+        else:
+            assert stacked.canonical_form == "none"
+
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_staircase_on_product_state_is_exact_at_chi2(self, rng, chi):
+        # [DERIVED] a left-to-right staircase on a product state never needs
+        # a bond above 2, so the chi=2 cap discards nothing
+        n = 7
+        vec = np.zeros(2**n)
+        vec[0] = 1.0
+        gates = np.stack([random_unitary4(rng, complex_valued=True) for _ in range(n - 1)])
+        m, _ = from_dense(vec)
+        out, report = apply_two_qubit_gate(m, gates, 0, chi)
+        expected = vec
+        for i, g in enumerate(gates):
+            expected = oracle_apply_gate(expected, g, i, n)
+        np.testing.assert_allclose(to_dense(out), expected, atol=1e-10)
+        assert report.total < 1e-20
+        assert out.max_bond <= 2
+        assert out.canonical_form == "left" and isometry_defect(out) < 1e-10
+
+    def test_stack_rejects_bad_members_and_overrun(self, rng):
+        m, _ = from_dense(random_state(rng, 5))
+        good = random_unitary4(rng)
+        with pytest.raises(ValidationError):
+            apply_two_qubit_gate(m, np.stack([good, np.ones((4, 4)), good]), 0)
+        with pytest.raises(ValidationError):
+            apply_two_qubit_gate(m, np.stack([good] * 3), 2)  # pairs 2, 3, 4 of 5 sites
+        with pytest.raises(ValidationError):
+            apply_two_qubit_gate(m, np.zeros((0, 4, 4)), 0)
+        with pytest.raises(ValidationError):
+            apply_two_qubit_gate(m, np.stack([good] * 2), -1)
 
 
 class TestValidation:

@@ -20,7 +20,6 @@ from qimgload.simulator import (
     apply_gate_dense,
     histogram_to_csv,
     histogram_to_probs,
-    overlap,
     run,
     sample,
     state_to_csv,
@@ -85,18 +84,6 @@ class TestStateVector:
     def test_probabilities_sum_to_one(self, rng):
         v = StateVector(3, random_state(rng, 3, complex_valued=True))
         assert v.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestOverlap:
-    def test_self_overlap(self, rng):
-        v = StateVector(3, random_state(rng, 3))
-        assert overlap(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_phase_invariant(self, rng):
-        a = random_state(rng, 3, complex_valued=True)
-        va = StateVector(3, a)
-        vb = StateVector(3, a * np.exp(1j * 0.7))
-        assert overlap(va, vb) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSample:
