@@ -27,9 +27,11 @@ import numpy as np
 from .circuit import CircuitLayer, LayeredCircuit, TwoQubitGate, layer_from_chi2_mps
 from .errors import NumericError, ValidationError
 from .mps import (
+    CANONICAL_ISOMETRY_TOL,
     MPS,
     apply_two_qubit_gate,
     inner,
+    isometry_error,
     left_canonicalize,
     truncate,
 )
@@ -74,23 +76,29 @@ class OptimizerTrace:
 def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
     """F[c, r] = sum over spectators of prefix[x, c, y] * conj(suffix[x, r, y]).
 
-    The gate axis is moved to the front of both vectors, so the spectator sum
-    is one (4, 2^N) @ (2^N, 4) GEMM.
+    Both vectors are read through reshaped views, never transposed copies
+    (complex input conjugates the suffix once).  For post <= 8 the sum over
+    x is one (4*post, pre) @ (pre, 4*post) GEMM and the sum over y a trace
+    over its post diagonal blocks; for larger post it is a batch over x of
+    (4, post) @ (post, 4) products, summed.
     """
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
-    a = prefix.reshape(pre, 4, post).transpose(1, 0, 2).reshape(4, -1)
-    b = suffix.reshape(pre, 4, post).transpose(1, 0, 2).reshape(4, -1)
-    return a @ b.conj().T
+    if post <= 8:
+        g = prefix.reshape(pre, 4 * post).T @ suffix.reshape(pre, 4 * post).conj()
+        return g.reshape(4, post, 4, post).diagonal(0, 1, 3).sum(axis=-1)
+    a = prefix.reshape(pre, 4, post)
+    b = suffix.reshape(pre, 4, post)
+    return (a @ b.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def _optimal_gate(f: np.ndarray):
     """Unitary maximizing Re Tr[W F] and the achieved value (nuclear norm of F)."""
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NumericError("environment tensor has non-finite entries")
     u, s, vt = np.linalg.svd(f)
     w = (u @ vt).conj().T
-    return w, float(np.sum(s))
+    return w, float(s.sum())
 
 
 def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTensor:
@@ -144,9 +152,12 @@ def sweep_optimize(
     """Gate-by-gate sweeps in forward application order.
 
     Each sweep rebuilds the suffix states once (adjoint pass from the
-    target), then walks gates 1..M recomputing the environment from the
-    cached prefix/suffix pair and replacing the gate.  Per-update overlaps
-    land in ``trace.gate_overlaps``; per-sweep overlaps in ``trace.records``.
+    target), then walks gates 1..M computing each environment from the
+    running prefix and the cached suffix and replacing the gate's matrix by
+    its polar factor.  The loop holds raw 4x4 matrices; the M new ones are
+    checked for unitarity in one stacked call at the end of each sweep, and
+    the returned circuit's gates are built once.  Per-update overlaps land
+    in ``trace.gate_overlaps``; per-sweep overlaps in ``trace.records``.
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
@@ -155,25 +166,28 @@ def sweep_optimize(
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
     trace = trace if trace is not None else OptimizerTrace()
-    gates = list(circuit.all_gates())
-    m_total = len(gates)
+    sites = [g.site for g in circuit.all_gates()]
+    matrices = [g.matrix for g in circuit.all_gates()]
+    m_total = len(sites)
     for sweep in range(1, n_sweeps + 1):
         suffix = [None] * (m_total + 1)
         suffix[m_total] = targ
         for m in range(m_total - 1, 0, -1):
-            g = gates[m]
-            suffix[m] = apply_gate_dense(suffix[m + 1], g.matrix.conj().T, g.site, n)
+            suffix[m] = apply_gate_dense(suffix[m + 1], matrices[m].conj().T, sites[m], n)
         prefix = np.zeros(2**n, dtype=targ.dtype)
         prefix[0] = 1.0
         overlap = 0.0
-        for m in range(1, m_total + 1):
-            site = gates[m - 1].site
-            f = _environment(prefix, suffix[m], site, n)
-            w, overlap = _optimal_gate(f)
-            gates[m - 1] = TwoQubitGate(site, w)
+        for m in range(m_total):
+            f = _environment(prefix, suffix[m + 1], sites[m], n)
+            matrices[m], overlap = _optimal_gate(f)
             trace.gate_overlaps.append(overlap)
-            prefix = apply_gate_dense(prefix, w, site, n)
+            prefix = apply_gate_dense(prefix, matrices[m], sites[m], n)
+        if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
+            raise ValidationError(
+                f"sweep {sweep} produced a gate that is not unitary within {CANONICAL_ISOMETRY_TOL}"
+            )
         trace.records.append(TraceRecord(stage, sweep, overlap))
+    gates = [TwoQubitGate(site, w) for site, w in zip(sites, matrices)]
     return _rebuild(circuit, gates), trace
 
 

@@ -88,11 +88,13 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray):
 def isometry_error(mat: np.ndarray) -> float:
     """Largest entry of |V^dagger V - I|: zero when the columns of `mat` are orthonormal.
 
-    Non-finite input, or entries so large that the product overflows, give
-    inf, so no tolerance check can pass them.
+    `mat` is one matrix or a (k, n, m) stack, whose error is the largest of
+    its members'.  Non-finite input, or entries so large that the product
+    overflows, give inf, so no tolerance check can pass them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
+        gram = mat.conj().swapaxes(-1, -2) @ mat
+        err = float(np.max(np.abs(gram - np.eye(mat.shape[-1]))))
     return err if np.isfinite(err) else float("inf")
 
 
@@ -239,7 +241,7 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
         gates = gates[None]
     if gates.ndim != 3 or gates.shape[1:] != (4, 4) or not len(gates):
         raise ValidationError("gate must be 4x4 or a (k, 4, 4) stack")
-    if any(isometry_error(g) > CANONICAL_ISOMETRY_TOL for g in gates):
+    if isometry_error(gates) > CANONICAL_ISOMETRY_TOL:
         raise ValidationError(f"gate is not unitary within {CANONICAL_ISOMETRY_TOL}")
     last = site + len(gates)  # rightmost site the stack touches
     if not (0 <= site and last < m.n_sites):

@@ -67,6 +67,13 @@ def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: i
     if post == 1:
         # one (pre, 4) @ (4, 4) GEMM; a batch of pre matrix-vector products is slower
         return (vec.reshape(pre, 4) @ matrix.T).reshape(-1)
+    if post <= 4 and pre >= 128:
+        # one (pre, 4*post) GEMM against matrix ⊗ I_post; below pre = 128 the
+        # batch of pre tiny products is cheaper than building the Kronecker factor
+        kron = np.zeros((4, post, 4, post), dtype=matrix.dtype)
+        i = np.arange(post)
+        kron[:, i, :, i] = matrix
+        return (vec.reshape(pre, 4 * post) @ kron.reshape(4 * post, 4 * post).T).reshape(-1)
     return np.matmul(matrix, vec.reshape(pre, 4, post)).reshape(-1)
 
 

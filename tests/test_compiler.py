@@ -9,10 +9,12 @@ from conftest import (
     random_state,
     random_unitary4,
 )
+from qimgload import compiler
 from qimgload.compiler import (
     OptimizerTrace,
     _environment,
     _optimal_gate,
+    _rebuild,
     environment_tensor,
     grow_and_optimize,
     iterative_construct,
@@ -55,17 +57,19 @@ class TestEnvironmentTensor:
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_kernel_matches_defining_contraction(self, rng, complex_valued):
-        n = 6
-        prefix = random_state(rng, n, complex_valued)
-        suffix = random_state(rng, n, complex_valued)
-        for site in range(n - 1):
-            shape = (2**site, 4, 2 ** (n - site - 2))
-            expected = np.einsum(
-                "xcy,xry->cr", prefix.reshape(shape), np.conj(suffix.reshape(shape))
-            )
-            np.testing.assert_allclose(
-                _environment(prefix, suffix, site, n), expected, rtol=0, atol=1e-12
-            )
+        # sites with post <= 8 take the GEMM-and-trace branch, the rest (from
+        # pre == 1 up to pre == 16 at n = 11) the batched one
+        for n in (6, 11):
+            prefix = random_state(rng, n, complex_valued)
+            suffix = random_state(rng, n, complex_valued)
+            for site in range(n - 1):
+                shape = (2**site, 4, 2 ** (n - site - 2))
+                expected = np.einsum(
+                    "xcy,xry->cr", prefix.reshape(shape), np.conj(suffix.reshape(shape))
+                )
+                f = _environment(prefix, suffix, site, n)
+                assert f.dtype == prefix.dtype and f.shape == (4, 4)
+                np.testing.assert_allclose(f, expected, rtol=0, atol=1e-12)
 
     def test_gate_index_bounds(self, rng):
         circuit = random_staircase_circuit(rng, 4, 1)
@@ -139,6 +143,57 @@ class TestSweepOptimize:
         assert [g.site for g in optimized.all_gates()] == [
             g.site for g in circuit.all_gates()
         ]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_one_sweep_equals_successive_oracle_updates(self, rng, n):
+        # each update must equal update_gate on the dense oracle's environment
+        # of the partly updated circuit.  Against a random complex target the
+        # environments of gates n+1..M are full rank, so their polar factors
+        # are unique.  Gates 1..n have rank <= 2 environments (the first layer
+        # acts on |0>, and after it the last pair holds one bond of 2); there
+        # sweep and oracle agree because both contract the same gates in the
+        # same order
+        circuit = random_staircase_circuit(rng, n, 2)
+        target = random_state(rng, n, complex_valued=True)
+        swept, trace = sweep_optimize(circuit, target, 1)
+        gates = list(circuit.all_gates())
+        for m in range(1, len(gates) + 1):
+            f = environment_tensor(_rebuild(circuit, gates), m, target)
+            if m > n:
+                assert np.linalg.svd(f.matrix, compute_uv=False)[-1] > 1e-6
+            gates[m - 1] = update_gate(f)
+        for got, want in zip(swept.all_gates(), gates):
+            assert got.site == want.site
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-10)
+        nuclear = np.sum(np.linalg.svd(f.matrix, compute_uv=False))
+        assert trace.records[-1].overlap == pytest.approx(nuclear, abs=1e-10)
+        assert trace.gate_overlaps[-1] == trace.records[-1].overlap
+
+    @pytest.mark.parametrize(
+        "bad_update, corrupt",
+        [
+            pytest.param(1, lambda w: w * (1 + 1e-8), id="scaled-first"),
+            pytest.param(8, lambda w: w * (1 + 1e-8), id="scaled-last"),
+            pytest.param(8, lambda w: np.full_like(w, np.nan), id="nan-last"),
+        ],
+    )
+    def test_rejects_a_non_unitary_update(self, rng, monkeypatch, bad_update, corrupt):
+        # one bad update, the first or the last of the first sweep's 8: the
+        # stacked check at the end of that sweep must see it, before the
+        # second sweep replaces the gate
+        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        circuit, _ = iterative_construct(target, 2)
+        calls = []
+
+        def one_update_corrupted(f):
+            w, value = _optimal_gate(f)
+            calls.append(f)
+            return (corrupt(w) if len(calls) == bad_update else w), value
+
+        monkeypatch.setattr(compiler, "_optimal_gate", one_update_corrupted)
+        with pytest.raises(ValidationError):
+            sweep_optimize(circuit, target, 2)
+        assert len(calls) == len(circuit.all_gates()) == 8
 
     def test_zero_sweeps_is_identity(self, rng):
         target, _ = from_dense(random_state(rng, 4), chi_max=4)

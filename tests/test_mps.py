@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import oracle_apply_gate, random_state, random_unitary4
 from qimgload.errors import InputFormatError, ValidationError
 from qimgload.mps import (
+    CANONICAL_ISOMETRY_TOL,
     MPS,
     TruncationReport,
     _fix_svd_signs,
@@ -18,6 +19,7 @@ from qimgload.mps import (
     from_dense,
     inner,
     isometry_defect,
+    isometry_error,
     left_canonicalize,
     mps_from_dict,
     mps_to_dict,
@@ -271,6 +273,27 @@ class TestApplyTwoQubitGate:
             apply_two_qubit_gate(m, np.zeros((0, 4, 4)), 0)
         with pytest.raises(ValidationError):
             apply_two_qubit_gate(m, np.stack([good] * 2), -1)
+
+
+class TestIsometryError:
+    def test_stack_takes_the_worst_member(self, rng):
+        unitaries = np.stack([random_unitary4(rng, complex_valued=True) for _ in range(5)])
+        assert isometry_error(unitaries) < 1e-12
+        bad = unitaries.copy()
+        bad[3] *= 1 + 1e-8
+        assert isometry_error(bad) == pytest.approx(isometry_error(bad[3]))
+        assert isometry_error(bad) > CANONICAL_ISOMETRY_TOL
+
+    def test_non_finite_member_gives_inf(self, rng):
+        stack = np.stack([random_unitary4(rng) for _ in range(3)])
+        stack[1, 2, 0] = np.nan
+        assert isometry_error(stack) == float("inf")
+
+    def test_rectangular_stack(self, rng):
+        # columns of a (k, n, m) stack with n > m, as for left-canonical tensors
+        q = np.stack([np.linalg.qr(rng.standard_normal((6, 3)))[0] for _ in range(4)])
+        assert isometry_error(q) < 1e-12
+        assert isometry_error(q.swapaxes(1, 2)) > 0.1
 
 
 class TestValidation:

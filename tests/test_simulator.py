@@ -1,5 +1,7 @@
 """Dense statevector execution and seeded shot sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,10 @@ from qimgload.simulator import (
 
 class TestApplyGateDense:
     def test_matches_kron_oracle_every_site(self, rng):
-        # sites 0 and n-2 cover the pre == 1 and post == 1 branches
-        n = 6
-        for complex_valued in (False, True):
+        # site n-2 takes the post == 1 GEMM; at n = 11, sites 7 and 8 (pre >= 128,
+        # post 4 and 2) take the GEMM against matrix ⊗ I_post; the rest, from
+        # pre == 1 up, take the batched matmul
+        for n, complex_valued in itertools.product((6, 11), (False, True)):
             vec = random_state(rng, n, complex_valued)
             for site in range(n - 1):
                 gate = random_unitary4(rng, complex_valued)
