@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiler
+from .circuit import LayeredCircuit
 from .errors import ValidationError
 from .image_codec import STRAIGHT, BitOrdering, ImageGrid, downscale, encode_amplitudes
 from .mps import from_dense
@@ -119,15 +120,23 @@ def depth_scaling_sweep(
 ) -> list:
     """Infidelity of compiled circuits vs the exact encoded state.
 
-    ``gate_by_gate`` starts each depth's sweeps from the iterative circuit.
+    Extraction only appends layers, so one iterative build at the largest
+    depth serves every depth: the depth-d circuit is its last d layers.
+    ``gate_by_gate`` starts each depth's sweeps from that circuit.
     """
     if method not in ("iterative", "gate_by_gate"):
         raise ValidationError(f"unknown method {method!r}")
+    depths = sorted(depth_list)
+    if not depths:
+        return []
+    if depths[0] < 1:
+        raise ValidationError("depth must be >= 1")
     exact = encode_amplitudes(image, ordering).amplitudes
     target, _ = from_dense(exact, chi_max=chi_max)
+    deepest, _ = compiler.iterative_construct(target, depths[-1], chi_max)
     records = []
-    for depth in sorted(depth_list):
-        circuit, _ = compiler.iterative_construct(target, depth, chi_max)
+    for depth in depths:
+        circuit = LayeredCircuit(deepest.n_qubits, deepest.layers[-depth:])
         if method == "gate_by_gate":
             circuit, _ = compiler.sweep_optimize(circuit, target, sweeps)
         prepared = run(circuit)

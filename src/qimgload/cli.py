@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -31,7 +32,7 @@ from .image_codec import (
     load_image,
     write_pgm,
 )
-from .mps import from_dense, mps_to_dict
+from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict
 from .sample_images import get_image
 from .simulator import histogram_to_csv, histogram_to_probs, run, sample, state_to_csv
 
@@ -125,6 +126,19 @@ def _load_grid(cfg: PipelineConfig):
     return load_image(Path(cfg.image), fmt)
 
 
+def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
+    """Refuse a built-in image whose encoding passes the dense cap, before rendering it.
+
+    File inputs are bounded by their size; the renderer would allocate the
+    whole 2^N-amplitude target before `compile` or `analyze` hit the cap.
+    """
+    if cfg.image.startswith("builtin:") and 2 * math.log2(max(side, 2)) > DENSE_SITE_CAP:
+        raise ValidationError(
+            f"an L={side} image needs {2 * math.log2(side):g} qubits, "
+            f"above the dense cap of {DENSE_SITE_CAP}"
+        )
+
+
 def _prepare_target(cfg: PipelineConfig):
     grid = _load_grid(cfg)
     if cfg.target_l < grid.side_length:
@@ -172,6 +186,7 @@ def cmd_encode(args) -> int:
 def cmd_compile(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
+    _check_dense_cap(cfg, cfg.target_l)
     _, state, target, _ = _prepare_target(cfg)
     if cfg.method == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
@@ -257,6 +272,11 @@ def _int_list(option: str, text: str) -> list:
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
+    if args.sweep == "resolution":
+        L_list = _int_list("l_list", args.l_list)
+        _check_dense_cap(cfg, max(L_list))
+    else:
+        _check_dense_cap(cfg, cfg.target_l)
     grid = _load_grid(cfg)
     ordering = _bit_ordering(cfg.ordering)
     image_id = cfg.image
@@ -279,7 +299,6 @@ def cmd_analyze(args) -> int:
         )
         name = "depth_sweep"
     elif args.sweep == "resolution":
-        L_list = _int_list("l_list", args.l_list)
         records = analysis.chi_scaling_sweep(
             grid, [cfg.chi_max], L_list=L_list, ordering=ordering, image_id=image_id
         )

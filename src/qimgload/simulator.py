@@ -12,7 +12,7 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .errors import ValidationError
-from .image_codec import AmplitudeState
+from .image_codec import CSV_CHUNK_ROWS, AmplitudeState
 from .mps import DENSE_SITE_CAP, MPS, to_dense
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
@@ -106,30 +106,27 @@ def histogram_to_probs(h: ShotHistogram) -> np.ndarray:
     return h.counts / h.shots
 
 
-def _python_scalars(a: np.ndarray):
-    """The entries of a as Python scalars.
-
-    tolist() converts in C, far faster than iterating numpy scalars; doing it
-    4096 entries at a time keeps 2^N Python objects from being alive at once.
-    """
-    for start in range(0, a.size, 4096):
-        yield from a[start : start + 4096].tolist()
-
-
 def histogram_to_csv(h: ShotHistogram) -> str:
     n_bits = max(int(np.log2(len(h.counts))), 1)
-    lines = ["index,bitstring,count,probability"]
-    probs = histogram_to_probs(h)
-    for i, (count, p) in enumerate(zip(_python_scalars(h.counts), _python_scalars(probs))):
-        lines.append(f"{i},{i:0{n_bits}b},{count},{p!r}")
-    return "\n".join(lines) + "\n"
+    # the count,probability text depends only on the count, so format each
+    # distinct count once; its probability is the same entry of counts / shots
+    distinct, first = np.unique(h.counts, return_index=True)
+    probs = histogram_to_probs(h)[first]
+    text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), probs.tolist())}
+    parts = ["index,bitstring,count,probability\n"]
+    for start in range(0, h.counts.size, CSV_CHUNK_ROWS):
+        counts = h.counts[start : start + CSV_CHUNK_ROWS].tolist()
+        rows = [f"{i},{i:0{n_bits}b},{text[c]}\n" for i, c in enumerate(counts, start)]
+        parts.append("".join(rows))
+    return "".join(parts)
 
 
 def state_to_csv(v: StateVector) -> str:
     # tolist() of a float64/complex128 array yields Python floats or complexes,
     # whose repr is the CSV text
     amplitudes = v.amplitudes.astype(np.result_type(v.amplitudes.dtype, float), copy=False)
-    lines = ["index,amplitude"]
-    for i, a in enumerate(_python_scalars(amplitudes)):
-        lines.append(f"{i},{a!r}")
-    return "\n".join(lines) + "\n"
+    parts = ["index,amplitude\n"]
+    for start in range(0, amplitudes.size, CSV_CHUNK_ROWS):
+        chunk = amplitudes[start : start + CSV_CHUNK_ROWS].tolist()
+        parts.append("".join([f"{i},{a!r}\n" for i, a in enumerate(chunk, start)]))
+    return "".join(parts)

@@ -31,6 +31,21 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def assert_same_text(text: str, reference: str) -> None:
+    """Exact equality that reports the first differing line.
+
+    pytest's own diff of two long strings takes minutes; this stays quick.
+    """
+    if text == reference:
+        return
+    got, want = text.split("\n"), reference.split("\n")
+    i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(
+        f"line {i} differs: {got[i] if i < len(got) else '<end>'!r} "
+        f"!= {want[i] if i < len(want) else '<end>'!r} ({len(got)} vs {len(want)} lines)"
+    )
+
+
 def random_state(rng, n_qubits: int, complex_valued: bool = False) -> np.ndarray:
     v = rng.standard_normal(2**n_qubits)
     if complex_valued:

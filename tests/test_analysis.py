@@ -16,11 +16,12 @@ from qimgload.analysis import (
     records_to_csv,
     tv_distance,
 )
+from qimgload.compiler import iterative_construct, sweep_optimize
 from qimgload.errors import ValidationError
 from qimgload.image_codec import ImageGrid, encode_amplitudes
 from qimgload.mps import from_dense
 from qimgload.sample_images import BUILTIN_IMAGES, digit_image, get_image, scene_image, sign_image
-from qimgload.simulator import StateVector
+from qimgload.simulator import StateVector, run
 
 
 class TestInfidelity:
@@ -146,6 +147,36 @@ class TestScalingSweeps:
         it = depth_scaling_sweep(image, [2], method="iterative")
         gb = depth_scaling_sweep(image, [2], method="gate_by_gate", sweeps=30)
         assert gb[0].infidelity < it[0].infidelity
+
+    def test_deeper_build_ends_with_every_shallower_one(self):
+        # one build at the largest depth serves the whole depth list
+        target, _ = from_dense(encode_amplitudes(scene_image(16)).amplitudes, chi_max=8)
+        deepest, _ = iterative_construct(target, 5, 8)
+        for depth in range(1, 6):
+            alone, _ = iterative_construct(target, depth, 8)
+            sliced = deepest.layers[-depth:]
+            assert len(sliced) == alone.depth
+            for a, b in zip(sliced, alone.layers):
+                assert [g.site for g in a.gates] == [g.site for g in b.gates]
+                for ga, gb in zip(a.gates, b.gates):
+                    np.testing.assert_array_equal(ga.matrix, gb.matrix)
+
+    @pytest.mark.parametrize("method", ["iterative", "gate_by_gate"])
+    def test_depth_sweep_equals_separate_builds(self, method):
+        image = digit_image(8)
+        exact = encode_amplitudes(image).amplitudes
+        target, _ = from_dense(exact, chi_max=8)
+        records = depth_scaling_sweep(image, [3, 1, 2], method=method, sweeps=5, chi_max=8)
+        assert [r.x for r in records] == [1, 2, 3]
+        for r in records:
+            circuit, _ = iterative_construct(target, r.x, 8)
+            if method == "gate_by_gate":
+                circuit, _ = sweep_optimize(circuit, target, 5)
+            assert r.infidelity == infidelity(exact, run(circuit))
+
+    def test_depth_sweep_rejects_depth_zero(self):
+        with pytest.raises(ValidationError, match="depth must be >= 1"):
+            depth_scaling_sweep(scene_image(16), [0, 2])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

@@ -81,7 +81,8 @@ class TestCompileSimulate:
         for d in (a, b):
             run_cli("simulate", "--circuit", str(out / "circuit.json"),
                     "--shots", "500", "--seed", "3", "--out-dir", str(d))
-        assert (a / "histogram.csv").read_text() == (b / "histogram.csv").read_text()
+        for name in ("histogram.csv", "curve.csv", "reconstructed.pgm"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_compile_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -218,6 +219,42 @@ class TestExitCodes:
         argv = ["simulate", "--circuit", str(out / "circuit.json"), "--out-dir", str(out)]
         assert run_cli(*argv, *(["--exact"] if exact else [])) == 3
         assert_one_line_error(capsys, "validation error: gate at site 2 is not unitary")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--target-l", "2048"],
+            ["compile", "--target-l", "2048", "--method", "iterative"],
+            ["analyze", "--sweep", "chi", "--target-l", "2048"],
+            ["analyze", "--sweep", "depth", "--target-l", "2048"],
+            ["analyze", "--sweep", "resolution", "--target-l", "2048", "--l-list", "256,2048"],
+        ],
+    )
+    def test_dense_cap_checked_before_rendering(self, out, capsys, monkeypatch, argv):
+        def render(name, L):
+            raise AssertionError(f"rendered {name} at L={L}")
+
+        monkeypatch.setattr("qimgload.cli.get_image", render)
+        assert run_cli(*argv, "--image", "builtin:scene", "--out-dir", str(out)) == 3
+        assert_one_line_error(
+            capsys, "validation error: an L=2048 image needs 22 qubits, above the dense cap of 20"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--target-l", "1024"],
+            ["analyze", "--sweep", "resolution", "--target-l", "2048", "--l-list", "256,1024"],
+        ],
+    )
+    def test_dense_cap_admits_twenty_qubits(self, out, monkeypatch, argv):
+        # L = 1024 encodes on exactly the cap's 20 qubits, so the image is rendered
+        def render(name, L):
+            raise RuntimeError(f"rendered {name} at L={L}")
+
+        monkeypatch.setattr("qimgload.cli.get_image", render)
+        with pytest.raises(RuntimeError, match="rendered scene at L="):
+            run_cli(*argv, "--image", "builtin:scene", "--out-dir", str(out))
 
     def test_unknown_format_flag(self, tmp_path, out):
         weird = tmp_path / "img.dat"

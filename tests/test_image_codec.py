@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_encode
+from conftest import assert_same_text, oracle_encode
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
     SNAKE,
@@ -16,6 +16,7 @@ from qimgload.image_codec import (
     BitOrdering,
     ImageGrid,
     basis_permutation,
+    curve_to_csv,
     decode_probabilities,
     downscale,
     encode_amplitudes,
@@ -225,6 +226,33 @@ class TestPgm:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             load_pgm(b"P2\n4 2\n255\n" + b"0 " * 8)
+
+
+class TestWriterGoldenBytes:
+    """Each writer against a line-by-line reference of its format."""
+
+    def test_pgm(self, rng):
+        for L in (1, 2, 128):
+            g = ImageGrid(rng.random((L, L)))
+            samples = np.rint(g.pixels * 255).astype(int)
+            lines = ["P2", f"{L} {L}", "255"]
+            lines += [" ".join(str(v) for v in row) for row in samples]
+            assert_same_text(write_pgm(g).decode(), "\n".join(lines) + "\n")
+
+    def test_pgm_text(self):
+        assert write_pgm(grid([[0.0, 1.0], [0.5, 0.2]])) == b"P2\n2 2\n255\n0 255\n128 51\n"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_curve_csv(self, rng, dtype):
+        # 2^13 values cross a chunk boundary of the writer
+        seq = (rng.standard_normal(2**13) * 100).astype(dtype)
+        text = curve_to_csv(seq)
+        assert_same_text(text, "\n".join(repr(float(v)) for v in seq) + "\n")
+        assert text.count("\n") == 2**13
+
+    def test_curve_csv_of_an_encoded_state(self):
+        state = encode_amplitudes(grid([[0.0, 0.25], [0.25, 0.5]]))
+        assert curve_to_csv(flatten_curve(state)) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
 
 
 class TestCsv:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_text,
     oracle_apply_gate,
     oracle_run,
     random_staircase_circuit,
@@ -138,6 +139,10 @@ class TestHistogram:
         assert lines[1].startswith("0,00,3,")
         assert lines[3].startswith("2,10,1,")
 
+    def test_csv_rejects_a_histogram_without_shots(self):
+        with pytest.raises(ValidationError):
+            histogram_to_csv(ShotHistogram(counts=np.zeros(4), shots=0, seed=0))
+
     def test_state_csv_roundtrips_floats(self, rng):
         v = StateVector(2, random_state(rng, 2))
         lines = state_to_csv(v).splitlines()[1:]
@@ -149,3 +154,71 @@ class TestHistogram:
         lines = state_to_csv(v).splitlines()[1:]
         values = [complex(line.split(",")[1]) for line in lines]
         np.testing.assert_array_equal(values, v.amplitudes)
+
+
+def reference_state_csv(v: StateVector) -> str:
+    """The writer's format, one numpy scalar per line."""
+    convert = complex if np.iscomplexobj(v.amplitudes) else float
+    lines = ["index,amplitude"]
+    for i, a in enumerate(v.amplitudes):
+        lines.append(f"{i},{convert(a)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_histogram_csv(h: ShotHistogram) -> str:
+    """The writer's format, one numpy scalar per line."""
+    n_bits = max(int(np.log2(len(h.counts))), 1)
+    probs = h.counts / h.shots
+    lines = ["index,bitstring,count,probability"]
+    for i, (count, p) in enumerate(zip(h.counts, probs)):
+        lines.append(f"{i},{i:0{n_bits}b},{int(count)},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvGoldenBytes:
+    """Each CSV writer against a line-by-line reference of its format.
+
+    N = 13 gives 8192 rows, so the writers' chunked joins cross a chunk
+    boundary.
+    """
+
+    N = 13
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.complex128, np.float32, np.complex64, np.int64]
+    )
+    def test_state_csv(self, rng, dtype):
+        if np.issubdtype(dtype, np.integer):
+            amplitudes = np.zeros(2**self.N, dtype=dtype)
+            amplitudes[4097] = -1
+        else:
+            complex_valued = np.issubdtype(dtype, np.complexfloating)
+            amplitudes = random_state(rng, self.N, complex_valued).astype(dtype)
+        v = StateVector(self.N, amplitudes)
+        text = state_to_csv(v)
+        assert_same_text(text, reference_state_csv(v))
+        assert text.count("\n") == 2**self.N + 1
+        if np.issubdtype(dtype, np.integer):
+            assert "\n4096,0.0\n4097,-1.0\n4098,0.0\n" in text
+
+    def test_state_csv_prints_python_reprs(self):
+        v = StateVector(1, np.array([0.6, 0.8j]))
+        assert state_to_csv(v) == "index,amplitude\n0,(0.6+0j)\n1,0.8j\n"
+
+    def test_million_shot_histogram(self, rng):
+        v = StateVector(self.N, random_state(rng, self.N, complex_valued=True))
+        h = sample(v, shots=10**6, seed=5)
+        assert_same_text(histogram_to_csv(h), reference_histogram_csv(h))
+
+    @pytest.mark.parametrize(
+        "counts, expected",
+        [
+            ([2, 0, 5], "0,0,2,0.2857142857142857\n1,1,0,0.0\n2,10,5,0.7142857142857143\n"),
+            ([4], "0,0,4,1.0\n"),
+        ],
+    )
+    def test_short_histograms(self, counts, expected):
+        h = ShotHistogram(counts=np.array(counts), shots=sum(counts), seed=0)
+        text = histogram_to_csv(h)
+        assert_same_text(text, reference_histogram_csv(h))
+        assert text == "index,bitstring,count,probability\n" + expected
