@@ -32,9 +32,7 @@ from .mps import (
     truncate,
 )
 from .circuit import (
-    CircuitLayer,
     LayeredCircuit,
-    TwoQubitGate,
     cnot_count,
     embed_isometry,
     layer_from_chi2_mps,

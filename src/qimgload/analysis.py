@@ -136,7 +136,7 @@ def depth_scaling_sweep(
     deepest, _ = compiler.iterative_construct(target, depths[-1], chi_max)
     records = []
     for depth in depths:
-        circuit = LayeredCircuit(deepest.n_qubits, deepest.layers[-depth:])
+        circuit = LayeredCircuit(deepest.n_qubits, deepest.sites[-depth:], deepest.gates[-depth:])
         if method == "gate_by_gate":
             circuit, _ = compiler.sweep_optimize(circuit, target, sweeps)
         prepared = run(circuit)

@@ -21,70 +21,59 @@ CIRCUIT_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TwoQubitGate:
-    """4x4 unitary acting on adjacent qubits (site, site+1), site bit most significant."""
-
-    site: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.site, (int, np.integer)):
-            raise ValidationError(f"gate site {self.site!r} is not an integer")
-        m = np.asarray(self.matrix)
-        if m.shape != (4, 4):
-            raise ValidationError("gate matrix must be 4x4")
-        if isometry_error(m) > CANONICAL_ISOMETRY_TOL:
-            raise ValidationError(
-                f"gate at site {self.site} is not unitary within {CANONICAL_ISOMETRY_TOL}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class CircuitLayer:
-    """One gate per adjacent pair, in application order."""
-
-    gates: tuple
-
-    def __post_init__(self):
-        gates = tuple(self.gates)
-        if not gates:
-            raise ValidationError("a layer must contain at least one gate")
-        sites = sorted(g.site for g in gates)
-        if sites != list(range(len(gates))):
-            raise ValidationError("a layer needs exactly one gate per adjacent pair")
-        object.__setattr__(self, "gates", gates)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.gates) + 1
-
-
-@dataclass(frozen=True)
 class LayeredCircuit:
+    """D staircase layers of N-1 two-qubit gates, as a site table and a gate stack.
+
+    ``sites[d, k]`` is the pair (site, site+1) that the k-th gate of layer d
+    acts on, site bit most significant; ``gates[d, k]`` is its 4x4 unitary.
+    Layer 0 is applied first, and within a layer the gates apply in order.
+    """
+
     n_qubits: int
-    layers: tuple
+    sites: np.ndarray  # (D, N-1) ints
+    gates: np.ndarray  # (D, N-1, 4, 4)
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, (int, np.integer)):
-            raise ValidationError(f"qubit count {self.n_qubits!r} is not an integer")
-        layers = tuple(self.layers)
-        if not layers:
-            raise ValidationError("a circuit needs at least one layer")
-        for layer in layers:
-            if layer.n_qubits != self.n_qubits:
-                raise ValidationError("all layers must share the circuit's qubit count")
-        object.__setattr__(self, "layers", layers)
+        n = self.n_qubits
+        if not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"qubit count {n!r} is not an integer")
+        try:
+            sites, gates = np.asarray(self.sites), np.asarray(self.gates)
+        except ValueError:  # ragged nesting
+            raise ValidationError("layers differ in length or in gate shape") from None
+        if not sites.size:
+            raise ValidationError("a circuit needs at least one layer of gates")
+        if sites.dtype.kind not in "iu":
+            raise ValidationError("gate sites must be integers")
+        if sites.ndim != 2 or sites.shape[1] != n - 1:
+            raise ValidationError(f"every layer needs one gate per adjacent pair of {n} qubits")
+        # any application order within a layer, but each pair exactly once
+        if (np.sort(sites, axis=1) != np.arange(n - 1)).any():
+            raise ValidationError("a layer needs exactly one gate per adjacent pair")
+        if gates.shape != sites.shape + (4, 4):
+            raise ValidationError("gate matrices must be 4x4, one per site")
+        sites.setflags(write=False)
+        gates.setflags(write=False)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "gates", gates)
+        tol = CANONICAL_ISOMETRY_TOL
+        if isometry_error(gates) > tol:  # one stacked check; name the first bad gate
+            site = next(s for s, m in self.all_gates() if isometry_error(m) > tol)
+            raise ValidationError(f"gate at site {site} is not unitary within {tol}")
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.sites)
 
     def all_gates(self) -> list:
-        """Gates in global application order (layer 0 first)."""
-        return [g for layer in self.layers for g in layer.gates]
+        """(site, matrix) pairs in global application order (layer 0 first)."""
+        return list(zip(self.sites.ravel().tolist(), self.gates.reshape(-1, 4, 4)))
+
+
+def staircase_sites(n_qubits: int, depth: int = 1) -> np.ndarray:
+    """Site table of fresh staircase layers: pair (N-2, N-1) first, (0, 1) last."""
+    return np.tile(np.arange(n_qubits - 2, -1, -1), (depth, 1))
 
 
 def embed_isometry(v: np.ndarray) -> np.ndarray:
@@ -119,13 +108,14 @@ def embed_isometry(v: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def layer_from_chi2_mps(m: MPS) -> CircuitLayer:
+def layer_from_chi2_mps(m: MPS) -> np.ndarray:
     """Exact staircase layer preparing a left-canonical MPS with bonds <= 2.
 
     The gate on pair (0, 1) fuses the first two site tensors (its leading
     columns are the fused state-prep isometry); each later tensor embeds
-    directly as the gate on the pair ending at its site.  Gates are
-    returned in application order: pair (N-2, N-1) first, (0, 1) last.
+    directly as the gate on the pair ending at its site.  Returns the
+    (N-1, 4, 4) gate stack in application order, on the sites of
+    `staircase_sites`: pair (N-2, N-1) first, (0, 1) last.
     """
     if m.n_sites < 2:
         raise ValidationError("need at least 2 sites to build a layer")
@@ -140,10 +130,10 @@ def layer_from_chi2_mps(m: MPS) -> CircuitLayer:
         left, _, right = a.shape
         v = np.zeros((4, right), dtype=dtype)
         v[: 2 * left] = a.reshape(2 * left, right)
-        gates.append(TwoQubitGate(k, embed_isometry(v)))
+        gates.append(embed_isometry(v))
     fused = np.tensordot(m.tensors[0][0], m.tensors[1], axes=(1, 0))  # (2, 2, right)
-    gates.append(TwoQubitGate(0, embed_isometry(fused.reshape(4, -1))))
-    return CircuitLayer(tuple(gates))
+    gates.append(embed_isometry(fused.reshape(4, -1)))
+    return np.stack(gates)
 
 
 def cnot_count(c: LayeredCircuit) -> int:
@@ -176,8 +166,8 @@ def circuit_to_dict(c: LayeredCircuit) -> dict:
         "version": CIRCUIT_FORMAT_VERSION,
         "n_qubits": c.n_qubits,
         "layers": [
-            [{"site": g.site, "matrix": _matrix_to_json(g.matrix)} for g in layer.gates]
-            for layer in c.layers
+            [{"site": s, "matrix": _matrix_to_json(m)} for s, m in zip(sites, gates)]
+            for sites, gates in zip(c.sites.tolist(), c.gates)
         ],
         "provenance": dict(c.provenance),
     }
@@ -192,13 +182,10 @@ def circuit_from_dict(d: dict) -> LayeredCircuit:
     if not isinstance(provenance, dict):
         raise InputFormatError("corrupt circuit payload: provenance is not an object")
     try:
-        layers = tuple(
-            CircuitLayer(
-                tuple(TwoQubitGate(g["site"], _matrix_from_json(g["matrix"])) for g in layer)
-            )
-            for layer in d["layers"]
-        )
-        return LayeredCircuit(d["n_qubits"], layers, provenance=dict(provenance))
+        layers = d["layers"]
+        sites = [[g["site"] for g in layer] for layer in layers]
+        gates = [[_matrix_from_json(g["matrix"]) for g in layer] for layer in layers]
+        return LayeredCircuit(d["n_qubits"], sites, gates, provenance=dict(provenance))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
 

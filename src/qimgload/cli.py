@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +115,7 @@ def _csv_header(cfg: PipelineConfig) -> str:
 
 
 def _load_grid(cfg: PipelineConfig):
+    """The input image: a built-in one rendered at --target-l, a file downscaled to it if larger."""
     if cfg.image.startswith("builtin:"):
         return get_image(cfg.image.split(":", 1)[1], max(cfg.target_l, 2))
     fmt = cfg.format
@@ -123,7 +124,10 @@ def _load_grid(cfg: PipelineConfig):
         fmt = {".pgm": "pgm", ".csv": "csv"}.get(suffix)
         if fmt is None:
             raise InputFormatError(f"cannot infer format from {cfg.image!r}; pass --format")
-    return load_image(Path(cfg.image), fmt)
+    grid = load_image(Path(cfg.image), fmt)
+    if cfg.target_l < grid.side_length:
+        grid = downscale(grid, cfg.target_l)
+    return grid
 
 
 def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
@@ -141,8 +145,6 @@ def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
 
 def _prepare_target(cfg: PipelineConfig):
     grid = _load_grid(cfg)
-    if cfg.target_l < grid.side_length:
-        grid = downscale(grid, cfg.target_l)
     state = encode_amplitudes(grid, _bit_ordering(cfg.ordering))
     mps, report = from_dense(state, chi_max=cfg.chi_max)
     return grid, state, mps, report
@@ -200,7 +202,7 @@ def cmd_compile(args) -> int:
     provenance.update(_provenance(cfg))
     provenance["target_image"] = cfg.image
     provenance["ordering"] = cfg.ordering
-    circuit = type(circuit)(circuit.n_qubits, circuit.layers, provenance)
+    circuit = replace(circuit, provenance=provenance)
     (out / "circuit.json").write_bytes(serialize(circuit))
     (out / "trace.csv").write_text(_csv_header(cfg) + trace.to_csv())
     print(
@@ -298,13 +300,11 @@ def cmd_analyze(args) -> int:
             image_id=image_id,
         )
         name = "depth_sweep"
-    elif args.sweep == "resolution":
+    else:  # resolution; argparse bounds --sweep
         records = analysis.chi_scaling_sweep(
             grid, [cfg.chi_max], L_list=L_list, ordering=ordering, image_id=image_id
         )
         name = "resolution_sweep"
-    else:
-        raise ValidationError(f"unknown sweep {args.sweep!r}")
     (out / f"{name}.csv").write_text(_csv_header(cfg) + analysis.records_to_csv(records))
     # a resolution sweep's x is the one chi_max on every record, so it fits against L
     by_l = args.sweep == "resolution"
@@ -337,17 +337,15 @@ def cmd_selftest(args) -> int:
     checks.append(("lossless dense round trip", np.max(np.abs(to_dense(m) - vec)) < 1e-10))
 
     chi2, _ = truncate(m, 2)
-    from .circuit import LayeredCircuit, layer_from_chi2_mps
+    from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
 
-    circuit = LayeredCircuit(6, (layer_from_chi2_mps(chi2),))
+    circuit = LayeredCircuit(6, staircase_sites(6), layer_from_chi2_mps(chi2)[None])
     exact = 1.0 - abs(np.vdot(to_dense(chi2), run(circuit).amplitudes))
     checks.append(("chi=2 single-layer exactness", exact < 1e-9))
 
-    from .circuit import CircuitLayer, TwoQubitGate
-
     def _staircase(n, d):
-        layer = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in range(n - 2, -1, -1)))
-        return LayeredCircuit(n, (layer,) * d)
+        identities = np.broadcast_to(np.eye(4), (d, n - 1, 4, 4))
+        return LayeredCircuit(n, staircase_sites(n, d), identities)
 
     checks.append(("42 CNOT-equivalents at N=8 D=3", cnot_count(_staircase(8, 3)) == 42))
     checks.append(("180 CNOT-equivalents at N=10 D=10", cnot_count(_staircase(10, 10)) == 180))

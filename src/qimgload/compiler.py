@@ -20,11 +20,11 @@ Overlaps and environments use the dense statevector backend (N capped at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import CircuitLayer, LayeredCircuit, TwoQubitGate, layer_from_chi2_mps
+from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
 from .errors import NumericError, ValidationError
 from .mps import (
     CANONICAL_ISOMETRY_TOL,
@@ -116,30 +116,19 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTe
         raise ValidationError("target dimension does not match the circuit")
     prefix = np.zeros(2**n, dtype=targ.dtype)
     prefix[0] = 1.0
-    for g in gates[: m - 1]:
-        prefix = apply_gate_dense(prefix, g.matrix, g.site, n)
+    for site, matrix in gates[: m - 1]:
+        prefix = apply_gate_dense(prefix, matrix, site, n)
     suffix = targ
-    for g in reversed(gates[m:]):
-        suffix = apply_gate_dense(suffix, g.matrix.conj().T, g.site, n)
-    site = gates[m - 1].site
+    for site, matrix in reversed(gates[m:]):
+        suffix = apply_gate_dense(suffix, matrix.conj().T, site, n)
+    site = gates[m - 1][0]
     return EnvironmentTensor(m, site, _environment(prefix, suffix, site, n))
 
 
-def update_gate(f: EnvironmentTensor) -> TwoQubitGate:
-    """Nuclear-norm-optimal replacement gate for the given environment."""
+def update_gate(f: EnvironmentTensor) -> np.ndarray:
+    """Nuclear-norm-optimal replacement 4x4 matrix for the given environment."""
     w, _ = _optimal_gate(f.matrix)
-    return TwoQubitGate(f.site, w)
-
-
-def _rebuild(circuit: LayeredCircuit, gates: list) -> LayeredCircuit:
-    """Reassemble a circuit from a flat gate list, keeping the layer structure."""
-    layers = []
-    pos = 0
-    for layer in circuit.layers:
-        k = len(layer.gates)
-        layers.append(CircuitLayer(tuple(gates[pos : pos + k])))
-        pos += k
-    return LayeredCircuit(circuit.n_qubits, tuple(layers), provenance=dict(circuit.provenance))
+    return w
 
 
 def sweep_optimize(
@@ -155,9 +144,17 @@ def sweep_optimize(
     target), then walks gates 1..M computing each environment from the
     running prefix and the cached suffix and replacing the gate's matrix by
     its polar factor.  The loop holds raw 4x4 matrices; the M new ones are
-    checked for unitarity in one stacked call at the end of each sweep, and
-    the returned circuit's gates are built once.  Per-update overlaps land
-    in ``trace.gate_overlaps``; per-sweep overlaps in ``trace.records``.
+    checked for unitarity in one stacked call at the end of each sweep.
+    Per-update overlaps land in ``trace.gate_overlaps``; per-sweep overlaps
+    in ``trace.records``.
+
+    The returned gate stack is ``np.stack`` of the loop's matrices, which
+    keeps their memory layout (the polar factors are F-ordered views).  The
+    layout sets the summation order of the einsum in `apply_two_qubit_gate`,
+    so it reaches the last bits of later residuals: forcing C order moved
+    the grow compile of ``builtin:scene`` L=32 D=4, 50 sweeps, from
+    infidelity 1.361e-3 to 1.346e-3 (one BLAS thread).  Do not copy the
+    gates into a preallocated C-ordered array.
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
@@ -166,8 +163,8 @@ def sweep_optimize(
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
     trace = trace if trace is not None else OptimizerTrace()
-    sites = [g.site for g in circuit.all_gates()]
-    matrices = [g.matrix for g in circuit.all_gates()]
+    sites = circuit.sites.ravel().tolist()
+    matrices = list(circuit.gates.reshape(-1, 4, 4))
     m_total = len(sites)
     for sweep in range(1, n_sweeps + 1):
         suffix = [None] * (m_total + 1)
@@ -187,8 +184,7 @@ def sweep_optimize(
                 f"sweep {sweep} produced a gate that is not unitary within {CANONICAL_ISOMETRY_TOL}"
             )
         trace.records.append(TraceRecord(stage, sweep, overlap))
-    gates = [TwoQubitGate(site, w) for site, w in zip(sites, matrices)]
-    return _rebuild(circuit, gates), trace
+    return replace(circuit, gates=np.stack(matrices).reshape(circuit.gates.shape)), trace
 
 
 def _zero_amplitude(m: MPS) -> float:
@@ -199,13 +195,13 @@ def _zero_amplitude(m: MPS) -> float:
     return abs(complex(row[0, 0]))
 
 
-def _apply_layer_adjoint(residual: MPS, layer: CircuitLayer, chi_max: int) -> MPS:
-    """Undo a layer in one left-to-right sweep of adjoint gates.
+def _apply_layer_adjoint(residual: MPS, layer: np.ndarray, chi_max: int) -> MPS:
+    """Undo a layer's (N-1, 4, 4) gate stack in one left-to-right sweep of adjoint gates.
 
     The layer must apply pair (N-2, N-1) first and (0, 1) last, as every
     layer from `layer_from_chi2_mps` does.
     """
-    stack = np.stack([g.matrix.conj().T for g in reversed(layer.gates)])
+    stack = layer[::-1].conj().swapaxes(-1, -2)
     residual, _ = apply_two_qubit_gate(residual, stack, 0, chi_max)
     return residual
 
@@ -240,7 +236,8 @@ def iterative_construct(target: MPS, depth: int, chi_max: int = DEFAULT_CHI_MAX)
         trace.records.append(TraceRecord(i, 0, _zero_amplitude(residual)))
     circuit = LayeredCircuit(
         target.n_sites,
-        tuple(reversed(extracted)),
+        staircase_sites(target.n_sites, depth),
+        np.stack(extracted[::-1]),
         provenance={"method": "iterative", "depth": depth, "chi_max": chi_max},
     )
     return circuit, trace
@@ -262,17 +259,18 @@ def grow_and_optimize(
         raise ValidationError("depth must be >= 1")
     target_canonical = _check_target(target)
     trace = OptimizerTrace()
-    layers: list = []
+    gates = np.empty((0, target.n_sites - 1, 4, 4))
     circuit = None
     for stage in range(1, depth + 1):
         residual = target_canonical
-        for layer in reversed(layers):
+        for layer in gates[::-1]:
             residual = _apply_layer_adjoint(residual, layer, chi_max)
         truncated, _ = truncate(residual, 2)
-        layers.insert(0, layer_from_chi2_mps(truncated))
+        gates = np.concatenate((layer_from_chi2_mps(truncated)[None], gates))
         circuit = LayeredCircuit(
             target.n_sites,
-            tuple(layers),
+            staircase_sites(target.n_sites, stage),
+            gates,
             provenance={
                 "method": "grow_and_optimize",
                 "depth": depth,
@@ -281,5 +279,5 @@ def grow_and_optimize(
             },
         )
         circuit, trace = sweep_optimize(circuit, target_canonical, sweeps_per_stage, trace, stage)
-        layers = list(circuit.layers)
+        gates = circuit.gates
     return circuit, trace

@@ -146,10 +146,10 @@ def from_dense(v, chi_max=None):
     return MPS(tuple(tensors), canonical_form="left"), TruncationReport(tuple(eps))
 
 
-def to_dense(m: MPS, site_cap: int = DENSE_SITE_CAP) -> np.ndarray:
+def to_dense(m: MPS) -> np.ndarray:
     """Contract all bonds into the full 2**N amplitude vector."""
-    if m.n_sites > site_cap:
-        raise ValidationError(f"{m.n_sites} sites exceeds the dense cap of {site_cap}")
+    if m.n_sites > DENSE_SITE_CAP:
+        raise ValidationError(f"{m.n_sites} sites exceeds the dense cap of {DENSE_SITE_CAP}")
     vec = m.tensors[0].reshape(2, -1)
     for t in m.tensors[1:]:
         vec = np.tensordot(vec, t, axes=(1, 0)).reshape(vec.shape[0] * 2, -1)

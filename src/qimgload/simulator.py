@@ -77,15 +77,14 @@ def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: i
     return np.matmul(matrix, vec.reshape(pre, 4, post)).reshape(-1)
 
 
-def run(c: LayeredCircuit, site_cap: int = DENSE_SITE_CAP) -> StateVector:
+def run(c: LayeredCircuit) -> StateVector:
     """Apply all layers in order to |0...0>."""
-    if c.n_qubits > site_cap:
-        raise ValidationError(f"{c.n_qubits} qubits exceeds the dense cap of {site_cap}")
-    dtype = np.result_type(float, *(g.matrix.dtype for g in c.all_gates()))
-    vec = np.zeros(2**c.n_qubits, dtype=dtype)
+    if c.n_qubits > DENSE_SITE_CAP:
+        raise ValidationError(f"{c.n_qubits} qubits exceeds the dense cap of {DENSE_SITE_CAP}")
+    vec = np.zeros(2**c.n_qubits, dtype=np.result_type(float, c.gates.dtype))
     vec[0] = 1.0
-    for gate in c.all_gates():
-        vec = apply_gate_dense(vec, gate.matrix, gate.site, c.n_qubits)
+    for site, matrix in c.all_gates():
+        vec = apply_gate_dense(vec, matrix, site, c.n_qubits)
     return StateVector(c.n_qubits, vec)
 
 

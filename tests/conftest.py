@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qimgload.circuit import CircuitLayer, LayeredCircuit, TwoQubitGate
+from qimgload.circuit import LayeredCircuit, staircase_sites
 from qimgload.mps import from_dense
 
 
@@ -68,13 +68,14 @@ def random_chi2_mps(rng, n_qubits: int):
 
 
 def random_staircase_circuit(rng, n_qubits: int, depth: int) -> LayeredCircuit:
-    layers = tuple(
-        CircuitLayer(
-            tuple(TwoQubitGate(s, random_unitary4(rng)) for s in range(n_qubits - 2, -1, -1))
-        )
-        for _ in range(depth)
-    )
-    return LayeredCircuit(n_qubits, layers)
+    gates = [[random_unitary4(rng) for _ in range(n_qubits - 1)] for _ in range(depth)]
+    return LayeredCircuit(n_qubits, staircase_sites(n_qubits, depth), np.array(gates))
+
+
+def identity_circuit(n_qubits: int, depth: int = 1) -> LayeredCircuit:
+    """Staircase circuit whose every gate is the 4x4 identity."""
+    gates = np.broadcast_to(np.eye(4), (depth, n_qubits - 1, 4, 4))
+    return LayeredCircuit(n_qubits, staircase_sites(n_qubits, depth), gates)
 
 
 def oracle_apply_gate(vec: np.ndarray, gate: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -86,8 +87,8 @@ def oracle_apply_gate(vec: np.ndarray, gate: np.ndarray, site: int, n: int) -> n
 def oracle_run(circuit: LayeredCircuit) -> np.ndarray:
     vec = np.zeros(2**circuit.n_qubits, dtype=complex)
     vec[0] = 1.0
-    for g in circuit.all_gates():
-        vec = oracle_apply_gate(vec, g.matrix, g.site, circuit.n_qubits)
+    for site, matrix in circuit.all_gates():
+        vec = oracle_apply_gate(vec, matrix, site, circuit.n_qubits)
     return vec
 
 

@@ -8,7 +8,7 @@ pytest exit status agree.
 import numpy as np
 
 import conftest
-from conftest import random_state, random_unitary4
+from conftest import identity_circuit, random_staircase_circuit, random_state, random_unitary4
 from qimgload.analysis import (
     chi_scaling_sweep,
     depth_scaling_sweep,
@@ -16,7 +16,7 @@ from qimgload.analysis import (
     infidelity,
     tv_distance,
 )
-from qimgload.circuit import CircuitLayer, LayeredCircuit, TwoQubitGate, cnot_count
+from qimgload.circuit import cnot_count
 from qimgload.compiler import (
     OptimizerTrace,
     _optimal_gate,
@@ -40,21 +40,6 @@ def report(number: int, label: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def staircase(n: int, d: int) -> LayeredCircuit:
-    layer = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in range(n - 2, -1, -1)))
-    return LayeredCircuit(n, (layer,) * d)
-
-
-def random_circuit(rng, n: int, d: int) -> LayeredCircuit:
-    layers = tuple(
-        CircuitLayer(
-            tuple(TwoQubitGate(s, random_unitary4(rng)) for s in range(n - 2, -1, -1))
-        )
-        for _ in range(d)
-    )
-    return LayeredCircuit(n, layers)
-
-
 def test_criterion_01_chi2_single_layer_exactness():
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -68,8 +53,8 @@ def test_criterion_01_chi2_single_layer_exactness():
 
 
 def test_criterion_02_cnot_accounting():
-    a = cnot_count(staircase(8, 3))
-    b = cnot_count(staircase(10, 10))
+    a = cnot_count(identity_circuit(8, 3))
+    b = cnot_count(identity_circuit(10, 10))
     report(2, "CNOT-equivalent counts 42 at (N=8, D=3) and 180 at (N=10, D=10)",
            (a, b) == (42, 180), f"got {a} and {b}")
 
@@ -152,7 +137,7 @@ def test_criterion_09_environment_certificate():
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(3, 9))
-        circuit = random_circuit(rng, n, int(rng.integers(1, 4)))
+        circuit = random_staircase_circuit(rng, n, int(rng.integers(1, 4)))
         target = random_state(rng, n, complex_valued=True)
         gates = circuit.all_gates()
         m = int(rng.integers(1, len(gates) + 1))
@@ -161,9 +146,8 @@ def test_criterion_09_environment_certificate():
             w = random_unitary4(rng, complex_valued=True)
             vec = np.zeros(2**n, dtype=complex)
             vec[0] = 1.0
-            for i, g in enumerate(gates):
-                matrix = w if i == m - 1 else g.matrix
-                vec = apply_gate_dense(vec, matrix, g.site, n)
+            for i, (site, matrix) in enumerate(gates):
+                vec = apply_gate_dense(vec, w if i == m - 1 else matrix, site, n)
             worst = max(worst, abs(np.trace(w @ f.matrix) - np.vdot(target, vec)))
     report(9, "Tr[W F_m] equals dense-oracle overlap (200 substitutions, N <= 8)",
            worst <= 1e-9, f"worst deviation {worst:.2e}")
@@ -175,14 +159,14 @@ def test_criterion_10_nuclear_norm_update():
     decreases = 0
     for _ in range(100):
         n = int(rng.integers(3, 7))
-        circuit = random_circuit(rng, n, int(rng.integers(1, 3)))
+        circuit = random_staircase_circuit(rng, n, int(rng.integers(1, 3)))
         target = random_state(rng, n)
         m = int(rng.integers(1, len(circuit.all_gates()) + 1))
         before = abs(np.vdot(target, run(circuit).amplitudes))
         f = environment_tensor(circuit, m, target)
         new_gate = update_gate(f)
         _, nuclear = _optimal_gate(f.matrix)
-        achieved = np.trace(new_gate.matrix @ f.matrix).real
+        achieved = np.trace(new_gate @ f.matrix).real
         worst_gap = max(worst_gap, abs(achieved - nuclear))
         if nuclear < before - 1e-12:
             decreases += 1

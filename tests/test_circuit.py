@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chi2_mps, random_staircase_circuit, random_unitary4
+from conftest import identity_circuit, random_chi2_mps, random_staircase_circuit, random_unitary4
 from qimgload.circuit import (
-    CircuitLayer,
     LayeredCircuit,
-    TwoQubitGate,
     circuit_from_dict,
     circuit_to_dict,
     cnot_count,
@@ -18,41 +16,102 @@ from qimgload.circuit import (
     embed_isometry,
     layer_from_chi2_mps,
     serialize,
+    staircase_sites,
 )
 from qimgload.compiler import _apply_layer_adjoint
 from qimgload.errors import InputFormatError, ValidationError
 from qimgload.mps import from_dense, to_dense, truncate
 from qimgload.simulator import run
 
-
-class TestTwoQubitGate:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValidationError):
-            TwoQubitGate(0, np.ones((4, 4)))
-
-
-class TestCircuitLayer:
-    def test_requires_full_staircase(self, rng):
-        with pytest.raises(ValidationError):
-            CircuitLayer((TwoQubitGate(0, np.eye(4)), TwoQubitGate(0, np.eye(4))))
-        with pytest.raises(ValidationError):
-            CircuitLayer((TwoQubitGate(1, np.eye(4)),))
-
-    def test_any_application_order_allowed(self, rng):
-        layer = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in (1, 0, 2)))
-        assert layer.n_qubits == 4
+EYES = np.broadcast_to(np.eye(4), (1, 3, 4, 4))  # one layer of identities on 4 qubits
 
 
 class TestLayeredCircuit:
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValidationError, match="gate at site 0 is not unitary"):
+            LayeredCircuit(2, [[0]], [[np.ones((4, 4))]])
+
+    def test_names_the_site_of_the_bad_gate(self, rng):
+        gates = np.array(random_staircase_circuit(rng, 4, 2).gates)
+        gates[1, 2] *= 1.001  # second layer, pair (0, 1)
+        with pytest.raises(ValidationError, match="gate at site 0 is not unitary"):
+            LayeredCircuit(4, staircase_sites(4, 2), gates)
+
+    def test_requires_full_staircase(self):
+        with pytest.raises(ValidationError):
+            LayeredCircuit(3, [[0, 0]], EYES[:, :2])  # pair (0, 1) twice, (1, 2) never
+        with pytest.raises(ValidationError):
+            LayeredCircuit(2, [[1]], EYES[:, :1])  # no gate on the only pair
+
+    def test_any_application_order_allowed(self):
+        c = LayeredCircuit(4, [[1, 0, 2]], EYES)
+        assert c.n_qubits == 4
+        assert [site for site, _ in c.all_gates()] == [1, 0, 2]
+
     def test_depth_and_gate_order(self, rng):
         c = random_staircase_circuit(rng, 5, 3)
         assert c.depth == 3
-        assert [g.site for g in c.all_gates()] == [3, 2, 1, 0] * 3
+        assert [site for site, _ in c.all_gates()] == [3, 2, 1, 0] * 3
+        for (_, matrix), want in zip(c.all_gates(), c.gates.reshape(-1, 4, 4)):
+            np.testing.assert_array_equal(matrix, want)
 
-    def test_layer_size_must_match(self, rng):
-        layer4 = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in range(3)))
+    def test_layer_size_must_match(self):
         with pytest.raises(ValidationError):
-            LayeredCircuit(5, (layer4,))
+            LayeredCircuit(5, [[0, 1, 2]], EYES)
+
+    def test_arrays_are_read_only(self, rng):
+        c = random_staircase_circuit(rng, 3, 1)
+        with pytest.raises(ValueError):
+            c.gates[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            c.sites[0, 0] = 1
+
+
+def _gate(site, real=np.eye(4).tolist()):
+    return {"site": site, "matrix": {"real": real}}
+
+
+class TestCircuitFromDict:
+    def test_valid_payload(self):
+        c = circuit_from_dict({"version": 1, "n_qubits": 3, "layers": [[_gate(1), _gate(0)]]})
+        assert c.sites.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            pytest.param([], id="no-layers"),
+            pytest.param([[]], id="empty-layer"),
+            pytest.param([[_gate(1.0), _gate(0)]], id="float-site"),
+            pytest.param([[_gate("1"), _gate(0)]], id="string-site"),
+            pytest.param([[_gate(None), _gate(0)]], id="null-site"),
+            pytest.param([[_gate(2**70), _gate(0)]], id="huge-site"),
+            pytest.param([[_gate([1]), _gate(0)]], id="list-site"),
+            pytest.param([[_gate(0), _gate(0)]], id="duplicated-pair"),
+            pytest.param([[_gate(2), _gate(0)]], id="site-out-of-range"),
+            pytest.param([[_gate(1), _gate(0)], [_gate(0)]], id="layers-of-different-lengths"),
+            pytest.param([[_gate(1), _gate(0), _gate(2)]], id="layer-too-long"),
+            pytest.param([[_gate(1), _gate(0, np.eye(3).tolist())]], id="3x3-matrix"),
+            pytest.param([[_gate(1, np.eye(3).tolist()), _gate(0, np.eye(3).tolist())]],
+                         id="all-3x3"),
+            pytest.param([[_gate(1), _gate(0, [[1.0, 0.0]])]], id="ragged-matrix"),
+            pytest.param([[_gate(1), _gate(0, 1.0)]], id="scalar-matrix"),
+            pytest.param([[_gate(1), _gate(0, np.ones((4, 4)).tolist())]], id="non-unitary"),
+            pytest.param([[_gate(1), {"site": 0, "matrix": []}]], id="matrix-not-object"),
+            pytest.param([[_gate(1), {"site": 0}]], id="missing-matrix"),
+            pytest.param([5], id="layer-not-list"),
+            pytest.param(7, id="layers-not-list"),
+        ],
+    )
+    def test_bad_payload_rejected(self, layers):
+        payload = {"version": 1, "n_qubits": 3, "layers": layers}
+        with pytest.raises((InputFormatError, ValidationError)):
+            circuit_from_dict(payload)
+
+    @pytest.mark.parametrize("n_qubits", [3.0, "3", None, 1, -3, 2**70])
+    def test_bad_qubit_count_rejected(self, n_qubits):
+        payload = {"version": 1, "n_qubits": n_qubits, "layers": [[_gate(1), _gate(0)]]}
+        with pytest.raises((InputFormatError, ValidationError)):
+            circuit_from_dict(payload)
 
 
 class TestCnotCount:
@@ -64,8 +123,7 @@ class TestCnotCount:
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=9))
     @settings(max_examples=20, deadline=None)
     def test_scales_linearly(self, n, d):
-        layer = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in range(n - 1)))
-        assert cnot_count(LayeredCircuit(n, (layer,) * d)) == 2 * d * (n - 1)
+        assert cnot_count(identity_circuit(n, d)) == 2 * d * (n - 1)
 
 
 class TestEmbedIsometry:
@@ -100,13 +158,18 @@ class TestLayerFromChi2Mps:
         # the core exactness guarantee: one staircase layer, zero error
         for n in (2, 3, 4, 6, 8):
             m = random_chi2_mps(rng, n)
-            circuit = LayeredCircuit(n, (layer_from_chi2_mps(m),))
+            circuit = LayeredCircuit(n, staircase_sites(n), layer_from_chi2_mps(m)[None])
             fidelity = abs(np.vdot(run(circuit).amplitudes, to_dense(m)))
             assert fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_application_order(self, rng):
-        layer = layer_from_chi2_mps(random_chi2_mps(rng, 5))
-        assert [g.site for g in layer.gates] == [3, 2, 1, 0]
+        # the first gate (pair (3, 4)) embeds the last site tensor
+        m = random_chi2_mps(rng, 5)
+        layer = layer_from_chi2_mps(m)
+        assert layer.shape == (4, 4, 4)
+        assert staircase_sites(5).tolist() == [[3, 2, 1, 0]]
+        left = m.tensors[-1].shape[0]
+        np.testing.assert_array_equal(layer[0][: 2 * left, :1], m.tensors[-1].reshape(-1, 1))
 
     def test_rejects_large_bond(self, rng):
         m, _ = from_dense(np.linalg.qr(rng.standard_normal((16, 1)))[0][:, 0])
@@ -127,7 +190,7 @@ class TestAdjoint:
         # the compiler undoes a circuit on an MPS one layer (one sweep) at a time
         c = random_staircase_circuit(rng, 5, 2)
         undone, _ = from_dense(run(c).amplitudes)
-        for layer in reversed(c.layers):
+        for layer in c.gates[::-1]:
             undone = _apply_layer_adjoint(undone, layer, chi_max=32)
         expected = np.zeros(32)
         expected[0] = 1.0
@@ -146,21 +209,17 @@ class TestSerialization:
     def test_exact_float_roundtrip(self, rng):
         c = random_staircase_circuit(rng, 3, 1)
         again = deserialize(serialize(c))
-        for ga, gb in zip(c.all_gates(), again.all_gates()):
-            np.testing.assert_array_equal(ga.matrix, gb.matrix)
+        np.testing.assert_array_equal(again.sites, c.sites)
+        np.testing.assert_array_equal(again.gates, c.gates)
 
     def test_complex_matrices(self, rng):
-        g = TwoQubitGate(0, random_unitary4(rng, complex_valued=True))
-        c = LayeredCircuit(2, (CircuitLayer((g,)),))
+        g = random_unitary4(rng, complex_valued=True)
+        c = LayeredCircuit(2, [[0]], g[None, None])
         again = deserialize(serialize(c))
-        np.testing.assert_array_equal(again.all_gates()[0].matrix, g.matrix)
+        np.testing.assert_array_equal(again.gates[0, 0], g)
 
     def test_provenance_roundtrip(self, rng):
-        c = LayeredCircuit(
-            2,
-            (CircuitLayer((TwoQubitGate(0, np.eye(4)),)),),
-            provenance={"method": "iterative", "depth": 1},
-        )
+        c = LayeredCircuit(2, [[0]], [[np.eye(4)]], provenance={"method": "iterative", "depth": 1})
         assert circuit_from_dict(circuit_to_dict(c)).provenance["method"] == "iterative"
 
     def test_corrupt_payload(self):

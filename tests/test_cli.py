@@ -147,6 +147,20 @@ class TestAnalyze:
         fit = json.loads((out / "resolution_sweep_fit.json").read_text())
         assert fit["range"] == [4.0, 32.0]
 
+    @pytest.mark.parametrize("sweep", ["chi", "depth"])
+    def test_file_input_downscaled_to_target_l(self, tmp_path, out, rng, sweep):
+        # the same grid as `compile` encodes: a 16x16 PGM at --target-l 4 is 4x4 (4 qubits)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(write_pgm(ImageGrid(0.1 + 0.9 * rng.random((16, 16)))))
+        assert run_cli("analyze", "--sweep", sweep, "--image", str(path), "--target-l", "4",
+                       "--chi-list", "1,2", "--depth-list", "1", "--sweeps", "1",
+                       "--out-dir", str(out)) == 0
+        rows = (out / f"{sweep}_sweep.csv").read_text().splitlines()[3:]
+        assert rows and all(row.split(",")[1] == "4" for row in rows)
+        assert run_cli("compile", "--image", str(path), "--target-l", "4", "--depth", "1",
+                       "--sweeps", "1", "--out-dir", str(out)) == 0
+        assert json.loads((out / "circuit.json").read_text())["n_qubits"] == 4
+
     @pytest.mark.parametrize(
         "sweep,flag", [("chi", "--chi-list"), ("depth", "--depth-list"), ("resolution", "--l-list")]
     )

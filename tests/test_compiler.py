@@ -14,13 +14,13 @@ from qimgload.compiler import (
     OptimizerTrace,
     _environment,
     _optimal_gate,
-    _rebuild,
     environment_tensor,
     grow_and_optimize,
     iterative_construct,
     sweep_optimize,
     update_gate,
 )
+from qimgload.circuit import LayeredCircuit
 from qimgload.errors import ValidationError
 from qimgload.mps import from_dense, to_dense
 from qimgload.simulator import apply_gate_dense, run
@@ -32,12 +32,10 @@ def circuit_overlap(circuit, target_vec):
 
 def overlap_with_replacement(circuit, m, w, target_vec):
     """<target| circuit with gate m replaced by w |0>, by direct simulation."""
-    gates = circuit.all_gates()
     vec = np.zeros(2**circuit.n_qubits, dtype=complex)
     vec[0] = 1.0
-    for i, g in enumerate(gates):
-        matrix = w if i == m - 1 else g.matrix
-        vec = apply_gate_dense(vec, matrix, g.site, circuit.n_qubits)
+    for i, (site, matrix) in enumerate(circuit.all_gates()):
+        vec = apply_gate_dense(vec, w if i == m - 1 else matrix, site, circuit.n_qubits)
     return np.vdot(target_vec, vec)
 
 
@@ -113,7 +111,7 @@ class TestOptimalGate:
             before = circuit_overlap(circuit, target)
             f = environment_tensor(circuit, m, target)
             new_gate = update_gate(f)
-            after = abs(overlap_with_replacement(circuit, m, new_gate.matrix, target))
+            after = abs(overlap_with_replacement(circuit, m, new_gate, target))
             assert after >= before - 1e-12
 
 
@@ -140,9 +138,7 @@ class TestSweepOptimize:
         circuit, _ = iterative_construct(target, 3)
         optimized, _ = sweep_optimize(circuit, target, 3)
         assert optimized.depth == circuit.depth
-        assert [g.site for g in optimized.all_gates()] == [
-            g.site for g in circuit.all_gates()
-        ]
+        np.testing.assert_array_equal(optimized.sites, circuit.sites)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_one_sweep_equals_successive_oracle_updates(self, rng, n):
@@ -156,15 +152,16 @@ class TestSweepOptimize:
         circuit = random_staircase_circuit(rng, n, 2)
         target = random_state(rng, n, complex_valued=True)
         swept, trace = sweep_optimize(circuit, target, 1)
-        gates = list(circuit.all_gates())
+        gates = list(circuit.gates.reshape(-1, 4, 4))
         for m in range(1, len(gates) + 1):
-            f = environment_tensor(_rebuild(circuit, gates), m, target)
+            partly = LayeredCircuit(n, circuit.sites, np.reshape(gates, circuit.gates.shape))
+            f = environment_tensor(partly, m, target)
             if m > n:
                 assert np.linalg.svd(f.matrix, compute_uv=False)[-1] > 1e-6
             gates[m - 1] = update_gate(f)
-        for got, want in zip(swept.all_gates(), gates):
-            assert got.site == want.site
-            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(swept.sites, circuit.sites)
+        want = np.reshape(gates, circuit.gates.shape)
+        np.testing.assert_allclose(swept.gates, want, rtol=0, atol=1e-10)
         nuclear = np.sum(np.linalg.svd(f.matrix, compute_uv=False))
         assert trace.records[-1].overlap == pytest.approx(nuclear, abs=1e-10)
         assert trace.gate_overlaps[-1] == trace.records[-1].overlap

@@ -5,11 +5,12 @@ line on stderr, never a traceback."""
 import json
 import re
 import warnings
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qimgload.circuit import LayeredCircuit, serialize
+from qimgload.circuit import serialize
 from qimgload.cli import main
 from qimgload.compiler import iterative_construct
 from qimgload.image_codec import encode_amplitudes, write_pgm
@@ -32,7 +33,7 @@ def _seed_circuit() -> str:
     target, _ = from_dense(encode_amplitudes(get_image("digit", 4)))
     circuit, _ = iterative_construct(target, 2)
     provenance = {**circuit.provenance, "ordering": "straight"}
-    return serialize(LayeredCircuit(circuit.n_qubits, circuit.layers, provenance)).decode()
+    return serialize(replace(circuit, provenance=provenance)).decode()
 
 
 SEED_PGM = write_pgm(get_image("scene", 8))
@@ -164,6 +165,7 @@ def test_reconstruct_survives_mutated_histograms(tmp_path, capsys, data):
 @example(data=_seed_with("layers", 0, 0, "matrix", "real", 0, 0, value=1e308), exact=True)
 @example(data=_seed_with("layers", 0, 1, "site", value=1.0), exact=True)
 @example(data=_seed_with("n_qubits", value=4.0), exact=True)
+@example(data=_seed_with("layers", value=[]), exact=True)
 @example(data=_seed_with("provenance", value="ab"), exact=True)
 @example(data=_seed_with("provenance", "ordering", value=[1]), exact=True)
 def test_simulate_survives_mutated_circuits(tmp_path, capsys, data, exact):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_apply_gate, random_state, random_unitary4
+from conftest import identity_circuit, oracle_apply_gate, random_state, random_unitary4
 from qimgload.errors import InputFormatError, ValidationError
 from qimgload.mps import (
     CANONICAL_ISOMETRY_TOL,
@@ -26,6 +26,7 @@ from qimgload.mps import (
     to_dense,
     truncate,
 )
+from qimgload.simulator import run
 
 
 class TestFromDense:
@@ -309,10 +310,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TruncationReport((-0.1,))
 
-    def test_dense_cap_enforced(self, rng):
-        m, _ = from_dense(random_state(rng, 5), chi_max=2)
-        with pytest.raises(ValidationError):
-            to_dense(m, site_cap=4)
+    def test_dense_cap_enforced(self):
+        # one past DENSE_SITE_CAP = 20: refused before 2^21 amplitudes are allocated
+        product = MPS(tuple(np.array([1.0, 0.0]).reshape(1, 2, 1) for _ in range(21)))
+        with pytest.raises(ValidationError, match="dense cap of 20"):
+            to_dense(product)
+        with pytest.raises(ValidationError, match="dense cap of 20"):
+            run(identity_circuit(21))
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_same_text,
+    identity_circuit,
     oracle_apply_gate,
     oracle_run,
     random_staircase_circuit,
@@ -66,10 +67,7 @@ class TestRun:
         np.testing.assert_allclose(run(c).amplitudes, oracle_run(c), atol=1e-12)
 
     def test_identity_circuit_prepares_zero(self, rng):
-        from qimgload.circuit import CircuitLayer, LayeredCircuit, TwoQubitGate
-
-        layer = CircuitLayer(tuple(TwoQubitGate(s, np.eye(4)) for s in range(3)))
-        state = run(LayeredCircuit(4, (layer,)))
+        state = run(identity_circuit(4))
         expected = np.zeros(16)
         expected[0] = 1.0
         np.testing.assert_array_equal(state.amplitudes, expected)
