@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
-    AmplitudeState,
     BitOrdering,
     ImageGrid,
     decode_probabilities,
     downscale,
     encode_amplitudes,
-    flatten_curve,
     load_image,
     pixel_to_basis_index,
 )
@@ -46,7 +44,7 @@ from .compiler import (
     sweep_optimize,
     update_gate,
 )
-from .simulator import ShotHistogram, StateVector, histogram_to_probs, run, sample
+from .simulator import histogram_to_probs, run, sample
 from .analysis import (
     PowerLawFit,
     ScalingRecord,

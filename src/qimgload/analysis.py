@@ -49,7 +49,7 @@ class PowerLawFit:
 
 
 def infidelity(a, b) -> float:
-    """1 - |<a|b>| for MPS, StateVector, AmplitudeState, or raw vectors."""
+    """1 - |<a|b>| for MPS or amplitude vectors."""
     va, vb = dense_amplitudes(a), dense_amplitudes(b)
     if va.size != vb.size:
         raise ValidationError("dimension mismatch")
@@ -100,7 +100,7 @@ def chi_scaling_sweep(
         if L > image.side_length or L < 2:
             raise ValidationError(f"invalid sweep resolution {L}")
         grid = downscale(image, L)
-        exact = encode_amplitudes(grid, ordering).amplitudes
+        exact = encode_amplitudes(grid, ordering)
         for chi in sorted(chi_list):
             m, _ = from_dense(exact, chi_max=chi)
             records.append(
@@ -131,7 +131,7 @@ def depth_scaling_sweep(
         return []
     if depths[0] < 1:
         raise ValidationError("depth must be >= 1")
-    exact = encode_amplitudes(image, ordering).amplitudes
+    exact = encode_amplitudes(image, ordering)
     target, _ = from_dense(exact, chi_max=chi_max)
     deepest, _ = compiler.iterative_construct(target, depths[-1], chi_max)
     records = []

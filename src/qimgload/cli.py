@@ -28,7 +28,6 @@ from .image_codec import (
     decode_probabilities,
     downscale,
     encode_amplitudes,
-    flatten_curve,
     load_image,
     write_pgm,
 )
@@ -116,8 +115,10 @@ def _csv_header(cfg: PipelineConfig) -> str:
 
 def _load_grid(cfg: PipelineConfig):
     """The input image: a built-in one rendered at --target-l, a file downscaled to it if larger."""
+    if cfg.target_l < 2:
+        raise ValidationError(f"target_l={cfg.target_l} must be >= 2")
     if cfg.image.startswith("builtin:"):
-        return get_image(cfg.image.split(":", 1)[1], max(cfg.target_l, 2))
+        return get_image(cfg.image.split(":", 1)[1], cfg.target_l)
     fmt = cfg.format
     if fmt == "auto":
         suffix = Path(cfg.image).suffix.lower()
@@ -136,7 +137,7 @@ def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
     File inputs are bounded by their size; the renderer would allocate the
     whole 2^N-amplitude target before `compile` or `analyze` hit the cap.
     """
-    if cfg.image.startswith("builtin:") and 2 * math.log2(max(side, 2)) > DENSE_SITE_CAP:
+    if cfg.image.startswith("builtin:") and side > 2 ** (DENSE_SITE_CAP / 2):
         raise ValidationError(
             f"an L={side} image needs {2 * math.log2(side):g} qubits, "
             f"above the dense cap of {DENSE_SITE_CAP}"
@@ -160,26 +161,27 @@ def cmd_encode(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
     grid, state, mps, report = _prepare_target(cfg)
+    scheme = _bit_ordering(cfg.ordering).scheme
     (out / "amplitude_state.json").write_text(
         json.dumps(
             {
-                "n_qubits": state.n_qubits,
-                "ordering": state.ordering.scheme,
-                "amplitudes": state.amplitudes.tolist(),
+                "n_qubits": mps.n_sites,
+                "ordering": scheme,
+                "amplitudes": state.tolist(),
                 "provenance": _provenance(cfg),
             },
             indent=1,
         )
     )
     meta = {
-        "ordering": state.ordering.scheme,
+        "ordering": scheme,
         "provenance": _provenance(cfg),
         "truncation": {"per_bond": list(report.discarded_weights), "total": report.total},
     }
     (out / "mps.json").write_text(json.dumps(mps_to_dict(mps, meta), indent=1))
-    (out / "amplitudes.csv").write_text(_csv_header(cfg) + curve_to_csv(flatten_curve(state)))
+    (out / "amplitudes.csv").write_text(_csv_header(cfg) + curve_to_csv(state))
     print(
-        f"encoded {grid.side_length}x{grid.side_length} image on {state.n_qubits} qubits, "
+        f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
         f"max bond {mps.max_bond}, truncation weight {report.total:.3e}"
     )
     return 0
@@ -221,15 +223,15 @@ def cmd_simulate(args) -> int:
     L = 2 ** (circuit.n_qubits // 2)
     ordering = _bit_ordering(circuit.provenance.get("ordering", cfg.ordering))
     state = run(circuit)
-    exact_probs = state.probabilities()
+    exact_probs = np.abs(state) ** 2
     if args.exact:
         probs = exact_probs
     else:
         if cfg.shots < 1:
             raise ValidationError("shots must be >= 1 (or pass --exact)")
-        hist = sample(state, cfg.shots, cfg.seed)
-        (out / "histogram.csv").write_text(_csv_header(cfg) + histogram_to_csv(hist))
-        probs = histogram_to_probs(hist)
+        counts = sample(state, cfg.shots, cfg.seed)
+        (out / "histogram.csv").write_text(_csv_header(cfg) + histogram_to_csv(counts))
+        probs = histogram_to_probs(counts)
         probs = probs / probs.sum()
     grid = decode_probabilities(probs, L, ordering)
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
@@ -340,7 +342,7 @@ def cmd_selftest(args) -> int:
     from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
 
     circuit = LayeredCircuit(6, staircase_sites(6), layer_from_chi2_mps(chi2)[None])
-    exact = 1.0 - abs(np.vdot(to_dense(chi2), run(circuit).amplitudes))
+    exact = 1.0 - abs(np.vdot(to_dense(chi2), run(circuit)))
     checks.append(("chi=2 single-layer exactness", exact < 1e-9))
 
     def _staircase(n, d):
@@ -425,7 +427,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FORMAT
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,26 +79,6 @@ class ImageGrid:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Normalized real amplitude vector plus the ordering used to build it."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-    ordering: BitOrdering = field(default=STRAIGHT)
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=float)
-        if a.ndim != 1 or a.size != 2**self.n_qubits:
-            raise ValidationError("amplitude vector length must be 2**n_qubits")
-        if np.any(a < -1e-12):
-            raise ValidationError("amplitudes must be nonnegative (phases fixed to zero)")
-        if abs(np.dot(a, a) - 1.0) > 1e-12:
-            raise ValidationError("amplitude vector must have unit 2-norm")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-
 def pixel_to_basis_index(x: int, y: int, L: int, ordering: BitOrdering = STRAIGHT) -> int:
     """Map 0-based pixel coordinates to a computational-basis index."""
     if not _is_power_of_two(L) or L < 2:
@@ -133,8 +113,11 @@ def basis_permutation(L: int, ordering: BitOrdering = STRAIGHT) -> np.ndarray:
     return index
 
 
-def encode_amplitudes(g: ImageGrid, ordering: BitOrdering = STRAIGHT) -> AmplitudeState:
-    """Amplitude-encode an image: amplitude sqrt(p_xy / sum p) at the ladder index."""
+def encode_amplitudes(g: ImageGrid, ordering: BitOrdering = STRAIGHT) -> np.ndarray:
+    """Amplitude-encode an image: amplitude sqrt(p_xy / sum p) at the ladder index.
+
+    Returns the unit-norm, nonnegative vector of L^2 = 2^N amplitudes.
+    """
     L = g.side_length
     if L < 2:
         raise ValidationError("cannot encode a 1x1 image (needs at least one qubit per axis)")
@@ -145,7 +128,7 @@ def encode_amplitudes(g: ImageGrid, ordering: BitOrdering = STRAIGHT) -> Amplitu
     flat = np.zeros(L * L)
     flat[perm.ravel()] = np.sqrt(g.pixels.ravel() / norm)
     flat /= np.linalg.norm(flat)
-    return AmplitudeState(n_qubits=2 * (L.bit_length() - 1), amplitudes=flat, ordering=ordering)
+    return flat
 
 
 def decode_probabilities(probs: np.ndarray, L: int, ordering: BitOrdering = STRAIGHT) -> ImageGrid:
@@ -169,19 +152,6 @@ def decode_probabilities(probs: np.ndarray, L: int, ordering: BitOrdering = STRA
     if peak <= 0.0:
         raise NumericError("degenerate all-zero probability vector")
     return ImageGrid(grid / peak)
-
-
-def flatten_curve(obj) -> np.ndarray:
-    """1D intensity/amplitude sequence in basis-index order."""
-    if isinstance(obj, AmplitudeState):
-        return np.array(obj.amplitudes)
-    if isinstance(obj, ImageGrid):
-        L = obj.side_length
-        perm = basis_permutation(L, STRAIGHT)
-        out = np.zeros(L * L)
-        out[perm.ravel()] = obj.pixels.ravel()
-        return out
-    raise ValidationError(f"cannot flatten object of type {type(obj).__name__}")
 
 
 def downscale(g: ImageGrid, target_L: int) -> ImageGrid:

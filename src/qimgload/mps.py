@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, NumericError, ValidationError
-from .image_codec import AmplitudeState
 
 DENSE_SITE_CAP = 20  # 2**20 amplitudes is the desk-scale memory ceiling
 
@@ -118,10 +117,7 @@ def from_dense(v, chi_max=None):
     Returns (MPS, TruncationReport).  Each bond keeps at most ``chi_max``
     singular values and drops those that are exactly zero.
     """
-    if isinstance(v, AmplitudeState):
-        vec = np.asarray(v.amplitudes, dtype=float)
-    else:
-        vec = np.asarray(v)
+    vec = np.asarray(v)
     if vec.ndim != 1 or vec.size < 2 or vec.size & (vec.size - 1):
         raise ValidationError(f"length {vec.size} is not a power of two >= 2")
     n = int(np.log2(vec.size))

@@ -78,6 +78,16 @@ def identity_circuit(n_qubits: int, depth: int = 1) -> LayeredCircuit:
     return LayeredCircuit(n_qubits, staircase_sites(n_qubits, depth), gates)
 
 
+def drifting_circuit() -> LayeredCircuit:
+    """N=6, D=3 staircase of gates (1 + 4e-11) I.
+
+    Each gate passes the circuit's 1e-10 unitarity check, but the norm of
+    the 15-gate product drifts by 6e-10.
+    """
+    gates = np.broadcast_to(np.eye(4) * (1 + 4e-11), (3, 5, 4, 4))
+    return LayeredCircuit(6, staircase_sites(6, 3), gates)
+
+
 def oracle_apply_gate(vec: np.ndarray, gate: np.ndarray, site: int, n: int) -> np.ndarray:
     """Reference dense gate application: I ⊗ gate ⊗ I by explicit Kronecker product."""
     full = np.kron(np.kron(np.eye(2**site), gate), np.eye(2 ** (n - site - 2)))

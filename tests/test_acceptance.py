@@ -86,7 +86,7 @@ def test_criterion_04_truncation_error_bound():
 def test_criterion_05_monotone_sweeps_beat_iterative():
     image = scene_image(32)
     state = encode_amplitudes(image)
-    target, _ = from_dense(state.amplitudes)
+    target, _ = from_dense(state)
     ok = True
     details = []
     for depth in (2, 4, 8):
@@ -162,7 +162,7 @@ def test_criterion_10_nuclear_norm_update():
         circuit = random_staircase_circuit(rng, n, int(rng.integers(1, 3)))
         target = random_state(rng, n)
         m = int(rng.integers(1, len(circuit.all_gates()) + 1))
-        before = abs(np.vdot(target, run(circuit).amplitudes))
+        before = abs(np.vdot(target, run(circuit)))
         f = environment_tensor(circuit, m, target)
         new_gate = update_gate(f)
         _, nuclear = _optimal_gate(f.matrix)
@@ -178,10 +178,10 @@ def test_criterion_10_nuclear_norm_update():
 def test_criterion_11_end_to_end_sampling():
     image = digit_image(16)
     state = encode_amplitudes(image)
-    target, _ = from_dense(state.amplitudes)
+    target, _ = from_dense(state)
     circuit, _ = grow_and_optimize(target, 3, sweeps_per_stage=200)
     prepared = run(circuit)
-    exact_probs = prepared.probabilities()
+    exact_probs = np.abs(prepared) ** 2
     hist = sample(prepared, shots=10000, seed=0)
     tv = tv_distance(histogram_to_probs(hist), exact_probs)
 

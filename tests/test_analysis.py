@@ -21,7 +21,7 @@ from qimgload.errors import ValidationError
 from qimgload.image_codec import ImageGrid, encode_amplitudes
 from qimgload.mps import from_dense
 from qimgload.sample_images import BUILTIN_IMAGES, digit_image, get_image, scene_image, sign_image
-from qimgload.simulator import StateVector, run
+from qimgload.simulator import run
 
 
 class TestInfidelity:
@@ -38,8 +38,8 @@ class TestInfidelity:
     def test_mixed_container_types(self, rng):
         pixels = rng.random((4, 4))
         state = encode_amplitudes(ImageGrid(pixels))
-        m, _ = from_dense(state.amplitudes)
-        sv = StateVector(4, np.array(state.amplitudes))
+        m, _ = from_dense(state)
+        sv = np.array(state)
         assert infidelity(state, m) < 1e-12
         assert infidelity(m, sv) < 1e-12
 
@@ -150,7 +150,7 @@ class TestScalingSweeps:
 
     def test_deeper_build_ends_with_every_shallower_one(self):
         # one build at the largest depth serves the whole depth list
-        target, _ = from_dense(encode_amplitudes(scene_image(16)).amplitudes, chi_max=8)
+        target, _ = from_dense(encode_amplitudes(scene_image(16)), chi_max=8)
         deepest, _ = iterative_construct(target, 5, 8)
         for depth in range(1, 6):
             alone, _ = iterative_construct(target, depth, 8)
@@ -160,7 +160,7 @@ class TestScalingSweeps:
     @pytest.mark.parametrize("method", ["iterative", "gate_by_gate"])
     def test_depth_sweep_equals_separate_builds(self, method):
         image = digit_image(8)
-        exact = encode_amplitudes(image).amplitudes
+        exact = encode_amplitudes(image)
         target, _ = from_dense(exact, chi_max=8)
         records = depth_scaling_sweep(image, [3, 1, 2], method=method, sweeps=5, chi_max=8)
         assert [r.x for r in records] == [1, 2, 3]

@@ -159,7 +159,7 @@ class TestLayerFromChi2Mps:
         for n in (2, 3, 4, 6, 8):
             m = random_chi2_mps(rng, n)
             circuit = LayeredCircuit(n, staircase_sites(n), layer_from_chi2_mps(m)[None])
-            fidelity = abs(np.vdot(run(circuit).amplitudes, to_dense(m)))
+            fidelity = abs(np.vdot(run(circuit), to_dense(m)))
             assert fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_application_order(self, rng):
@@ -189,7 +189,7 @@ class TestAdjoint:
     def test_inverts_circuit(self, rng):
         # the compiler undoes a circuit on an MPS one layer (one sweep) at a time
         c = random_staircase_circuit(rng, 5, 2)
-        undone, _ = from_dense(run(c).amplitudes)
+        undone, _ = from_dense(run(c))
         for layer in c.gates[::-1]:
             undone = _apply_layer_adjoint(undone, layer, chi_max=32)
         expected = np.zeros(32)
@@ -202,7 +202,7 @@ class TestSerialization:
         c = random_staircase_circuit(rng, 4, 2)
         again = deserialize(serialize(c))
         np.testing.assert_allclose(
-            run(again).amplitudes, run(c).amplitudes, atol=1e-15
+            run(again), run(c), atol=1e-15
         )
         assert again.depth == c.depth
 

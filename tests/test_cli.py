@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import drifting_circuit, oracle_encode
+from qimgload.circuit import serialize
 from qimgload.cli import main
 from qimgload.image_codec import ImageGrid, load_pgm, write_pgm
+from qimgload.sample_images import get_image
 
 
 @pytest.fixture
@@ -33,6 +36,17 @@ class TestEncode:
         mps = json.loads((out / "mps.json").read_text())
         assert mps["n_sites"] == 6
         assert (out / "amplitudes.csv").read_text().startswith("# tool: qimgload")
+
+    def test_snake_ordering_artifacts(self, out):
+        assert run_cli("encode", "--image", "builtin:digit", "--target-l", "8",
+                       "--ordering", "snake", "--out-dir", str(out)) == 0
+        state = json.loads((out / "amplitude_state.json").read_text())
+        assert state["ordering"] == "interleaved-snake"
+        assert state["n_qubits"] == 6
+        expected = oracle_encode(get_image("digit", 8).pixels, snake=True)
+        np.testing.assert_allclose(state["amplitudes"], expected, atol=1e-14)
+        mps = json.loads((out / "mps.json").read_text())
+        assert mps["metadata"]["ordering"] == "interleaved-snake"
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -202,6 +216,53 @@ class TestExitCodes:
 
     def test_validation_error(self, out):
         assert run_cli("encode", "--image", "builtin:nothere", "--out-dir", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--format", "pgm", "--image", "{dir}"],
+            ["simulate", "--circuit", "{dir}"],
+            ["reconstruct", "--histogram", "{dir}"],
+            ["encode", "--config", "{dir}"],
+            ["encode", "--out-dir", "{file}"],
+            ["encode", "--out-dir", "{file}/sub"],
+        ],
+        ids=["image-dir", "circuit-dir", "histogram-dir", "config-dir", "out-dir-file",
+             "out-dir-under-file"],
+    )
+    def test_os_error_is_input_format_error(self, tmp_path, out, capsys, argv):
+        # IsADirectoryError, FileExistsError and NotADirectoryError exit like a missing file
+        file = tmp_path / "plain"
+        file.write_text("x")
+        argv = [a.format(dir=tmp_path, file=file) for a in argv]
+        if "--out-dir" not in argv:
+            argv += ["--out-dir", str(out)]
+        assert run_cli(*argv) == 2
+        assert_one_line_error(capsys, "input format error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--target-l", "0"],
+            ["compile", "--target-l", "-4"],
+            ["encode", "--target-l", "-7"],
+            ["analyze", "--sweep", "chi", "--target-l", "1"],
+        ],
+        ids=["compile-0", "compile-minus-4", "encode-minus-7", "analyze-1"],
+    )
+    def test_target_l_below_two_rejected(self, out, capsys, argv):
+        assert run_cli(*argv, "--image", "builtin:digit", "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, f"validation error: target_l={argv[-1]} must be >= 2")
+        assert not (out / "amplitude_state.json").exists()
+        assert not (out / "circuit.json").exists()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_statevector_norm_drift_rejected(self, tmp_path, out, capsys, exact):
+        path = tmp_path / "circuit.json"
+        path.write_bytes(serialize(drifting_circuit()))
+        argv = ["simulate", "--circuit", str(path), "--out-dir", str(out)]
+        assert run_cli(*argv, *(["--exact"] if exact else [])) == 3
+        assert_one_line_error(capsys, "validation error: statevector must have unit norm within 1e-10")
 
     def test_corrupt_circuit_json(self, tmp_path, out, capsys):
         bad = tmp_path / "circuit.json"

@@ -27,7 +27,7 @@ from qimgload.simulator import apply_gate_dense, run
 
 
 def circuit_overlap(circuit, target_vec):
-    return abs(np.vdot(target_vec, run(circuit).amplitudes))
+    return abs(np.vdot(target_vec, run(circuit)))
 
 
 def overlap_with_replacement(circuit, m, w, target_vec):
@@ -198,7 +198,7 @@ class TestSweepOptimize:
         same, trace = sweep_optimize(circuit, target, 0)
         assert trace.records == []
         np.testing.assert_allclose(
-            run(same).amplitudes, run(circuit).amplitudes, atol=1e-15
+            run(same), run(circuit), atol=1e-15
         )
 
 

@@ -12,7 +12,6 @@ from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
     SNAKE,
     STRAIGHT,
-    AmplitudeState,
     BitOrdering,
     ImageGrid,
     basis_permutation,
@@ -20,7 +19,6 @@ from qimgload.image_codec import (
     decode_probabilities,
     downscale,
     encode_amplitudes,
-    flatten_curve,
     load_csv,
     load_image,
     load_pgm,
@@ -118,35 +116,31 @@ class TestEncodeAmplitudes:
     def test_matches_loop_oracle_straight(self, rng):
         pixels = rng.random((8, 8))
         state = encode_amplitudes(ImageGrid(pixels), STRAIGHT)
-        assert state.n_qubits == 6
-        np.testing.assert_allclose(state.amplitudes, oracle_encode(pixels), atol=1e-14)
+        assert state.size == 2**6
+        np.testing.assert_allclose(state, oracle_encode(pixels), atol=1e-14)
 
     def test_matches_loop_oracle_snake(self, rng):
         pixels = rng.random((16, 16))
         state = encode_amplitudes(ImageGrid(pixels), SNAKE)
         np.testing.assert_allclose(
-            state.amplitudes, oracle_encode(pixels, snake=True), atol=1e-14
+            state, oracle_encode(pixels, snake=True), atol=1e-14
         )
 
     def test_unit_norm_and_nonnegative(self, rng):
         state = encode_amplitudes(ImageGrid(rng.random((4, 4))))
-        assert abs(np.dot(state.amplitudes, state.amplitudes) - 1.0) < 1e-12
-        assert np.all(state.amplitudes >= 0)
+        assert abs(np.dot(state, state) - 1.0) < 1e-12
+        assert np.all(state >= 0)
 
     def test_probabilities_proportional_to_intensity(self):
         g = grid([[0.1, 0.2], [0.3, 0.4]])
         state = encode_amplitudes(g)
-        probs = state.amplitudes**2
+        probs = state**2
         perm = basis_permutation(2)
         np.testing.assert_allclose(probs[perm], g.pixels / g.pixels.sum(), atol=1e-14)
 
     def test_all_zero_image_rejected(self):
         with pytest.raises(NumericError):
             encode_amplitudes(grid(np.zeros((2, 2))))
-
-    def test_amplitude_state_validates_norm(self):
-        with pytest.raises(ValidationError):
-            AmplitudeState(2, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 class TestDecodeProbabilities:
@@ -156,7 +150,7 @@ class TestDecodeProbabilities:
         local = np.random.default_rng(seed)
         pixels = local.random((2**n, 2**n)) * 0.99 + 1e-3
         state = encode_amplitudes(ImageGrid(pixels))
-        recovered = decode_probabilities(state.amplitudes**2, 2**n)
+        recovered = decode_probabilities(state**2, 2**n)
         np.testing.assert_allclose(recovered.pixels, pixels / pixels.max(), atol=1e-10)
 
     def test_rejects_unnormalized(self):
@@ -166,18 +160,6 @@ class TestDecodeProbabilities:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
             decode_probabilities(np.full(8, 0.125), 2)
-
-
-class TestFlattenCurve:
-    def test_state_passthrough(self, rng):
-        state = encode_amplitudes(ImageGrid(rng.random((4, 4))))
-        np.testing.assert_array_equal(flatten_curve(state), state.amplitudes)
-
-    def test_grid_uses_basis_order(self):
-        g = grid([[0.1, 0.2], [0.3, 0.4]])
-        curve = flatten_curve(g)
-        perm = basis_permutation(2)
-        np.testing.assert_allclose(curve[perm], g.pixels)
 
 
 class TestDownscale:
@@ -252,7 +234,7 @@ class TestWriterGoldenBytes:
 
     def test_curve_csv_of_an_encoded_state(self):
         state = encode_amplitudes(grid([[0.0, 0.25], [0.25, 0.5]]))
-        assert curve_to_csv(flatten_curve(state)) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
+        assert curve_to_csv(state) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
 
 
 class TestCsv:
