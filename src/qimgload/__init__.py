@@ -11,8 +11,9 @@ __version__ = "0.1.0"
 
 from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
-    BitOrdering,
+    ORDERINGS,
     ImageGrid,
+    check_ordering,
     decode_probabilities,
     downscale,
     encode_amplitudes,
@@ -21,7 +22,6 @@ from .image_codec import (
 )
 from .mps import (
     MPS,
-    TruncationReport,
     apply_two_qubit_gate,
     from_dense,
     inner,

@@ -11,7 +11,7 @@ import numpy as np
 from . import compiler
 from .circuit import LayeredCircuit
 from .errors import ValidationError
-from .image_codec import STRAIGHT, BitOrdering, ImageGrid, downscale, encode_amplitudes
+from .image_codec import ImageGrid, downscale, encode_amplitudes
 from .mps import from_dense
 from .simulator import dense_amplitudes, run
 
@@ -87,7 +87,7 @@ def chi_scaling_sweep(
     image: ImageGrid,
     chi_list,
     L_list=None,
-    ordering: BitOrdering = STRAIGHT,
+    ordering: str = "straight",
     image_id: str = "",
 ) -> list:
     """Infidelity of the chi-capped MPS encoding vs the exact encoding.
@@ -115,7 +115,7 @@ def depth_scaling_sweep(
     method: str = "iterative",
     sweeps: int = compiler.DEFAULT_SWEEPS,
     chi_max: int = compiler.DEFAULT_CHI_MAX,
-    ordering: BitOrdering = STRAIGHT,
+    ordering: str = "straight",
     image_id: str = "",
 ) -> list:
     """Infidelity of compiled circuits vs the exact encoded state.

@@ -22,8 +22,8 @@ from . import __version__, analysis, compiler
 from .circuit import cnot_count, deserialize, serialize
 from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
-    SNAKE,
-    STRAIGHT,
+    ORDERINGS,
+    check_ordering,
     curve_to_csv,
     decode_probabilities,
     downscale,
@@ -39,16 +39,6 @@ EXIT_SELFTEST = 1
 EXIT_INPUT_FORMAT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
-
-_ORDERINGS = {"straight": STRAIGHT, "snake": SNAKE}
-
-
-def _bit_ordering(name: str):
-    """The BitOrdering a config or provenance ordering name stands for."""
-    if not isinstance(name, str) or name not in _ORDERINGS:
-        raise ValidationError(f"unknown ordering {name!r}")
-    return _ORDERINGS[name]
-
 
 @dataclass
 class PipelineConfig:
@@ -146,9 +136,9 @@ def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
 
 def _prepare_target(cfg: PipelineConfig):
     grid = _load_grid(cfg)
-    state = encode_amplitudes(grid, _bit_ordering(cfg.ordering))
-    mps, report = from_dense(state, chi_max=cfg.chi_max)
-    return grid, state, mps, report
+    state = encode_amplitudes(grid, check_ordering(cfg.ordering))
+    mps, weights = from_dense(state, chi_max=cfg.chi_max)
+    return grid, state, mps, weights
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -160,8 +150,9 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 def cmd_encode(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
-    grid, state, mps, report = _prepare_target(cfg)
-    scheme = _bit_ordering(cfg.ordering).scheme
+    grid, state, mps, weights = _prepare_target(cfg)
+    scheme = f"interleaved-{cfg.ordering}"
+    total = float(sum(weights))
     (out / "amplitude_state.json").write_text(
         json.dumps(
             {
@@ -176,13 +167,13 @@ def cmd_encode(args) -> int:
     meta = {
         "ordering": scheme,
         "provenance": _provenance(cfg),
-        "truncation": {"per_bond": list(report.discarded_weights), "total": report.total},
+        "truncation": {"per_bond": list(weights), "total": total},
     }
     (out / "mps.json").write_text(json.dumps(mps_to_dict(mps, meta), indent=1))
     (out / "amplitudes.csv").write_text(_csv_header(cfg) + curve_to_csv(state))
     print(
         f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
-        f"max bond {mps.max_bond}, truncation weight {report.total:.3e}"
+        f"max bond {mps.max_bond}, truncation weight {total:.3e}"
     )
     return 0
 
@@ -221,7 +212,7 @@ def cmd_simulate(args) -> int:
     if circuit.n_qubits % 2:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
-    ordering = _bit_ordering(circuit.provenance.get("ordering", cfg.ordering))
+    ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
     state = run(circuit)
     exact_probs = np.abs(state) ** 2
     if args.exact:
@@ -232,7 +223,6 @@ def cmd_simulate(args) -> int:
         counts = sample(state, cfg.shots, cfg.seed)
         (out / "histogram.csv").write_text(_csv_header(cfg) + histogram_to_csv(counts))
         probs = histogram_to_probs(counts)
-        probs = probs / probs.sum()
     grid = decode_probabilities(probs, L, ordering)
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     (out / "curve.csv").write_text(_csv_header(cfg) + state_to_csv(state))
@@ -260,7 +250,7 @@ def cmd_reconstruct(args) -> int:
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):
         raise ValidationError("histogram length is not a square")
-    grid = decode_probabilities(counts / counts.sum(), L, _bit_ordering(cfg.ordering))
+    grid = decode_probabilities(counts / counts.sum(), L, check_ordering(cfg.ordering))
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
     return 0
@@ -282,7 +272,7 @@ def cmd_analyze(args) -> int:
     else:
         _check_dense_cap(cfg, cfg.target_l)
     grid = _load_grid(cfg)
-    ordering = _bit_ordering(cfg.ordering)
+    ordering = check_ordering(cfg.ordering)
     image_id = cfg.image
     if args.sweep == "chi":
         chi_list = _int_list("chi_list", args.chi_list)
@@ -372,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--image", help="image path or builtin:{sign,scene,digit}")
         p.add_argument("--format", choices=["auto", "pgm", "csv"])
         p.add_argument("--target-l", dest="target_l", type=int, help="downscale target side")
-        p.add_argument("--ordering", choices=list(_ORDERINGS))
+        p.add_argument("--ordering", choices=ORDERINGS)
         p.add_argument("--chi-max", dest="chi_max", type=int)
         p.add_argument("--depth", type=int)
         p.add_argument("--sweeps", type=int)

@@ -206,7 +206,12 @@ def _apply_layer_adjoint(residual: MPS, layer: np.ndarray, chi_max: int) -> MPS:
     return residual
 
 
-def _check_target(target: MPS) -> MPS:
+def _check_target(target: MPS, depth: int, chi_max: int) -> MPS:
+    """Validate a construction's arguments; returns the target in left-canonical form."""
+    if depth < 1:
+        raise ValidationError("depth must be >= 1")
+    if chi_max < 2:
+        raise ValidationError("working bond cap must be >= 2")
     norm = abs(inner(target, target))
     if abs(norm - 1.0) > 1e-8:
         raise ValidationError(f"target must have unit norm, got {np.sqrt(norm)}")
@@ -221,11 +226,7 @@ def iterative_construct(target: MPS, depth: int, chi_max: int = DEFAULT_CHI_MAX)
     layers in reverse extraction order.  Returns (circuit, trace) where
     the trace holds the overlap after each extracted layer.
     """
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    if chi_max < 2:
-        raise ValidationError("working bond cap must be >= 2")
-    residual = _check_target(target)
+    residual = _check_target(target, depth, chi_max)
     trace = OptimizerTrace()
     extracted = []
     for i in range(1, depth + 1):
@@ -255,9 +256,7 @@ def grow_and_optimize(
     the current optimized circuit and prepended in application order, then
     all d layers are swept.  Returns the depth-D circuit and full trace.
     """
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    target_canonical = _check_target(target)
+    target_canonical = _check_target(target, depth, chi_max)
     trace = OptimizerTrace()
     gates = np.empty((0, target.n_sites - 1, 4, 4))
     circuit = None

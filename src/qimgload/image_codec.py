@@ -8,7 +8,6 @@ Amplitudes are sqrt(p_xy / norm) with all phases fixed to zero.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 
@@ -16,8 +15,11 @@ import numpy as np
 
 from .errors import InputFormatError, NumericError, ValidationError
 
-SCHEME_STRAIGHT = "interleaved-straight"
-SCHEME_SNAKE = "interleaved-snake"
+# Both orderings put the most significant x/y bits on the leftmost rung
+# (qubit 0 is the most significant bit of the basis index).  "straight"
+# places the x bit before the y bit on every rung; "snake" alternates the
+# order on successive rungs.
+ORDERINGS = ("straight", "snake")
 
 # CSV writers format this many rows per join: tolist() converts a chunk in C,
 # far faster than iterating numpy scalars, without all 2^N Python objects and
@@ -29,25 +31,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class BitOrdering:
-    """Pixel-to-qubit bit interleaving.
-
-    Both schemes put the most significant x/y bits on the leftmost rung
-    (qubit 0 is the most significant bit of the basis index).  The
-    straight path places the x bit before the y bit on every rung; the
-    snake path alternates the order on successive rungs.
-    """
-
-    scheme: str = SCHEME_STRAIGHT
-
-    def __post_init__(self):
-        if self.scheme not in (SCHEME_STRAIGHT, SCHEME_SNAKE):
-            raise ValidationError(f"unknown bit-ordering scheme: {self.scheme!r}")
-
-
-STRAIGHT = BitOrdering(SCHEME_STRAIGHT)
-SNAKE = BitOrdering(SCHEME_SNAKE)
+def check_ordering(name) -> str:
+    """Return ``name`` if it is one of ORDERINGS; raise ValidationError otherwise."""
+    if not isinstance(name, str) or name not in ORDERINGS:
+        raise ValidationError(f"unknown ordering {name!r}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -79,27 +67,29 @@ class ImageGrid:
         return self.pixels.shape[0]
 
 
-def pixel_to_basis_index(x: int, y: int, L: int, ordering: BitOrdering = STRAIGHT) -> int:
+def pixel_to_basis_index(x: int, y: int, L: int, ordering: str = "straight") -> int:
     """Map 0-based pixel coordinates to a computational-basis index."""
     if not _is_power_of_two(L) or L < 2:
         raise ValidationError(f"L must be a power of two >= 2, got {L}")
     if not (0 <= x < L and 0 <= y < L):
         raise ValidationError(f"coordinates ({x}, {y}) out of range for L={L}")
+    snake = check_ordering(ordering) == "snake"
     n = L.bit_length() - 1
     index = 0
     for k in range(n):
         xk = (x >> (n - 1 - k)) & 1
         yk = (y >> (n - 1 - k)) & 1
-        if ordering.scheme == SCHEME_SNAKE and k % 2 == 1:
+        if snake and k % 2 == 1:
             xk, yk = yk, xk
         index = (index << 2) | (xk << 1) | yk
     return index
 
 
-def basis_permutation(L: int, ordering: BitOrdering = STRAIGHT) -> np.ndarray:
+def basis_permutation(L: int, ordering: str = "straight") -> np.ndarray:
     """(L, L) array with ``perm[x, y] = pixel_to_basis_index(x, y, L)``."""
     if not _is_power_of_two(L) or L < 2:
         raise ValidationError(f"L must be a power of two >= 2, got {L}")
+    snake = check_ordering(ordering) == "snake"
     n = L.bit_length() - 1
     x = np.arange(L)[:, None]
     y = np.arange(L)[None, :]
@@ -107,13 +97,13 @@ def basis_permutation(L: int, ordering: BitOrdering = STRAIGHT) -> np.ndarray:
     for k in range(n):
         xk = (x >> (n - 1 - k)) & 1
         yk = (y >> (n - 1 - k)) & 1
-        if ordering.scheme == SCHEME_SNAKE and k % 2 == 1:
+        if snake and k % 2 == 1:
             xk, yk = yk, xk
         index = (index << 2) | (xk << 1) | yk
     return index
 
 
-def encode_amplitudes(g: ImageGrid, ordering: BitOrdering = STRAIGHT) -> np.ndarray:
+def encode_amplitudes(g: ImageGrid, ordering: str = "straight") -> np.ndarray:
     """Amplitude-encode an image: amplitude sqrt(p_xy / sum p) at the ladder index.
 
     Returns the unit-norm, nonnegative vector of L^2 = 2^N amplitudes.
@@ -131,7 +121,7 @@ def encode_amplitudes(g: ImageGrid, ordering: BitOrdering = STRAIGHT) -> np.ndar
     return flat
 
 
-def decode_probabilities(probs: np.ndarray, L: int, ordering: BitOrdering = STRAIGHT) -> ImageGrid:
+def decode_probabilities(probs: np.ndarray, L: int, ordering: str = "straight") -> ImageGrid:
     """Reshape a measured probability vector back into an image.
 
     The result is display-normalized: the brightest pixel is rescaled to 1
@@ -254,17 +244,10 @@ def load_csv(data: bytes) -> ImageGrid:
     return ImageGrid(pixels)
 
 
-def load_image(source, fmt: str) -> ImageGrid:
-    """Load a grid from bytes, a byte stream, or a path, as PGM or CSV."""
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+def load_image(path, fmt: str) -> ImageGrid:
+    """Load a grid from a file path, as PGM or CSV."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if fmt == "pgm":
         return load_pgm(data)
     if fmt == "csv":

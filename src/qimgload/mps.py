@@ -15,26 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 
 DENSE_SITE_CAP = 20  # 2**20 amplitudes is the desk-scale memory ceiling
 
 CANONICAL_ISOMETRY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Per-bond discarded weights (sums of squares of dropped singular values)."""
-
-    discarded_weights: tuple
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.discarded_weights):
-            raise ValidationError("discarded weights must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.discarded_weights))
 
 
 @dataclass(frozen=True)
@@ -53,7 +38,7 @@ class MPS:
                 raise ValidationError(f"site {i} tensor must have shape (bond, 2, bond)")
             if i and t.shape[0] != tensors[i - 1].shape[2]:
                 raise ValidationError(f"bond mismatch between sites {i-1} and {i}")
-        if self.canonical_form not in ("none", "left", "right"):
+        if self.canonical_form not in ("none", "left"):
             raise ValidationError(f"unknown canonical form {self.canonical_form!r}")
         object.__setattr__(self, "tensors", tensors)
 
@@ -114,8 +99,10 @@ def _cut(mat: np.ndarray, chi=None):
 def from_dense(v, chi_max=None):
     """Compress a unit vector into a left-canonical MPS by successive SVDs.
 
-    Returns (MPS, TruncationReport).  Each bond keeps at most ``chi_max``
-    singular values and drops those that are exactly zero.
+    Returns (MPS, weights): ``weights`` is a tuple of per-bond discarded
+    weights (sums of squares of the dropped singular values).  Each bond
+    keeps at most ``chi_max`` singular values and drops those that are
+    exactly zero.
     """
     vec = np.asarray(v)
     if vec.ndim != 1 or vec.size < 2 or vec.size & (vec.size - 1):
@@ -139,7 +126,7 @@ def from_dense(v, chi_max=None):
         work = s[:, None] * vt
     last = work.reshape(-1, 2, 1)
     tensors.append(last / np.linalg.norm(last))
-    return MPS(tuple(tensors), canonical_form="left"), TruncationReport(tuple(eps))
+    return MPS(tuple(tensors), canonical_form="left"), tuple(eps)
 
 
 def to_dense(m: MPS) -> np.ndarray:
@@ -194,7 +181,7 @@ def _move_center_left(tensors: list, stop: int, chi=None) -> list:
 
 
 def truncate(m: MPS, chi: int):
-    """Cap every bond at ``chi`` via an SVD sweep; returns (MPS, TruncationReport).
+    """Cap every bond at ``chi`` via an SVD sweep; returns (MPS, weights).
 
     Output is left-canonical and unit-norm; discarded weights are the
     Schmidt weights dropped at each bond.
@@ -203,11 +190,11 @@ def truncate(m: MPS, chi: int):
         raise ValidationError("chi must be >= 1")
     ml = left_canonicalize(m)
     if ml.max_bond <= chi:
-        return ml, TruncationReport((0.0,) * (ml.n_sites - 1))
+        return ml, (0.0,) * (ml.n_sites - 1)
     tensors = list(ml.tensors)
     eps = _move_center_left(tensors, 0, chi)
     out = left_canonicalize(MPS(tuple(tensors), canonical_form="none"))
-    return out, TruncationReport(tuple(eps))
+    return out, tuple(eps)
 
 
 def inner(a: MPS, b: MPS):
@@ -229,8 +216,8 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
     stack applied left to right on the pairs starting at site, site+1, ...,
     site+k-1 in one sweep.  Gate row/column index order is (bit of the left
     site, bit of the right site) with the left qubit most significant.
-    Returns (MPS, TruncationReport) with the state renormalized to unit
-    norm; the MPS is left-canonical when the stack ends at the last pair.
+    Returns (MPS, per-bond discarded weights) with the state renormalized to
+    unit norm; the MPS is left-canonical when the stack ends at the last pair.
     """
     gates = np.asarray(gate)
     if gates.ndim == 2:
@@ -254,7 +241,7 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
         tensors[i] = u.reshape(left, 2, len(s))
         tensors[i + 1] = (s[:, None] / np.linalg.norm(s) * vt).reshape(len(s), 2, right)
     form = "left" if last == m.n_sites - 1 else "none"
-    return MPS(tuple(tensors), canonical_form=form), TruncationReport(tuple(weights))
+    return MPS(tuple(tensors), canonical_form=form), tuple(weights)
 
 
 def isometry_defect(m: MPS) -> float:
@@ -275,13 +262,6 @@ def _tensor_to_json(t: np.ndarray) -> dict:
     return entry
 
 
-def _tensor_from_json(d: dict) -> np.ndarray:
-    t = np.array(d["data"], dtype=float)
-    if "imag" in d:
-        t = t + 1j * np.array(d["imag"], dtype=float)
-    return t.reshape(d["shape"])
-
-
 def mps_to_dict(m: MPS, metadata: dict | None = None) -> dict:
     """JSON-ready container; complex tensors add an "imag" list beside "data"."""
     return {
@@ -292,13 +272,3 @@ def mps_to_dict(m: MPS, metadata: dict | None = None) -> dict:
         "tensors": [_tensor_to_json(t) for t in m.tensors],
         "metadata": dict(metadata or {}),
     }
-
-
-def mps_from_dict(d: dict) -> MPS:
-    if d.get("version") != MPS_FORMAT_VERSION:
-        raise ValidationError(f"unsupported MPS container version {d.get('version')}")
-    try:
-        tensors = tuple(_tensor_from_json(t) for t in d["tensors"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"corrupt MPS payload: {exc}") from None
-    return MPS(tensors, canonical_form=d.get("canonical_form", "none"))

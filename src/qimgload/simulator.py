@@ -53,6 +53,10 @@ def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
     """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError("shots must be at most 2^63 - 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     probs = np.abs(vec) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

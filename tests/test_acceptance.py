@@ -64,8 +64,8 @@ def test_criterion_03_lossless_roundtrip():
     worst = 0.0
     for _ in range(50):
         vec = random_state(rng, 10)
-        m, rep = from_dense(vec)
-        worst = max(worst, float(np.max(np.abs(to_dense(m) - vec))), rep.total)
+        m, weights = from_dense(vec)
+        worst = max(worst, float(np.max(np.abs(to_dense(m) - vec))), sum(weights))
     report(3, "dense -> MPS -> dense identity for 50 random 10-qubit states",
            worst <= 1e-10, f"worst max error {worst:.2e}")
 
@@ -76,8 +76,8 @@ def test_criterion_04_truncation_error_bound():
     for _ in range(100):
         vec = random_state(rng, 8)
         for chi in (1, 2, 4, 8):
-            m, rep = from_dense(vec, chi_max=chi)
-            if np.linalg.norm(vec - to_dense(m)) ** 2 > 2 * rep.total + 1e-12:
+            m, weights = from_dense(vec, chi_max=chi)
+            if np.linalg.norm(vec - to_dense(m)) ** 2 > 2 * sum(weights) + 1e-12:
                 violations += 1
     report(4, "||v - v~||^2 <= 2 sum(eps) over 100 states x chi in {1,2,4,8}",
            violations == 0, f"{violations} violations")

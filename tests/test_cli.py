@@ -107,6 +107,45 @@ class TestCompileSimulate:
         for name in ("circuit.json", "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("method", ["grow", "iterative"])
+    def test_working_bond_cap_below_two_rejected(self, out, capsys, method):
+        assert run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                       "--method", method, "--chi-max", "1", "--sweeps", "2",
+                       "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: working bond cap must be >= 2")
+        assert not (out / "circuit.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("seed", "-1", "seed must be >= 0"),
+         ("shots", str(2**63), "shots must be at most 2^63 - 1")],
+        ids=["negative-seed", "shots-above-int64"],
+    )
+    def test_sampling_arguments_out_of_range(self, tmp_path, out, capsys, source, option,
+                                             value, message):
+        run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                "--depth", "1", "--method", "iterative", "--out-dir", str(out))
+        argv = ["simulate", "--circuit", str(out / "circuit.json"), "--out-dir", str(out)]
+        if source == "flag":
+            argv += [f"--{option}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{option} = {value}\n")
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        assert_one_line_error(capsys, f"validation error: {message}")
+        assert not (out / "histogram.csv").exists()
+
+    def test_largest_shot_count_samples(self, out):
+        run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                "--depth", "1", "--method", "iterative", "--out-dir", str(out))
+        assert run_cli("simulate", "--circuit", str(out / "circuit.json"),
+                       "--shots", str(2**63 - 1), "--out-dir", str(out)) == 0
+        rows = (out / "histogram.csv").read_text().splitlines()[3:]
+        assert sum(int(row.split(",")[2]) for row in rows) == 2**63 - 1
+
     def test_unknown_provenance_ordering(self, out, capsys):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
                 "--depth", "1", "--method", "iterative", "--out-dir", str(out))

@@ -1,6 +1,6 @@
 """Image ingestion, the ladder bit-interleaving codec, and file formats."""
 
-import io
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from conftest import assert_same_text, oracle_encode
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
-    SNAKE,
-    STRAIGHT,
-    BitOrdering,
+    ORDERINGS,
     ImageGrid,
     basis_permutation,
+    check_ordering,
     curve_to_csv,
     decode_probabilities,
     downscale,
@@ -31,14 +30,24 @@ def grid(values):
     return ImageGrid(np.array(values, dtype=float))
 
 
-class TestBitOrdering:
-    def test_known_schemes(self):
-        assert STRAIGHT.scheme == "interleaved-straight"
-        assert SNAKE.scheme == "interleaved-snake"
+class TestCheckOrdering:
+    def test_known_names_pass(self):
+        assert ORDERINGS == ("straight", "snake")
+        for name in ORDERINGS:
+            assert check_ordering(name) == name
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValidationError):
-            BitOrdering("column-major")
+    @pytest.mark.parametrize(
+        "name", ["diag", None, 1, ["snake"]], ids=["diag", "none", "int", "list"]
+    )
+    def test_unknown_rejected(self, name):
+        # the codec's entry points check the name before any rung is mapped
+        for call in (
+            lambda: check_ordering(name),
+            lambda: pixel_to_basis_index(0, 0, 4, name),
+            lambda: basis_permutation(4, name),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(f"unknown ordering {name!r}")):
+                call()
 
 
 class TestImageGrid:
@@ -63,11 +72,11 @@ class TestImageGrid:
 class TestPixelToBasisIndex:
     def test_straight_interleaving_4x4(self):
         # [DERIVED] x=0b10, y=0b01 -> bits x1 y1 x2 y2 = 1,0,0,1 -> 0b1001 = 9
-        assert pixel_to_basis_index(0b10, 0b01, 4, STRAIGHT) == 0b1001
+        assert pixel_to_basis_index(0b10, 0b01, 4, "straight") == 0b1001
 
     def test_snake_swaps_odd_rungs(self):
         # [DERIVED] snake puts rung 2 in y,x order: bits 1,0,1,0 -> 0b1010 = 10
-        assert pixel_to_basis_index(0b10, 0b01, 4, SNAKE) == 0b1010
+        assert pixel_to_basis_index(0b10, 0b01, 4, "snake") == 0b1010
 
     def test_corners(self):
         L = 16
@@ -78,8 +87,8 @@ class TestPixelToBasisIndex:
         # only one rung, so there is nothing to alternate
         for x in range(2):
             for y in range(2):
-                assert pixel_to_basis_index(x, y, 2, STRAIGHT) == pixel_to_basis_index(
-                    x, y, 2, SNAKE
+                assert pixel_to_basis_index(x, y, 2, "straight") == pixel_to_basis_index(
+                    x, y, 2, "snake"
                 )
 
     def test_out_of_range_rejected(self):
@@ -88,7 +97,7 @@ class TestPixelToBasisIndex:
         with pytest.raises(ValidationError):
             pixel_to_basis_index(0, 0, 3)
 
-    @given(st.integers(min_value=1, max_value=5), st.sampled_from([STRAIGHT, SNAKE]))
+    @given(st.integers(min_value=1, max_value=5), st.sampled_from(ORDERINGS))
     def test_is_a_bijection(self, n, ordering):
         L = 2**n
         seen = {
@@ -98,7 +107,7 @@ class TestPixelToBasisIndex:
 
 
 class TestBasisPermutation:
-    @given(st.integers(min_value=1, max_value=5), st.sampled_from([STRAIGHT, SNAKE]))
+    @given(st.integers(min_value=1, max_value=5), st.sampled_from(ORDERINGS))
     def test_matches_scalar_map(self, n, ordering):
         L = 2**n
         perm = basis_permutation(L, ordering)
@@ -108,20 +117,20 @@ class TestBasisPermutation:
 
     def test_adjacent_pixels_are_bit_neighbors(self):
         # [DERIVED] flipping the least significant y bit flips exactly qubit N-1
-        perm = basis_permutation(8, STRAIGHT)
+        perm = basis_permutation(8, "straight")
         assert np.all((perm[:, 1::2] ^ perm[:, 0::2]) == 1)
 
 
 class TestEncodeAmplitudes:
     def test_matches_loop_oracle_straight(self, rng):
         pixels = rng.random((8, 8))
-        state = encode_amplitudes(ImageGrid(pixels), STRAIGHT)
+        state = encode_amplitudes(ImageGrid(pixels), "straight")
         assert state.size == 2**6
         np.testing.assert_allclose(state, oracle_encode(pixels), atol=1e-14)
 
     def test_matches_loop_oracle_snake(self, rng):
         pixels = rng.random((16, 16))
-        state = encode_amplitudes(ImageGrid(pixels), SNAKE)
+        state = encode_amplitudes(ImageGrid(pixels), "snake")
         np.testing.assert_allclose(
             state, oracle_encode(pixels, snake=True), atol=1e-14
         )
@@ -258,14 +267,15 @@ class TestCsv:
 
 
 class TestLoadImage:
-    def test_from_bytes_and_stream_and_path(self, tmp_path, rng):
+    def test_from_path(self, tmp_path, rng):
         g = ImageGrid(np.rint(rng.random((2, 2)) * 255) / 255)
-        data = write_pgm(g)
         path = tmp_path / "img.pgm"
-        path.write_bytes(data)
-        for source in (data, io.BytesIO(data), path):
+        path.write_bytes(write_pgm(g))
+        for source in (path, str(path)):
             np.testing.assert_allclose(load_image(source, "pgm").pixels, g.pixels, atol=1e-12)
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "img.bmp"
+        path.write_bytes(b"")
         with pytest.raises(InputFormatError):
-            load_image(b"", "bmp")
+            load_image(path, "bmp")

@@ -1,0 +1,50 @@
+"""The names and call signatures the benchmark's tracer patches and reads.
+
+`perfbench/tracing.py` wraps the functions listed in its TRACED table and
+reads leading arguments of two of them by position, so renaming or
+reordering any of them breaks the benchmark without failing a library test.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from qimgload.circuit import LayeredCircuit
+from qimgload.compiler import sweep_optimize
+from qimgload.simulator import apply_gate_dense
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(tracing):
+    assert tracing.TRACED
+    for module, function in tracing.TRACED:
+        target = importlib.import_module(f"qimgload.{module}")
+        assert callable(getattr(target, function, None)), f"qimgload.{module}.{function}"
+
+
+@pytest.mark.parametrize(
+    "function, leading",
+    [
+        (sweep_optimize, ["circuit", "target", "n_sweeps", "trace"]),
+        (apply_gate_dense, ["vec", "matrix", "site", "n_qubits"]),
+    ],
+    ids=["sweep_optimize", "apply_gate_dense"],
+)
+def test_counted_arguments_keep_their_positions(function, leading):
+    assert list(inspect.signature(function).parameters)[: len(leading)] == leading
+
+
+def test_sweep_counter_reads_all_gates():
+    assert callable(LayeredCircuit.all_gates)
