@@ -36,7 +36,6 @@ from .circuit import (
     layer_from_chi2_mps,
 )
 from .compiler import (
-    EnvironmentTensor,
     OptimizerTrace,
     environment_tensor,
     grow_and_optimize,
@@ -46,7 +45,6 @@ from .compiler import (
 )
 from .simulator import histogram_to_probs, run, sample
 from .analysis import (
-    PowerLawFit,
     ScalingRecord,
     chi_scaling_sweep,
     depth_scaling_sweep,

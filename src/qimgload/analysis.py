@@ -12,8 +12,8 @@ from . import compiler
 from .circuit import LayeredCircuit
 from .errors import ValidationError
 from .image_codec import ImageGrid, downscale, encode_amplitudes
-from .mps import from_dense
-from .simulator import dense_amplitudes, run
+from .mps import from_dense, to_dense
+from .simulator import run
 
 
 @dataclass(frozen=True)
@@ -29,36 +29,20 @@ class ScalingRecord:
             raise ValidationError(f"infidelity {self.infidelity} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Fit of I = amplitude / x**exponent on log-log axes."""
-
-    amplitude: float
-    exponent: float
-    exponent_stderr: float
-    x_min: float
-    x_max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.amplitude,
-            "b": self.exponent,
-            "b_stderr": self.exponent_stderr,
-            "range": [self.x_min, self.x_max],
-        }
-
-
 def infidelity(a, b) -> float:
-    """1 - |<a|b>| for MPS or amplitude vectors."""
-    va, vb = dense_amplitudes(a), dense_amplitudes(b)
-    if va.size != vb.size:
+    """1 - |<a|b>| for amplitude vectors."""
+    va, vb = np.asarray(a), np.asarray(b)
+    if va.ndim != 1 or va.shape != vb.shape:
         raise ValidationError("dimension mismatch")
     value = 1.0 - abs(np.vdot(va, vb))
     return float(min(max(value, 0.0), 1.0))
 
 
-def fit_power_law(points) -> PowerLawFit:
-    """Ordinary least squares on (log x, log I); exponent = -slope."""
+def fit_power_law(points) -> dict:
+    """Fit of I = a / x**b: ordinary least squares on (log x, log I), b = -slope.
+
+    Returns {"a", "b", "b_stderr", "range": [x_min, x_max]}, all plain floats.
+    """
     pts = [(float(x), float(i)) for x, i in points]
     if len(pts) < 3:
         raise ValidationError("power-law fit needs at least 3 points")
@@ -74,13 +58,13 @@ def fit_power_law(points) -> PowerLawFit:
     intercept = ly.mean() - slope * lx.mean()
     resid = ly - (slope * lx + intercept)
     stderr = np.sqrt(np.sum(resid**2) / (n - 2) / sxx)
-    return PowerLawFit(
-        amplitude=float(np.exp(intercept)),
-        exponent=float(-slope),
-        exponent_stderr=float(stderr),
-        x_min=min(x for x, _ in pts),
-        x_max=max(x for x, _ in pts),
-    )
+    xs = [x for x, _ in pts]
+    return {
+        "a": float(np.exp(intercept)),
+        "b": float(-slope),
+        "b_stderr": float(stderr),
+        "range": [min(xs), max(xs)],
+    }
 
 
 def chi_scaling_sweep(
@@ -103,9 +87,8 @@ def chi_scaling_sweep(
         exact = encode_amplitudes(grid, ordering)
         for chi in sorted(chi_list):
             m, _ = from_dense(exact, chi_max=chi)
-            records.append(
-                ScalingRecord(chi, L, infidelity(exact, m), "mps_truncation", image_id)
-            )
+            value = infidelity(exact, to_dense(m))
+            records.append(ScalingRecord(chi, L, value, "mps_truncation", image_id))
     return records
 
 
@@ -134,11 +117,12 @@ def depth_scaling_sweep(
     exact = encode_amplitudes(image, ordering)
     target, _ = from_dense(exact, chi_max=chi_max)
     deepest, _ = compiler.iterative_construct(target, depths[-1], chi_max)
+    target_amplitudes = to_dense(target)
     records = []
     for depth in depths:
         circuit = LayeredCircuit(deepest.n_qubits, deepest.sites[-depth:], deepest.gates[-depth:])
         if method == "gate_by_gate":
-            circuit, _ = compiler.sweep_optimize(circuit, target, sweeps)
+            circuit, _ = compiler.sweep_optimize(circuit, target_amplitudes, sweeps)
         prepared = run(circuit)
         records.append(
             ScalingRecord(depth, image.side_length, infidelity(exact, prepared), method, image_id)

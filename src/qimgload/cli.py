@@ -103,12 +103,22 @@ def _csv_header(cfg: PipelineConfig) -> str:
     return f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
 
 
-def _load_grid(cfg: PipelineConfig):
-    """The input image: a built-in one rendered at --target-l, a file downscaled to it if larger."""
+def _load_grid(cfg: PipelineConfig, side: int):
+    """The input image: a built-in one rendered at `side`, a file downscaled to it if larger.
+
+    A built-in image whose encoding passes the dense cap is refused before
+    it is rendered: the renderer would allocate the whole 2^N-amplitude
+    target.  File inputs are bounded by their size.
+    """
     if cfg.target_l < 2:
         raise ValidationError(f"target_l={cfg.target_l} must be >= 2")
     if cfg.image.startswith("builtin:"):
-        return get_image(cfg.image.split(":", 1)[1], cfg.target_l)
+        if side > 2 ** (DENSE_SITE_CAP / 2):
+            raise ValidationError(
+                f"an L={side} image needs {2 * math.log2(side):g} qubits, "
+                f"above the dense cap of {DENSE_SITE_CAP}"
+            )
+        return get_image(cfg.image.split(":", 1)[1], side)
     fmt = cfg.format
     if fmt == "auto":
         suffix = Path(cfg.image).suffix.lower()
@@ -116,26 +126,13 @@ def _load_grid(cfg: PipelineConfig):
         if fmt is None:
             raise InputFormatError(f"cannot infer format from {cfg.image!r}; pass --format")
     grid = load_image(Path(cfg.image), fmt)
-    if cfg.target_l < grid.side_length:
-        grid = downscale(grid, cfg.target_l)
+    if side < grid.side_length:
+        grid = downscale(grid, side)
     return grid
 
 
-def _check_dense_cap(cfg: PipelineConfig, side: int) -> None:
-    """Refuse a built-in image whose encoding passes the dense cap, before rendering it.
-
-    File inputs are bounded by their size; the renderer would allocate the
-    whole 2^N-amplitude target before `compile` or `analyze` hit the cap.
-    """
-    if cfg.image.startswith("builtin:") and side > 2 ** (DENSE_SITE_CAP / 2):
-        raise ValidationError(
-            f"an L={side} image needs {2 * math.log2(side):g} qubits, "
-            f"above the dense cap of {DENSE_SITE_CAP}"
-        )
-
-
 def _prepare_target(cfg: PipelineConfig):
-    grid = _load_grid(cfg)
+    grid = _load_grid(cfg, cfg.target_l)
     state = encode_amplitudes(grid, check_ordering(cfg.ordering))
     mps, weights = from_dense(state, chi_max=cfg.chi_max)
     return grid, state, mps, weights
@@ -181,7 +178,6 @@ def cmd_encode(args) -> int:
 def cmd_compile(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
-    _check_dense_cap(cfg, cfg.target_l)
     _, state, target, _ = _prepare_target(cfg)
     if cfg.method == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
@@ -214,9 +210,8 @@ def cmd_simulate(args) -> int:
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
     state = run(circuit)
-    exact_probs = np.abs(state) ** 2
     if args.exact:
-        probs = exact_probs
+        probs = np.abs(state) ** 2
     else:
         if cfg.shots < 1:
             raise ValidationError("shots must be >= 1 (or pass --exact)")
@@ -266,12 +261,12 @@ def _int_list(option: str, text: str) -> list:
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
+    side = cfg.target_l
     if args.sweep == "resolution":
+        # read the image at the largest side the sweep needs
         L_list = _int_list("l_list", args.l_list)
-        _check_dense_cap(cfg, max(L_list))
-    else:
-        _check_dense_cap(cfg, cfg.target_l)
-    grid = _load_grid(cfg)
+        side = max(side, *L_list)
+    grid = _load_grid(cfg, side)
     ordering = check_ordering(cfg.ordering)
     image_id = cfg.image
     if args.sweep == "chi":
@@ -304,9 +299,9 @@ def cmd_analyze(args) -> int:
     if len(positive) >= 3:
         fit = analysis.fit_power_law(positive)
         (out / f"{name}_fit.json").write_text(
-            json.dumps({**fit.to_dict(), "provenance": _provenance(cfg)}, indent=1)
+            json.dumps({**fit, "provenance": _provenance(cfg)}, indent=1)
         )
-        print(f"{name}: fitted I = {fit.amplitude:.4g} / x^{fit.exponent:.4g}")
+        print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
     else:
         print(f"{name}: {len(records)} records (too few positive points to fit)")
     return 0
@@ -318,9 +313,9 @@ def cmd_selftest(args) -> int:
     checks = []
 
     fit = analysis.fit_power_law([(x, 3.0 * x**-1.645) for x in (2, 4, 8, 16, 32)])
-    checks.append(("power-law exponent 1.645 recovered", abs(fit.exponent - 1.645) < 1e-9))
+    checks.append(("power-law exponent 1.645 recovered", abs(fit["b"] - 1.645) < 1e-9))
     fit = analysis.fit_power_law([(x, 0.5 * x**-0.603) for x in (2, 4, 8, 16, 32)])
-    checks.append(("power-law exponent 0.603 recovered", abs(fit.exponent - 0.603) < 1e-9))
+    checks.append(("power-law exponent 0.603 recovered", abs(fit["b"] - 0.603) < 1e-9))
 
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(2**6)

@@ -33,21 +33,13 @@ from .mps import (
     inner,
     isometry_error,
     left_canonicalize,
+    to_dense,
     truncate,
 )
-from .simulator import apply_gate_dense, dense_amplitudes
+from .simulator import apply_gate_dense
 
 DEFAULT_CHI_MAX = 32
 DEFAULT_SWEEPS = 200
-
-
-@dataclass(frozen=True)
-class EnvironmentTensor:
-    """4x4 matrix F for the gate at (1-based) index m: overlap = Tr[U_m F]."""
-
-    gate_index: int
-    site: int
-    matrix: np.ndarray
 
 
 @dataclass
@@ -101,8 +93,8 @@ def _optimal_gate(f: np.ndarray):
     return w, float(s.sum())
 
 
-def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTensor:
-    """Environment of gate m (1-based, application order) against the target.
+def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
+    """4x4 environment F_m of gate m (1-based, application order) against the target amplitudes.
 
     Satisfies Tr[W F_m] = <target| U_M ... W ... U_1 |0> for any 4x4 W in
     gate m's slot.
@@ -111,7 +103,7 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTe
     if not 1 <= m <= len(gates):
         raise ValidationError(f"gate index {m} out of range 1..{len(gates)}")
     n = circuit.n_qubits
-    targ = dense_amplitudes(target)
+    targ = np.asarray(target)
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
     prefix = np.zeros(2**n, dtype=targ.dtype)
@@ -121,13 +113,12 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> EnvironmentTe
     suffix = targ
     for site, matrix in reversed(gates[m:]):
         suffix = apply_gate_dense(suffix, matrix.conj().T, site, n)
-    site = gates[m - 1][0]
-    return EnvironmentTensor(m, site, _environment(prefix, suffix, site, n))
+    return _environment(prefix, suffix, gates[m - 1][0], n)
 
 
-def update_gate(f: EnvironmentTensor) -> np.ndarray:
-    """Nuclear-norm-optimal replacement 4x4 matrix for the given environment."""
-    w, _ = _optimal_gate(f.matrix)
+def update_gate(f: np.ndarray) -> np.ndarray:
+    """Nuclear-norm-optimal replacement 4x4 matrix for the environment F."""
+    w, _ = _optimal_gate(f)
     return w
 
 
@@ -138,7 +129,7 @@ def sweep_optimize(
     trace: OptimizerTrace | None = None,
     stage: int = 0,
 ):
-    """Gate-by-gate sweeps in forward application order.
+    """Gate-by-gate sweeps in forward application order against the target amplitudes.
 
     Each sweep rebuilds the suffix states once (adjoint pass from the
     target), then walks gates 1..M computing each environment from the
@@ -158,7 +149,7 @@ def sweep_optimize(
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
-    targ = dense_amplitudes(target)
+    targ = np.asarray(target)
     n = circuit.n_qubits
     if targ.size != 2**n:
         raise ValidationError("target dimension does not match the circuit")
@@ -257,6 +248,7 @@ def grow_and_optimize(
     all d layers are swept.  Returns the depth-D circuit and full trace.
     """
     target_canonical = _check_target(target, depth, chi_max)
+    target_amplitudes = to_dense(target_canonical)
     trace = OptimizerTrace()
     gates = np.empty((0, target.n_sites - 1, 4, 4))
     circuit = None
@@ -277,6 +269,6 @@ def grow_and_optimize(
                 "sweeps_per_stage": sweeps_per_stage,
             },
         )
-        circuit, trace = sweep_optimize(circuit, target_canonical, sweeps_per_stage, trace, stage)
+        circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps_per_stage, trace, stage)
         gates = circuit.gates
     return circuit, trace

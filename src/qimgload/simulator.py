@@ -11,12 +11,7 @@ import numpy as np
 from .circuit import LayeredCircuit
 from .errors import ValidationError
 from .image_codec import CSV_CHUNK_ROWS
-from .mps import DENSE_SITE_CAP, MPS, to_dense
-
-
-def dense_amplitudes(state) -> np.ndarray:
-    """Amplitude vector of an MPS or an array."""
-    return to_dense(state) if isinstance(state, MPS) else np.asarray(state)
+from .mps import DENSE_SITE_CAP
 
 
 def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:

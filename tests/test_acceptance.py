@@ -47,7 +47,7 @@ def test_criterion_01_chi2_single_layer_exactness():
         for _ in range(25):
             target, _ = from_dense(random_state(rng, n), chi_max=2)
             circuit, _ = iterative_construct(target, 1)
-            worst = max(worst, infidelity(target, run(circuit)))
+            worst = max(worst, infidelity(to_dense(target), run(circuit)))
     report(1, "chi=2 MPS prepared exactly by one staircase layer",
            worst <= 1e-9, f"worst infidelity {worst:.2e} over 100 states")
 
@@ -93,7 +93,7 @@ def test_criterion_05_monotone_sweeps_beat_iterative():
         circuit, _ = iterative_construct(target, depth)
         start = infidelity(state, run(circuit))
         trace = OptimizerTrace()
-        optimized, _ = sweep_optimize(circuit, target, 200, trace)
+        optimized, _ = sweep_optimize(circuit, to_dense(target), 200, trace)
         final = infidelity(state, run(optimized))
         monotone = bool(np.all(np.diff(trace.gate_overlaps) >= -1e-12))
         ok = ok and monotone and final < start
@@ -109,8 +109,8 @@ def test_criterion_06_depth_scaling_trend():
     monotone = all(b[1] < a[1] + 1e-15 for a, b in zip(values, values[1:]))
     fit = fit_power_law(values)
     report(6, "infidelity vs depth at L=32: positive exponent, monotone decrease",
-           fit.exponent > 0 and monotone,
-           f"b = {fit.exponent:.3f} +/- {fit.exponent_stderr:.3f}, monotone={monotone}")
+           fit["b"] > 0 and monotone,
+           f"b = {fit['b']:.3f} +/- {fit['b_stderr']:.3f}, monotone={monotone}")
 
 
 def test_criterion_07_chi_scaling_trend():
@@ -119,8 +119,8 @@ def test_criterion_07_chi_scaling_trend():
     decreasing = all(b[1] < a[1] for a, b in zip(values, values[1:]))
     fit = fit_power_law(values)
     report(7, "infidelity vs chi at L=256 (chi <= L/4): positive exponent, strictly decreasing",
-           fit.exponent > 0 and decreasing,
-           f"b = {fit.exponent:.3f} +/- {fit.exponent_stderr:.3f}, decreasing={decreasing}")
+           fit["b"] > 0 and decreasing,
+           f"b = {fit['b']:.3f} +/- {fit['b_stderr']:.3f}, decreasing={decreasing}")
 
 
 def test_criterion_08_resolution_saturation():
@@ -148,7 +148,7 @@ def test_criterion_09_environment_certificate():
             vec[0] = 1.0
             for i, (site, matrix) in enumerate(gates):
                 vec = apply_gate_dense(vec, w if i == m - 1 else matrix, site, n)
-            worst = max(worst, abs(np.trace(w @ f.matrix) - np.vdot(target, vec)))
+            worst = max(worst, abs(np.trace(w @ f) - np.vdot(target, vec)))
     report(9, "Tr[W F_m] equals dense-oracle overlap (200 substitutions, N <= 8)",
            worst <= 1e-9, f"worst deviation {worst:.2e}")
 
@@ -165,8 +165,8 @@ def test_criterion_10_nuclear_norm_update():
         before = abs(np.vdot(target, run(circuit)))
         f = environment_tensor(circuit, m, target)
         new_gate = update_gate(f)
-        _, nuclear = _optimal_gate(f.matrix)
-        achieved = np.trace(new_gate @ f.matrix).real
+        _, nuclear = _optimal_gate(f)
+        achieved = np.trace(new_gate @ f).real
         worst_gap = max(worst_gap, abs(achieved - nuclear))
         if nuclear < before - 1e-12:
             decreases += 1
@@ -196,7 +196,7 @@ def test_criterion_11_end_to_end_sampling():
 def test_criterion_12_power_law_self_test():
     fit_a = fit_power_law([(x, 3.0 * x**-1.645) for x in (2, 4, 8, 16, 32)])
     fit_b = fit_power_law([(x, 0.5 * x**-0.603) for x in (2, 4, 8, 16, 32)])
-    err_a = abs(fit_a.exponent - 1.645)
-    err_b = abs(fit_b.exponent - 0.603)
+    err_a = abs(fit_a["b"] - 1.645)
+    err_b = abs(fit_b["b"] - 0.603)
     report(12, "fitter recovers synthetic exponents 1.645 and 0.603 exactly",
            err_a <= 1e-9 and err_b <= 1e-9, f"errors {err_a:.1e}, {err_b:.1e}")

@@ -200,6 +200,20 @@ class TestAnalyze:
         fit = json.loads((out / "resolution_sweep_fit.json").read_text())
         assert fit["range"] == [4.0, 32.0]
 
+    def test_resolution_sweep_with_its_defaults(self, out):
+        # the image is read at the largest --l-list side, above the default --target-l 16
+        assert run_cli("analyze", "--sweep", "resolution", "--out-dir", str(out)) == 0
+        rows = (out / "resolution_sweep.csv").read_text().splitlines()[3:]
+        assert [row.split(",")[1] for row in rows] == ["32", "64", "128", "256"]
+
+    def test_resolution_sweep_reads_a_file_at_its_largest_side(self, tmp_path, out, rng):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(write_pgm(ImageGrid(0.1 + 0.9 * rng.random((16, 16)))))
+        assert run_cli("analyze", "--sweep", "resolution", "--image", str(path),
+                       "--target-l", "2", "--l-list", "4,8", "--out-dir", str(out)) == 0
+        rows = (out / "resolution_sweep.csv").read_text().splitlines()[3:]
+        assert [row.split(",")[1] for row in rows] == ["4", "8"]
+
     @pytest.mark.parametrize("sweep", ["chi", "depth"])
     def test_file_input_downscaled_to_target_l(self, tmp_path, out, rng, sweep):
         # the same grid as `compile` encodes: a 16x16 PGM at --target-l 4 is 4x4 (4 qubits)
@@ -342,6 +356,8 @@ class TestExitCodes:
             ["analyze", "--sweep", "chi", "--target-l", "2048"],
             ["analyze", "--sweep", "depth", "--target-l", "2048"],
             ["analyze", "--sweep", "resolution", "--target-l", "2048", "--l-list", "256,2048"],
+            ["analyze", "--sweep", "resolution", "--target-l", "2048", "--l-list", "32,64"],
+            ["encode", "--target-l", "2048"],
         ],
     )
     def test_dense_cap_checked_before_rendering(self, out, capsys, monkeypatch, argv):
@@ -358,16 +374,17 @@ class TestExitCodes:
         "argv",
         [
             ["compile", "--target-l", "1024"],
-            ["analyze", "--sweep", "resolution", "--target-l", "2048", "--l-list", "256,1024"],
+            ["analyze", "--sweep", "resolution", "--l-list", "256,1024"],
         ],
     )
     def test_dense_cap_admits_twenty_qubits(self, out, monkeypatch, argv):
-        # L = 1024 encodes on exactly the cap's 20 qubits, so the image is rendered
+        # L = 1024 encodes on exactly the cap's 20 qubits, so the image is rendered;
+        # the resolution sweep renders at its largest side, above --target-l
         def render(name, L):
             raise RuntimeError(f"rendered {name} at L={L}")
 
         monkeypatch.setattr("qimgload.cli.get_image", render)
-        with pytest.raises(RuntimeError, match="rendered scene at L="):
+        with pytest.raises(RuntimeError, match="rendered scene at L=1024"):
             run_cli(*argv, "--image", "builtin:scene", "--out-dir", str(out))
 
     def test_unknown_format_flag(self, tmp_path, out):

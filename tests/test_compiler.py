@@ -10,6 +10,7 @@ from conftest import (
     random_unitary4,
 )
 from qimgload import compiler
+from qimgload.analysis import infidelity
 from qimgload.compiler import (
     OptimizerTrace,
     _environment,
@@ -51,7 +52,7 @@ class TestEnvironmentTensor:
             for _ in range(4):
                 w = random_unitary4(rng, complex_valued=True)
                 direct = overlap_with_replacement(circuit, m, w, target)
-                assert abs(np.trace(w @ f.matrix) - direct) < 1e-9
+                assert abs(np.trace(w @ f) - direct) < 1e-9
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_kernel_matches_defining_contraction(self, rng, complex_valued):
@@ -81,6 +82,20 @@ class TestEnvironmentTensor:
         circuit = random_staircase_circuit(rng, 4, 1)
         with pytest.raises(ValidationError):
             environment_tensor(circuit, 1, random_state(rng, 3))
+
+
+def test_dense_functions_reject_an_mps(rng):
+    # the dense layer takes amplitude arrays; a caller holding an MPS converts it once
+    target, _ = from_dense(random_state(rng, 4), chi_max=4)
+    circuit, _ = iterative_construct(target, 1)
+    with pytest.raises(ValidationError, match="target dimension"):
+        sweep_optimize(circuit, target, 1)
+    with pytest.raises(ValidationError, match="target dimension"):
+        environment_tensor(circuit, 1, target)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        infidelity(to_dense(target), target)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        infidelity(target, target)
 
 
 class TestOptimalGate:
@@ -120,7 +135,7 @@ class TestSweepOptimize:
         target, _ = from_dense(random_state(rng, 6), chi_max=8)
         circuit, _ = iterative_construct(target, 2)
         trace = OptimizerTrace()
-        sweep_optimize(circuit, target, 10, trace)
+        sweep_optimize(circuit, to_dense(target), 10, trace)
         diffs = np.diff(trace.gate_overlaps)
         assert np.all(diffs >= -1e-12)
 
@@ -129,14 +144,14 @@ class TestSweepOptimize:
         target, _ = from_dense(vec, chi_max=8)
         circuit, _ = iterative_construct(target, 2)
         start = circuit_overlap(circuit, vec)
-        optimized, trace = sweep_optimize(circuit, target, 50)
+        optimized, trace = sweep_optimize(circuit, to_dense(target), 50)
         assert trace.records[-1].overlap > start
         assert circuit_overlap(optimized, vec) == pytest.approx(trace.records[-1].overlap, abs=1e-9)
 
     def test_preserves_layer_structure(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)
         circuit, _ = iterative_construct(target, 3)
-        optimized, _ = sweep_optimize(circuit, target, 3)
+        optimized, _ = sweep_optimize(circuit, to_dense(target), 3)
         assert optimized.depth == circuit.depth
         np.testing.assert_array_equal(optimized.sites, circuit.sites)
 
@@ -157,12 +172,12 @@ class TestSweepOptimize:
             partly = LayeredCircuit(n, circuit.sites, np.reshape(gates, circuit.gates.shape))
             f = environment_tensor(partly, m, target)
             if m > n:
-                assert np.linalg.svd(f.matrix, compute_uv=False)[-1] > 1e-6
+                assert np.linalg.svd(f, compute_uv=False)[-1] > 1e-6
             gates[m - 1] = update_gate(f)
         np.testing.assert_array_equal(swept.sites, circuit.sites)
         want = np.reshape(gates, circuit.gates.shape)
         np.testing.assert_allclose(swept.gates, want, rtol=0, atol=1e-10)
-        nuclear = np.sum(np.linalg.svd(f.matrix, compute_uv=False))
+        nuclear = np.sum(np.linalg.svd(f, compute_uv=False))
         assert trace.records[-1].overlap == pytest.approx(nuclear, abs=1e-10)
         assert trace.gate_overlaps[-1] == trace.records[-1].overlap
 
@@ -189,13 +204,13 @@ class TestSweepOptimize:
 
         monkeypatch.setattr(compiler, "_optimal_gate", one_update_corrupted)
         with pytest.raises(ValidationError):
-            sweep_optimize(circuit, target, 2)
+            sweep_optimize(circuit, to_dense(target), 2)
         assert len(calls) == len(circuit.all_gates()) == 8
 
     def test_zero_sweeps_is_identity(self, rng):
         target, _ = from_dense(random_state(rng, 4), chi_max=4)
         circuit, _ = iterative_construct(target, 1)
-        same, trace = sweep_optimize(circuit, target, 0)
+        same, trace = sweep_optimize(circuit, to_dense(target), 0)
         assert trace.records == []
         np.testing.assert_allclose(
             run(same), run(circuit), atol=1e-15
@@ -277,7 +292,7 @@ class TestTrace:
     def test_csv_shape(self, rng):
         target, _ = from_dense(random_state(rng, 4), chi_max=4)
         circuit, _ = iterative_construct(target, 1)
-        _, trace = sweep_optimize(circuit, target, 3)
+        _, trace = sweep_optimize(circuit, to_dense(target), 3)
         lines = trace.to_csv().splitlines()
         assert lines[0] == "stage,sweep,overlap,infidelity"
         assert len(lines) == 4
