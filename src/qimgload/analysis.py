@@ -137,7 +137,7 @@ def tv_distance(p, q) -> float:
     if p.shape != q.shape:
         raise ValidationError("distribution length mismatch")
     for name, d in (("p", p), ("q", q)):
-        if abs(d.sum() - 1.0) > 1e-6:
+        if not abs(d.sum() - 1.0) <= 1e-6:
             raise ValidationError(f"{name} must sum to 1 within 1e-6")
     return float(0.5 * np.abs(p - q).sum())
 

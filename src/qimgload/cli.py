@@ -35,6 +35,10 @@ from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict
 from .sample_images import get_image
 from .simulator import histogram_to_csv, histogram_to_probs, run, sample, state_to_csv
 
+# analyze fits only infidelities above this: 1 - |<a|b>| has round-off of
+# order 1e-15, so a point at or below the floor carries no power law
+FIT_FLOOR = 1e-12
+
 EXIT_SELFTEST = 1
 EXIT_INPUT_FORMAT = 2
 EXIT_VALIDATION = 3
@@ -295,15 +299,16 @@ def cmd_analyze(args) -> int:
     (out / f"{name}.csv").write_text(_csv_header(cfg) + analysis.records_to_csv(records))
     # a resolution sweep's x is the one chi_max on every record, so it fits against L
     by_l = args.sweep == "resolution"
-    positive = [(r.L if by_l else r.x, r.infidelity) for r in records if r.infidelity > 0]
-    if len(positive) >= 3:
-        fit = analysis.fit_power_law(positive)
-        (out / f"{name}_fit.json").write_text(
-            json.dumps({**fit, "provenance": _provenance(cfg)}, indent=1)
-        )
+    points = [(r.L if by_l else r.x, r.infidelity) for r in records]
+    above = [p for p in points if p[1] > FIT_FLOOR]
+    if len(above) >= 3:
+        fit = analysis.fit_power_law(above)
+        excluded = [[float(x), i] for x, i in points if i <= FIT_FLOOR]
+        record = {**fit, "floor": FIT_FLOOR, "excluded": excluded, "provenance": _provenance(cfg)}
+        (out / f"{name}_fit.json").write_text(json.dumps(record, indent=1))
         print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
     else:
-        print(f"{name}: {len(records)} records (too few positive points to fit)")
+        print(f"{name}: {len(records)} records (too few points above {FIT_FLOOR:g} to fit)")
     return 0
 
 

@@ -20,9 +20,14 @@ Overlaps and environments use the dense statevector backend (N capped at
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# the gufunc behind np.linalg.svd(full_matrices=True), without its per-call
+# wrapper; numpy >= 2.0 names it svd_f.  tests/test_compiler.py pins it
+# bit for bit against np.linalg.svd
+from numpy.linalg._umath_linalg import svd_f as _svd_full
 
 from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
 from .errors import NumericError, ValidationError
@@ -66,10 +71,12 @@ class OptimizerTrace:
 
 
 def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """F[c, r] = sum over spectators of prefix[x, c, y] * conj(suffix[x, r, y]).
+    """F[c, r] = sum over spectators of prefix[x, c, y] * suffix[x, r, y].
 
-    Both vectors are read through reshaped views, never transposed copies
-    (complex input conjugates the suffix once).  For post <= 8 the sum over
+    ``suffix`` is the conjugated suffix state, conj(<target| U_M ... U_{m+1}),
+    which callers build as conj(target) under the transposed gates, so no
+    2^N conjugate copy is made per update.  Both vectors are read through
+    reshaped views, never transposed copies.  For post <= 8 the sum over
     x is one (4*post, pre) @ (pre, 4*post) GEMM and the sum over y a trace
     over its post diagonal blocks; for larger post it is a batch over x of
     (4, post) @ (post, 4) products, summed.
@@ -77,20 +84,28 @@ def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: in
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
     if post <= 8:
-        g = prefix.reshape(pre, 4 * post).T @ suffix.reshape(pre, 4 * post).conj()
+        g = prefix.reshape(pre, 4 * post).T @ suffix.reshape(pre, 4 * post)
         return g.reshape(4, post, 4, post).diagonal(0, 1, 3).sum(axis=-1)
     a = prefix.reshape(pre, 4, post)
     b = suffix.reshape(pre, 4, post)
-    return (a @ b.conj().swapaxes(1, 2)).sum(axis=0)
+    return (a @ b.swapaxes(1, 2)).sum(axis=0)
 
 
 def _optimal_gate(f: np.ndarray):
-    """Unitary maximizing Re Tr[W F] and the achieved value (nuclear norm of F)."""
-    if not np.isfinite(f).all():
-        raise NumericError("environment tensor has non-finite entries")
-    u, s, vt = np.linalg.svd(f)
-    w = (u @ vt).conj().T
-    return w, float(s.sum())
+    """Unitary maximizing Re Tr[W F] and the achieved value (nuclear norm of F).
+
+    Calls LAPACK's gesdd through the gufunc that np.linalg.svd wraps, so
+    the result is bit-identical to np.linalg.svd(f).  The caller holds
+    ``np.errstate(invalid="ignore")``: `sweep_optimize` enters it once per
+    call and `update_gate` once per gate.  A non-finite F or a
+    non-converged SVD then gives NaN singular values instead of a warning,
+    and the nuclear-norm check raises NumericError.
+    """
+    u, s, vt = _svd_full(f, signature="D->DdD" if f.dtype.kind == "c" else "d->ddd")
+    overlap = float(s.sum())
+    if not math.isfinite(overlap):
+        raise NumericError("environment tensor is not finite or its SVD did not converge")
+    return (u @ vt).conj().T, overlap
 
 
 def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
@@ -110,15 +125,16 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
     prefix[0] = 1.0
     for site, matrix in gates[: m - 1]:
         prefix = apply_gate_dense(prefix, matrix, site, n)
-    suffix = targ
+    suffix = targ.conj()
     for site, matrix in reversed(gates[m:]):
-        suffix = apply_gate_dense(suffix, matrix.conj().T, site, n)
+        suffix = apply_gate_dense(suffix, matrix.T, site, n)
     return _environment(prefix, suffix, gates[m - 1][0], n)
 
 
 def update_gate(f: np.ndarray) -> np.ndarray:
     """Nuclear-norm-optimal replacement 4x4 matrix for the environment F."""
-    w, _ = _optimal_gate(f)
+    with np.errstate(invalid="ignore"):
+        w, _ = _optimal_gate(f)
     return w
 
 
@@ -131,13 +147,13 @@ def sweep_optimize(
 ):
     """Gate-by-gate sweeps in forward application order against the target amplitudes.
 
-    Each sweep rebuilds the suffix states once (adjoint pass from the
-    target), then walks gates 1..M computing each environment from the
-    running prefix and the cached suffix and replacing the gate's matrix by
-    its polar factor.  The loop holds raw 4x4 matrices; the M new ones are
-    checked for unitarity in one stacked call at the end of each sweep.
-    Per-update overlaps land in ``trace.gate_overlaps``; per-sweep overlaps
-    in ``trace.records``.
+    Each sweep rebuilds the conjugated suffix states once (a pass of
+    transposed gates from the conjugated target), then walks gates 1..M
+    computing each environment from the running prefix and the cached
+    suffix and replacing the gate's matrix by its polar factor.  The loop
+    holds raw 4x4 matrices; the M new ones are checked for unitarity in one
+    stacked call at the end of each sweep.  Per-update overlaps land in
+    ``trace.gate_overlaps``; per-sweep overlaps in ``trace.records``.
 
     The returned gate stack is ``np.stack`` of the loop's matrices, which
     keeps their memory layout (the polar factors are F-ordered views).  The
@@ -157,24 +173,27 @@ def sweep_optimize(
     sites = circuit.sites.ravel().tolist()
     matrices = list(circuit.gates.reshape(-1, 4, 4))
     m_total = len(sites)
-    for sweep in range(1, n_sweeps + 1):
-        suffix = [None] * (m_total + 1)
-        suffix[m_total] = targ
-        for m in range(m_total - 1, 0, -1):
-            suffix[m] = apply_gate_dense(suffix[m + 1], matrices[m].conj().T, sites[m], n)
-        prefix = np.zeros(2**n, dtype=targ.dtype)
-        prefix[0] = 1.0
-        overlap = 0.0
-        for m in range(m_total):
-            f = _environment(prefix, suffix[m + 1], sites[m], n)
-            matrices[m], overlap = _optimal_gate(f)
-            trace.gate_overlaps.append(overlap)
-            prefix = apply_gate_dense(prefix, matrices[m], sites[m], n)
-        if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
-            raise ValidationError(
-                f"sweep {sweep} produced a gate that is not unitary within {CANONICAL_ISOMETRY_TOL}"
-            )
-        trace.records.append(TraceRecord(stage, sweep, overlap))
+    with np.errstate(invalid="ignore"):
+        for sweep in range(1, n_sweeps + 1):
+            # conj(U^dagger s) = U^T conj(s): the suffixes are built conjugated
+            suffix = [None] * (m_total + 1)
+            suffix[m_total] = targ.conj()
+            for m in range(m_total - 1, 0, -1):
+                suffix[m] = apply_gate_dense(suffix[m + 1], matrices[m].T, sites[m], n)
+            prefix = np.zeros(2**n, dtype=targ.dtype)
+            prefix[0] = 1.0
+            overlap = 0.0
+            for m in range(m_total):
+                f = _environment(prefix, suffix[m + 1], sites[m], n)
+                matrices[m], overlap = _optimal_gate(f)
+                trace.gate_overlaps.append(overlap)
+                prefix = apply_gate_dense(prefix, matrices[m], sites[m], n)
+            if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
+                raise ValidationError(
+                    f"sweep {sweep} produced a gate that is not unitary"
+                    f" within {CANONICAL_ISOMETRY_TOL}"
+                )
+            trace.records.append(TraceRecord(stage, sweep, overlap))
     return replace(circuit, gates=np.stack(matrices).reshape(circuit.gates.shape)), trace
 
 
@@ -204,7 +223,7 @@ def _check_target(target: MPS, depth: int, chi_max: int) -> MPS:
     if chi_max < 2:
         raise ValidationError("working bond cap must be >= 2")
     norm = abs(inner(target, target))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValidationError(f"target must have unit norm, got {np.sqrt(norm)}")
     return left_canonicalize(target)
 

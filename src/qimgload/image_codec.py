@@ -133,7 +133,7 @@ def decode_probabilities(probs: np.ndarray, L: int, ordering: str = "straight") 
     if np.any(p < -1e-12):
         raise ValidationError("probabilities must be nonnegative")
     total = p.sum()
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValidationError(f"probabilities must sum to 1 within 1e-6, got {total}")
     p = np.clip(p, 0.0, None) / total
     perm = basis_permutation(L, ordering)

@@ -111,7 +111,7 @@ def from_dense(v, chi_max=None):
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise NumericError("cannot compress the zero vector")
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValidationError(f"input must have unit norm, got {norm}")
     if chi_max is not None and chi_max < 1:
         raise ValidationError("chi_max must be >= 1")

@@ -39,7 +39,7 @@ def run(c: LayeredCircuit) -> np.ndarray:
     vec[0] = 1.0
     for site, matrix in c.all_gates():
         vec = apply_gate_dense(vec, matrix, site, c.n_qubits)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
         raise ValidationError("statevector must have unit norm within 1e-10")
     return vec
 

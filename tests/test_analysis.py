@@ -92,6 +92,8 @@ class TestTvDistance:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             tv_distance([0.5, 0.6], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="p must sum to 1"):
+            tv_distance([np.nan, 0.5], [0.5, 0.5])
 
 
 class TestBuiltinImages:

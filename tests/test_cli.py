@@ -1,11 +1,13 @@
 """End-to-end CLI pipeline: artifacts, determinism, config handling, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import drifting_circuit, oracle_encode
+from qimgload import compiler
 from qimgload.circuit import serialize
 from qimgload.cli import main
 from qimgload.image_codec import ImageGrid, load_pgm, write_pgm
@@ -206,6 +208,25 @@ class TestAnalyze:
         rows = (out / "resolution_sweep.csv").read_text().splitlines()[3:]
         assert [row.split(",")[1] for row in rows] == ["32", "64", "128", "256"]
 
+    def test_resolution_defaults_fit_no_round_off(self, out, capsys):
+        # the defaults give 0.0 at L=32 and ~5e-15 at L=64, round-off at or
+        # below the 1e-12 floor; the two points left are too few to fit
+        assert run_cli("analyze", "--sweep", "resolution", "--out-dir", str(out)) == 0
+        rows = (out / "resolution_sweep.csv").read_text().splitlines()[3:]
+        assert [float(row.split(",")[2]) <= 1e-12 for row in rows] == [True, True, False, False]
+        printed = capsys.readouterr().out
+        assert printed == "resolution_sweep: 4 records (too few points above 1e-12 to fit)\n"
+        assert not (out / "resolution_sweep_fit.json").exists()
+
+    def test_fit_lists_the_points_below_its_floor(self, out):
+        # chi = 32 holds every bond of the L=32 image, so its infidelity is round-off
+        assert run_cli("analyze", "--sweep", "chi", "--image", "builtin:scene",
+                       "--target-l", "32", "--chi-list", "2,4,8,32",
+                       "--out-dir", str(out)) == 0
+        fit = json.loads((out / "chi_sweep_fit.json").read_text())
+        assert fit["range"] == [2.0, 8.0] and fit["floor"] == 1e-12
+        assert [x for x, _ in fit["excluded"]] == [32.0]
+
     def test_resolution_sweep_reads_a_file_at_its_largest_side(self, tmp_path, out, rng):
         path = tmp_path / "img.pgm"
         path.write_bytes(write_pgm(ImageGrid(0.1 + 0.9 * rng.random((16, 16)))))
@@ -316,6 +337,29 @@ class TestExitCodes:
         argv = ["simulate", "--circuit", str(path), "--out-dir", str(out)]
         assert run_cli(*argv, *(["--exact"] if exact else [])) == 3
         assert_one_line_error(capsys, "validation error: statevector must have unit norm within 1e-10")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_environment_is_numeric_error(self, out, capsys, monkeypatch, bad):
+        # one poisoned sweep update ends the compile with exit 4, one line and no warning
+        kernel = compiler._environment
+        calls = []
+
+        def one_update_poisoned(*args):
+            f = kernel(*args)
+            calls.append(f)
+            if len(calls) == 7:
+                f[2, 2] = bad
+            return f
+
+        monkeypatch.setattr(compiler, "_environment", one_update_poisoned)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("compile", "--image", "builtin:digit", "--target-l", "8",
+                           "--method", "grow", "--depth", "2", "--sweeps", "3",
+                           "--out-dir", str(out)) == 4
+        assert caught == []
+        assert_one_line_error(capsys, "numeric error: environment tensor is not finite")
+        assert not (out / "circuit.json").exists()
 
     def test_corrupt_circuit_json(self, tmp_path, out, capsys):
         bad = tmp_path / "circuit.json"

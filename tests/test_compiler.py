@@ -22,8 +22,8 @@ from qimgload.compiler import (
     update_gate,
 )
 from qimgload.circuit import LayeredCircuit
-from qimgload.errors import ValidationError
-from qimgload.mps import from_dense, to_dense
+from qimgload.errors import NumericError, ValidationError
+from qimgload.mps import MPS, from_dense, to_dense
 from qimgload.simulator import apply_gate_dense, run
 
 
@@ -66,7 +66,8 @@ class TestEnvironmentTensor:
                 expected = np.einsum(
                     "xcy,xry->cr", prefix.reshape(shape), np.conj(suffix.reshape(shape))
                 )
-                f = _environment(prefix, suffix, site, n)
+                # the kernel takes the suffix state already conjugated
+                f = _environment(prefix, suffix.conj(), site, n)
                 assert f.dtype == prefix.dtype and f.shape == (4, 4)
                 np.testing.assert_allclose(f, expected, rtol=0, atol=1e-12)
 
@@ -115,6 +116,40 @@ class TestOptimalGate:
         for _ in range(20):
             w = random_unitary4(rng, complex_valued=True)
             assert np.trace(w @ f).real <= value + 1e-10
+
+    @pytest.mark.parametrize("rank", [4, 2, 0], ids=["full-rank", "rank-2", "zero"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_direct_svd_equals_np_linalg_svd(self, rng, rank, dtype):
+        # the private gufunc runs the same LAPACK routine as the public
+        # wrapper, so the factors and the polar factor agree bit for bit
+        a = rng.standard_normal((4, rank))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((4, rank))
+        f = a @ rng.standard_normal((rank, 4))
+        signature = "D->DdD" if dtype is complex else "d->ddd"
+        got = compiler._svd_full(f, signature=signature)
+        want = np.linalg.svd(f)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        w, value = _optimal_gate(f)
+        np.testing.assert_array_equal(w, (want[0] @ want[2]).conj().T)
+        assert value == float(want[1].sum())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_update_gate_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
+        circuit = random_staircase_circuit(rng, 4, 2)
+        target = random_state(rng, 4, complex_valued=True)
+        kernel = compiler._environment
+
+        def poisoned(*args):
+            f = kernel(*args)
+            f[1, 2] = bad
+            return f
+
+        monkeypatch.setattr(compiler, "_environment", poisoned)
+        with pytest.raises(NumericError, match="not finite"):
+            update_gate(environment_tensor(circuit, 2, target))
 
     def test_update_gate_never_decreases_overlap(self, rng):
         # replacing any single gate by its environment optimum is monotone
@@ -207,6 +242,28 @@ class TestSweepOptimize:
             sweep_optimize(circuit, to_dense(target), 2)
         assert len(calls) == len(circuit.all_gates()) == 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
+        # one poisoned update in the second sweep: its SVD gives NaN
+        # singular values, and the nuclear-norm check raises at that update
+        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        circuit, _ = iterative_construct(target, 2)
+        kernel = compiler._environment
+        calls = []
+
+        def one_update_poisoned(*args):
+            f = kernel(*args)
+            calls.append(f)
+            if len(calls) == 11:
+                f[0, 3] = bad
+            return f
+
+        monkeypatch.setattr(compiler, "_environment", one_update_poisoned)
+        trace = OptimizerTrace()
+        with pytest.raises(NumericError, match="not finite"):
+            sweep_optimize(circuit, to_dense(target), 3, trace)
+        assert len(calls) == 11 and len(trace.gate_overlaps) == 10
+
     def test_zero_sweeps_is_identity(self, rng):
         target, _ = from_dense(random_state(rng, 4), chi_max=4)
         circuit, _ = iterative_construct(target, 1)
@@ -246,8 +303,6 @@ class TestIterativeConstruct:
         assert iterative_construct(target, 4)[0].depth == 4
 
     def test_rejects_unnormalized_target(self, rng):
-        from qimgload.mps import MPS
-
         target, _ = from_dense(random_state(rng, 4), chi_max=2)
         bad = MPS(tuple(t * 1.1 for t in target.tensors))
         with pytest.raises(ValidationError):
@@ -257,6 +312,16 @@ class TestIterativeConstruct:
         target, _ = from_dense(random_state(rng, 4), chi_max=2)
         with pytest.raises(ValidationError):
             iterative_construct(target, 0)
+
+
+@pytest.mark.parametrize("construct", [iterative_construct, grow_and_optimize])
+def test_constructions_reject_a_nan_target(rng, construct):
+    # a NaN norm must fail the unit-norm check, not reach an SVD
+    target, _ = from_dense(random_state(rng, 4), chi_max=2)
+    tensors = [t.copy() for t in target.tensors]
+    tensors[1][0, 1, 0] = np.nan
+    with pytest.raises(ValidationError, match="unit norm, got nan"):
+        construct(MPS(tuple(tensors)), 1)
 
 
 class TestGrowAndOptimize:

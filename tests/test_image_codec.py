@@ -165,6 +165,8 @@ class TestDecodeProbabilities:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             decode_probabilities(np.full(4, 0.3), 2)
+        with pytest.raises(ValidationError, match="must sum to 1"):
+            decode_probabilities(np.array([np.nan, 0.5, 0.25, 0.25]), 2)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):

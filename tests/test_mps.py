@@ -73,6 +73,13 @@ class TestFromDense:
         with pytest.raises(ValidationError):
             from_dense(random_state(rng, 3), chi_max=0)
 
+    def test_rejects_a_nan_entry(self, rng):
+        # a NaN norm must fail the unit-norm check, not reach an SVD
+        vec = random_state(rng, 4)
+        vec[5] = np.nan
+        with pytest.raises(ValidationError, match="unit norm, got nan"):
+            from_dense(vec)
+
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=7))
     @settings(max_examples=30, deadline=None)
     def test_norm_preserved_under_any_cap(self, seed, n):

@@ -17,6 +17,7 @@ from conftest import (
     random_state,
     random_unitary4,
 )
+from qimgload import simulator
 from qimgload.errors import ValidationError
 from qimgload.simulator import (
     apply_gate_dense,
@@ -74,6 +75,17 @@ class TestRun:
         # the result is unitary-exact, not renormalized after the fact
         c = random_staircase_circuit(rng, 6, 3)
         assert abs(np.linalg.norm(run(c)) - 1.0) < 1e-12
+
+    def test_rejects_a_nan_state(self, rng, monkeypatch):
+        # a NaN norm must fail the unit-norm check, not pass it
+        c = random_staircase_circuit(rng, 4, 1)
+
+        def poisoned(vec, *_):
+            return np.full_like(vec, np.nan)
+
+        monkeypatch.setattr(simulator, "apply_gate_dense", poisoned)
+        with pytest.raises(ValidationError, match="unit norm"):
+            run(c)
 
 
 class TestStateVector:
