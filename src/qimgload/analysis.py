@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiler
-from .circuit import LayeredCircuit
 from .errors import ValidationError
 from .image_codec import ImageGrid, downscale, encode_amplitudes
 from .mps import from_dense, to_dense
@@ -103,12 +102,11 @@ def depth_scaling_sweep(
 ) -> list:
     """Infidelity of compiled circuits vs the exact encoded state.
 
-    Extraction only appends layers, so one iterative build at the largest
-    depth serves every depth: the depth-d circuit is its last d layers.
-    ``gate_by_gate`` starts each depth's sweeps from that circuit.
+    ``method`` is a compile method.  One run of `compiler.construction_stages`
+    to the largest depth serves every depth: its stage d is the depth-d
+    circuit that `compile` writes (``iterative`` runs it without sweeps).
     """
-    if method not in ("iterative", "gate_by_gate"):
-        raise ValidationError(f"unknown method {method!r}")
+    stage_sweeps = sweeps if compiler.check_method(method) == "grow" else 0
     depths = sorted(depth_list)
     if not depths:
         return []
@@ -116,18 +114,12 @@ def depth_scaling_sweep(
         raise ValidationError("depth must be >= 1")
     exact = encode_amplitudes(image, ordering)
     target, _ = from_dense(exact, chi_max=chi_max)
-    deepest, _ = compiler.iterative_construct(target, depths[-1], chi_max)
-    target_amplitudes = to_dense(target)
-    records = []
-    for depth in depths:
-        circuit = LayeredCircuit(deepest.n_qubits, deepest.sites[-depth:], deepest.gates[-depth:])
-        if method == "gate_by_gate":
-            circuit, _ = compiler.sweep_optimize(circuit, target_amplitudes, sweeps)
-        prepared = run(circuit)
-        records.append(
-            ScalingRecord(depth, image.side_length, infidelity(exact, prepared), method, image_id)
-        )
-    return records
+    stages = compiler.construction_stages(target, depths[-1], stage_sweeps, chi_max)
+    values = {}
+    for depth, (circuit, _) in enumerate(stages, 1):
+        if depth in depths:
+            values[depth] = infidelity(exact, run(circuit))
+    return [ScalingRecord(d, image.side_length, values[d], method, image_id) for d in depths]
 
 
 def tv_distance(p, q) -> float:

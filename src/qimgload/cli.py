@@ -183,12 +183,10 @@ def cmd_compile(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
     _, state, target, _ = _prepare_target(cfg)
-    if cfg.method == "grow":
+    if compiler.check_method(cfg.method) == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
-    elif cfg.method == "iterative":
-        circuit, trace = compiler.iterative_construct(target, cfg.depth, cfg.chi_max)
     else:
-        raise ValidationError(f"unknown compile method {cfg.method!r}")
+        circuit, trace = compiler.iterative_construct(target, cfg.depth, cfg.chi_max)
     prepared = run(circuit)
     final_infidelity = analysis.infidelity(state, prepared)
     provenance = dict(circuit.provenance)
@@ -284,7 +282,7 @@ def cmd_analyze(args) -> int:
         records = analysis.depth_scaling_sweep(
             grid,
             depth_list,
-            method="gate_by_gate" if cfg.method == "grow" else "iterative",
+            method=cfg.method,
             sweeps=cfg.sweeps,
             chi_max=cfg.chi_max,
             ordering=ordering,
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shots", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--method", choices=["grow", "iterative"])
+        p.add_argument("--method", choices=compiler.METHODS)
 
     p = sub.add_parser("encode", help="image -> amplitude state + MPS artifacts")
     common(p)

@@ -1,18 +1,14 @@
 """Circuit compilation against a target MPS.
 
-Two routes, matching the two published constructions:
-
-* iterative disentangling: repeatedly truncate the residual state to
-  bond dimension 2 and peel off one exact staircase layer.  Each layer's
-  adjoint is folded into the residual, so the first-extracted layer ends
-  up applied last in the finished circuit.
-* gate-by-gate sweeps: the circuit-target overlap is linear in any single
-  gate, overlap = Tr[U_m F_m]; replacing U_m by the unitary factor of the
-  SVD of F_m raises the overlap to the nuclear norm of F_m, so every
-  update is monotone.
-
-`grow_and_optimize` interleaves the two: grow one disentangling layer
-from the residual of the optimized circuit, then re-sweep all layers.
+`construction_stages` is the one construction loop.  Each stage
+truncates the residual of the current circuit to bond dimension 2 and
+puts the exact staircase layer for it first in application order.
+Without sweeps this is iterative disentangling (`iterative_construct`);
+with sweeps every gate is re-optimized after each stage
+(`grow_and_optimize`).  A sweep replaces each gate U_m by the unitary
+factor of the SVD of its environment F_m: the circuit-target overlap,
+Tr[U_m F_m], then rises to the nuclear norm of F_m, so every update is
+monotone.
 
 Overlaps and environments use the dense statevector backend (N capped at
 20 sites); residuals are tracked as MPS with a working bond cap.
@@ -45,6 +41,14 @@ from .simulator import apply_gate_dense
 
 DEFAULT_CHI_MAX = 32
 DEFAULT_SWEEPS = 200
+METHODS = ("grow", "iterative")
+
+
+def check_method(name) -> str:
+    """Return ``name`` if it is one of METHODS; raise ValidationError otherwise."""
+    if name not in METHODS:
+        raise ValidationError(f"unknown compile method {name!r}")
+    return name
 
 
 @dataclass
@@ -228,30 +232,47 @@ def _check_target(target: MPS, depth: int, chi_max: int) -> MPS:
     return left_canonicalize(target)
 
 
-def iterative_construct(target: MPS, depth: int, chi_max: int = DEFAULT_CHI_MAX):
-    """Depth-D circuit from repeated chi=2 truncation of the residual.
+def construction_stages(target: MPS, depth: int, sweeps: int = 0, chi_max: int = DEFAULT_CHI_MAX):
+    """Yield (circuit, trace) after each of stages 1..depth; stage d's circuit has depth d.
 
-    Layer i is the exact staircase for the chi=2 truncation of the state
-    left after undoing layers 1..i-1; the finished circuit applies the
-    layers in reverse extraction order.  Returns (circuit, trace) where
-    the trace holds the overlap after each extracted layer.
+    With ``sweeps`` > 0 each stage sweeps every gate that many times, and
+    the next stage rebuilds the residual from the target.  With no sweeps
+    the layers never change: each layer's adjoint is folded into the
+    residual, and the trace gets the row (d, 0, <0|residual>).  Every
+    stage yields the same trace object, which later stages extend.
     """
-    residual = _check_target(target, depth, chi_max)
+    target_canonical = _check_target(target, depth, chi_max)
+    target_amplitudes = to_dense(target_canonical) if sweeps else None
+    n = target.n_sites
     trace = OptimizerTrace()
-    extracted = []
-    for i in range(1, depth + 1):
+    gates = np.empty((0, n - 1, 4, 4))
+    residual = target_canonical
+    for stage in range(1, depth + 1):
+        if sweeps and stage > 1:
+            residual = target_canonical
+            for layer in gates[::-1]:
+                residual = _apply_layer_adjoint(residual, layer, chi_max)
         truncated, _ = truncate(residual, 2)
         layer = layer_from_chi2_mps(truncated)
-        extracted.append(layer)
-        residual = _apply_layer_adjoint(residual, layer, chi_max)
-        trace.records.append(TraceRecord(i, 0, _zero_amplitude(residual)))
-    circuit = LayeredCircuit(
-        target.n_sites,
-        staircase_sites(target.n_sites, depth),
-        np.stack(extracted[::-1]),
-        provenance={"method": "iterative", "depth": depth, "chi_max": chi_max},
-    )
-    return circuit, trace
+        gates = np.concatenate((layer[None], gates))
+        circuit = LayeredCircuit(n, staircase_sites(n, stage), gates)
+        if sweeps:
+            circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps, trace, stage)
+            gates = circuit.gates
+        else:
+            residual = _apply_layer_adjoint(residual, layer, chi_max)
+            trace.records.append(TraceRecord(stage, 0, _zero_amplitude(residual)))
+        yield circuit, trace
+
+
+def iterative_construct(target: MPS, depth: int, chi_max: int = DEFAULT_CHI_MAX):
+    """Depth-D circuit from repeated chi=2 truncation of the residual, without sweeps.
+
+    Returns (circuit, trace); the trace holds the overlap after each layer.
+    """
+    *_, (circuit, trace) = construction_stages(target, depth, 0, chi_max)
+    provenance = {"method": "iterative", "depth": depth, "chi_max": chi_max}
+    return replace(circuit, provenance=provenance), trace
 
 
 def grow_and_optimize(
@@ -260,34 +281,12 @@ def grow_and_optimize(
     sweeps_per_stage: int = DEFAULT_SWEEPS,
     chi_max: int = DEFAULT_CHI_MAX,
 ):
-    """Grow-then-reoptimize protocol.
-
-    At stage d a fresh disentangling layer is built from the residual of
-    the current optimized circuit and prepended in application order, then
-    all d layers are swept.  Returns the depth-D circuit and full trace.
-    """
-    target_canonical = _check_target(target, depth, chi_max)
-    target_amplitudes = to_dense(target_canonical)
-    trace = OptimizerTrace()
-    gates = np.empty((0, target.n_sites - 1, 4, 4))
-    circuit = None
-    for stage in range(1, depth + 1):
-        residual = target_canonical
-        for layer in gates[::-1]:
-            residual = _apply_layer_adjoint(residual, layer, chi_max)
-        truncated, _ = truncate(residual, 2)
-        gates = np.concatenate((layer_from_chi2_mps(truncated)[None], gates))
-        circuit = LayeredCircuit(
-            target.n_sites,
-            staircase_sites(target.n_sites, stage),
-            gates,
-            provenance={
-                "method": "grow_and_optimize",
-                "depth": depth,
-                "chi_max": chi_max,
-                "sweeps_per_stage": sweeps_per_stage,
-            },
-        )
-        circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps_per_stage, trace, stage)
-        gates = circuit.gates
-    return circuit, trace
+    """Grow-then-reoptimize: the depth-D circuit and full trace of the swept stages."""
+    *_, (circuit, trace) = construction_stages(target, depth, sweeps_per_stage, chi_max)
+    provenance = {
+        "method": "grow_and_optimize",
+        "depth": depth,
+        "chi_max": chi_max,
+        "sweeps_per_stage": sweeps_per_stage,
+    }
+    return replace(circuit, provenance=provenance), trace

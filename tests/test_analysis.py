@@ -15,10 +15,10 @@ from qimgload.analysis import (
     records_to_csv,
     tv_distance,
 )
-from qimgload.compiler import iterative_construct, sweep_optimize
+from qimgload.compiler import construction_stages, grow_and_optimize, iterative_construct
 from qimgload.errors import ValidationError
 from qimgload.image_codec import encode_amplitudes
-from qimgload.mps import from_dense, to_dense
+from qimgload.mps import from_dense
 from qimgload.sample_images import BUILTIN_IMAGES, digit_image, get_image, scene_image, sign_image
 from qimgload.simulator import run
 
@@ -141,19 +141,24 @@ class TestScalingSweeps:
     def test_gate_by_gate_below_iterative(self):
         image = scene_image(16)
         it = depth_scaling_sweep(image, [2], method="iterative")
-        gb = depth_scaling_sweep(image, [2], method="gate_by_gate", sweeps=30)
+        gb = depth_scaling_sweep(image, [2], method="grow", sweeps=30)
         assert gb[0].infidelity < it[0].infidelity
 
-    def test_deeper_build_ends_with_every_shallower_one(self):
+    @pytest.mark.parametrize("method", ["iterative", "grow"])
+    def test_deeper_build_ends_with_every_shallower_one(self, method):
         # one build at the largest depth serves the whole depth list
         target, _ = from_dense(encode_amplitudes(scene_image(16)), chi_max=8)
-        deepest, _ = iterative_construct(target, 5, 8)
-        for depth in range(1, 6):
-            alone, _ = iterative_construct(target, depth, 8)
-            np.testing.assert_array_equal(deepest.sites[-depth:], alone.sites)
-            np.testing.assert_array_equal(deepest.gates[-depth:], alone.gates)
+        sweeps = 5 if method == "grow" else 0
+        stages = construction_stages(target, 5, sweeps, 8)
+        for depth, (circuit, _) in enumerate(stages, 1):
+            if method == "grow":
+                alone, _ = grow_and_optimize(target, depth, sweeps, 8)
+            else:
+                alone, _ = iterative_construct(target, depth, 8)
+            np.testing.assert_array_equal(circuit.sites, alone.sites)
+            np.testing.assert_array_equal(circuit.gates, alone.gates)
 
-    @pytest.mark.parametrize("method", ["iterative", "gate_by_gate"])
+    @pytest.mark.parametrize("method", ["iterative", "grow"])
     def test_depth_sweep_equals_separate_builds(self, method):
         image = digit_image(8)
         exact = encode_amplitudes(image)
@@ -161,17 +166,19 @@ class TestScalingSweeps:
         records = depth_scaling_sweep(image, [3, 1, 2], method=method, sweeps=5, chi_max=8)
         assert [r.x for r in records] == [1, 2, 3]
         for r in records:
-            circuit, _ = iterative_construct(target, r.x, 8)
-            if method == "gate_by_gate":
-                circuit, _ = sweep_optimize(circuit, to_dense(target), 5)
+            if method == "grow":
+                circuit, _ = grow_and_optimize(target, r.x, 5, 8)
+            else:
+                circuit, _ = iterative_construct(target, r.x, 8)
             assert r.infidelity == infidelity(exact, run(circuit))
+            assert r.method == method
 
     def test_depth_sweep_rejects_depth_zero(self):
         with pytest.raises(ValidationError, match="depth must be >= 1"):
             depth_scaling_sweep(scene_image(16), [0, 2])
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown compile method 'annealing'"):
             depth_scaling_sweep(scene_image(16), [1], method="annealing")
 
     def test_records_to_csv(self):

@@ -8,10 +8,12 @@ import pytest
 
 from conftest import drifting_circuit, oracle_encode
 from qimgload import compiler
-from qimgload.circuit import serialize
+from qimgload.analysis import infidelity
+from qimgload.circuit import deserialize, serialize
 from qimgload.cli import main
-from qimgload.image_codec import ImageGrid, load_pgm, write_pgm
+from qimgload.image_codec import ImageGrid, encode_amplitudes, load_pgm, write_pgm
 from qimgload.sample_images import get_image
+from qimgload.simulator import run
 
 
 @pytest.fixture
@@ -108,6 +110,20 @@ class TestCompileSimulate:
                            "--out-dir", str(d)) == 0
         for name in ("circuit.json", "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_grow_without_sweeps_is_iterative(self, tmp_path):
+        # same gates bit for bit, and the same per-layer (stage, 0, overlap) trace rows
+        circuits, traces = [], []
+        for method in ("grow", "iterative"):
+            d = tmp_path / method
+            assert run_cli("compile", "--method", method, "--sweeps", "0", "--image",
+                           "builtin:digit", "--target-l", "8", "--depth", "3",
+                           "--out-dir", str(d)) == 0
+            circuits.append(json.loads((d / "circuit.json").read_text()))
+            traces.append((d / "trace.csv").read_text().splitlines()[2:])  # past the hash lines
+        assert circuits[0]["layers"] == circuits[1]["layers"]
+        assert traces[0] == traces[1]
+        assert [row.split(",")[:2] for row in traces[0][1:]] == [["1", "0"], ["2", "0"], ["3", "0"]]
 
     @pytest.mark.parametrize("method", ["grow", "iterative"])
     def test_working_bond_cap_below_two_rejected(self, out, capsys, method):
@@ -249,6 +265,20 @@ class TestAnalyze:
                        "--sweeps", "1", "--out-dir", str(out)) == 0
         assert json.loads((out / "circuit.json").read_text())["n_qubits"] == 4
 
+    def test_depth_sweep_reports_what_compile_writes(self, tmp_path, out):
+        flags = ["--method", "grow", "--image", "builtin:digit", "--target-l", "8", "--sweeps", "5"]
+        assert run_cli("analyze", "--sweep", "depth", "--depth-list", "1,2", *flags,
+                       "--out-dir", str(out)) == 0
+        rows = (out / "depth_sweep.csv").read_text().splitlines()[3:]
+        exact = encode_amplitudes(get_image("digit", 8))
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
+        for depth, row in zip((1, 2), rows):
+            compiled = tmp_path / f"depth{depth}"
+            assert run_cli("compile", "--depth", str(depth), *flags,
+                           "--out-dir", str(compiled)) == 0
+            circuit = deserialize((compiled / "circuit.json").read_bytes())
+            assert float(row.split(",")[2]) == infidelity(exact, run(circuit))
+
     @pytest.mark.parametrize(
         "sweep,flag", [("chi", "--chi-list"), ("depth", "--depth-list"), ("resolution", "--l-list")]
     )
@@ -271,6 +301,18 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tempo = allegro\n")
         assert run_cli("encode", "--config", str(cfg), "--out-dir", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["compile"], ["analyze", "--sweep", "depth", "--depth-list", "1"]],
+        ids=["compile", "analyze"],
+    )
+    def test_unknown_method_rejected(self, tmp_path, out, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = annealing\n")
+        assert run_cli(*argv, "--config", str(cfg), "--image", "builtin:digit",
+                       "--target-l", "4", "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: unknown compile method 'annealing'")
+        assert not any(out.iterdir())
 
     def test_unparseable_value_rejected(self, tmp_path, out, capsys):
         cfg = tmp_path / "run.cfg"

@@ -34,6 +34,14 @@ def test_every_traced_function_exists(tracing):
         assert callable(getattr(target, function, None)), f"qimgload.{module}.{function}"
 
 
+def test_no_traced_function_is_a_generator(tracing):
+    # a generator function returns before its body runs, so its span
+    # would close empty and its self time would read zero
+    for module, function in tracing.TRACED:
+        target = getattr(importlib.import_module(f"qimgload.{module}"), function)
+        assert not inspect.isgeneratorfunction(target), f"qimgload.{module}.{function}"
+
+
 @pytest.mark.parametrize(
     "function, leading",
     [
