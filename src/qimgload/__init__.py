@@ -45,7 +45,6 @@ from .compiler import (
 )
 from .simulator import histogram_to_probs, run, sample
 from .analysis import (
-    ScalingRecord,
     chi_scaling_sweep,
     depth_scaling_sweep,
     fit_power_law,

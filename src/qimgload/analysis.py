@@ -1,10 +1,11 @@
 """Quantitative evaluation: infidelity, log-log power-law fits, and the
 bond-dimension / circuit-depth / resolution scaling sweeps.
+
+A sweep returns plain (x, L, infidelity) rows sorted by (L, x): x is the
+bond dimension chi or the circuit depth, L the image side.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +14,6 @@ from .errors import ValidationError
 from .image_codec import ImageGrid, downscale, encode_amplitudes
 from .mps import from_dense, to_dense
 from .simulator import run
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    x: float  # chi, depth, or resolution, depending on the sweep
-    L: int
-    infidelity: float
-    method: str
-    image_id: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.infidelity <= 1.0:
-            raise ValidationError(f"infidelity {self.infidelity} outside [0, 1]")
 
 
 def infidelity(a, b) -> float:
@@ -71,14 +59,13 @@ def chi_scaling_sweep(
     chi_list,
     L_list=None,
     ordering: str = "straight",
-    image_id: str = "",
 ) -> list:
     """Infidelity of the chi-capped MPS encoding vs the exact encoding.
 
-    One record per (L, chi), emitted sorted by (L, chi).
+    One (chi, L, infidelity) row per (L, chi), sorted by (L, chi).
     """
     L_list = sorted(L_list) if L_list is not None else [image.side_length]
-    records = []
+    rows = []
     for L in L_list:
         if L > image.side_length or L < 2:
             raise ValidationError(f"invalid sweep resolution {L}")
@@ -87,8 +74,8 @@ def chi_scaling_sweep(
         for chi in sorted(chi_list):
             m, _ = from_dense(exact, chi_max=chi)
             value = infidelity(exact, to_dense(m))
-            records.append(ScalingRecord(chi, L, value, "mps_truncation", image_id))
-    return records
+            rows.append((chi, L, value))
+    return rows
 
 
 def depth_scaling_sweep(
@@ -98,13 +85,13 @@ def depth_scaling_sweep(
     sweeps: int = compiler.DEFAULT_SWEEPS,
     chi_max: int = compiler.DEFAULT_CHI_MAX,
     ordering: str = "straight",
-    image_id: str = "",
 ) -> list:
     """Infidelity of compiled circuits vs the exact encoded state.
 
-    ``method`` is a compile method.  One run of `compiler.construction_stages`
-    to the largest depth serves every depth: its stage d is the depth-d
-    circuit that `compile` writes (``iterative`` runs it without sweeps).
+    One (depth, L, infidelity) row per depth, sorted by depth.  ``method``
+    is a compile method.  One run of `compiler.construction_stages` to the
+    largest depth serves every depth: its stage d is the depth-d circuit
+    that `compile` writes (``iterative`` runs it without sweeps).
     """
     stage_sweeps = sweeps if compiler.check_method(method) == "grow" else 0
     depths = sorted(depth_list)
@@ -119,7 +106,7 @@ def depth_scaling_sweep(
     for depth, (circuit, _) in enumerate(stages, 1):
         if depth in depths:
             values[depth] = infidelity(exact, run(circuit))
-    return [ScalingRecord(d, image.side_length, values[d], method, image_id) for d in depths]
+    return [(d, image.side_length, values[d]) for d in depths]
 
 
 def tv_distance(p, q) -> float:
@@ -132,10 +119,3 @@ def tv_distance(p, q) -> float:
         if not abs(d.sum() - 1.0) <= 1e-6:
             raise ValidationError(f"{name} must sum to 1 within 1e-6")
     return float(0.5 * np.abs(p - q).sum())
-
-
-def records_to_csv(records) -> str:
-    lines = ["x,L,infidelity,method,image_id"]
-    for r in sorted(records, key=lambda r: (r.L, r.x, r.method)):
-        lines.append(f"{r.x},{r.L},{repr(float(r.infidelity))},{r.method},{r.image_id}")
-    return "\n".join(lines) + "\n"

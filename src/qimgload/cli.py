@@ -107,6 +107,12 @@ def _csv_header(cfg: PipelineConfig) -> str:
     return f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
 
 
+def _write_rows(path: Path, cfg: PipelineConfig, columns: str, rows) -> None:
+    """A run-record CSV: the provenance header, the column row, one line per row."""
+    lines = [columns] + [",".join(map(str, row)) for row in rows]
+    path.write_text(_csv_header(cfg) + "\n".join(lines) + "\n")
+
+
 def _load_grid(cfg: PipelineConfig, side: int):
     """The input image: a built-in one rendered at `side`, a file downscaled to it if larger.
 
@@ -195,7 +201,8 @@ def cmd_compile(args) -> int:
     provenance["ordering"] = cfg.ordering
     circuit = replace(circuit, provenance=provenance)
     (out / "circuit.json").write_bytes(serialize(circuit))
-    (out / "trace.csv").write_text(_csv_header(cfg) + trace.to_csv())
+    rows = [(stage, sweep, o, max(0.0, 1.0 - o)) for stage, sweep, o in trace.records]
+    _write_rows(out / "trace.csv", cfg, "stage,sweep,overlap,infidelity", rows)
     print(
         f"compiled depth-{circuit.depth} circuit on {circuit.n_qubits} qubits: "
         f"{cnot_count(circuit)} CNOT-equivalents, infidelity {final_infidelity:.3e}"
@@ -255,49 +262,47 @@ def cmd_reconstruct(args) -> int:
 
 def _int_list(option: str, text: str) -> list:
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValidationError(f"{option}={text!r} is not a comma-separated list of int") from None
+    if len(set(values)) < len(values):
+        raise ValidationError(f"{option}={text!r} repeats an entry")
+    return values
 
 
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
+    option = {"chi": "chi_list", "depth": "depth_list", "resolution": "l_list"}[args.sweep]
+    values = _int_list(option, getattr(args, option))
     side = cfg.target_l
     if args.sweep == "resolution":
         # read the image at the largest side the sweep needs
-        L_list = _int_list("l_list", args.l_list)
-        side = max(side, *L_list)
+        side = max(side, *values)
     grid = _load_grid(cfg, side)
     ordering = check_ordering(cfg.ordering)
-    image_id = cfg.image
     if args.sweep == "chi":
-        chi_list = _int_list("chi_list", args.chi_list)
-        records = analysis.chi_scaling_sweep(
-            grid, chi_list, ordering=ordering, image_id=image_id
-        )
-        name = "chi_sweep"
+        rows = analysis.chi_scaling_sweep(grid, values, ordering=ordering)
+        method = "mps_truncation"
     elif args.sweep == "depth":
-        depth_list = _int_list("depth_list", args.depth_list)
-        records = analysis.depth_scaling_sweep(
+        rows = analysis.depth_scaling_sweep(
             grid,
-            depth_list,
+            values,
             method=cfg.method,
             sweeps=cfg.sweeps,
             chi_max=cfg.chi_max,
             ordering=ordering,
-            image_id=image_id,
         )
-        name = "depth_sweep"
+        method = cfg.method
     else:  # resolution; argparse bounds --sweep
-        records = analysis.chi_scaling_sweep(
-            grid, [cfg.chi_max], L_list=L_list, ordering=ordering, image_id=image_id
-        )
-        name = "resolution_sweep"
-    (out / f"{name}.csv").write_text(_csv_header(cfg) + analysis.records_to_csv(records))
-    # a resolution sweep's x is the one chi_max on every record, so it fits against L
+        rows = analysis.chi_scaling_sweep(grid, [cfg.chi_max], L_list=values, ordering=ordering)
+        method = "mps_truncation"
+    name = f"{args.sweep}_sweep"
+    labelled = [(*row, method, cfg.image) for row in rows]
+    _write_rows(out / f"{name}.csv", cfg, "x,L,infidelity,method,image_id", labelled)
+    # a resolution sweep's x is the one chi_max on every row, so it fits against L
     by_l = args.sweep == "resolution"
-    points = [(r.L if by_l else r.x, r.infidelity) for r in records]
+    points = [(L if by_l else x, i) for x, L, i in rows]
     above = [p for p in points if p[1] > FIT_FLOOR]
     if len(above) >= 3:
         fit = analysis.fit_power_law(above)
@@ -306,7 +311,7 @@ def cmd_analyze(args) -> int:
         (out / f"{name}_fit.json").write_text(json.dumps(record, indent=1))
         print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
     else:
-        print(f"{name}: {len(records)} records (too few points above {FIT_FLOOR:g} to fit)")
+        print(f"{name}: {len(rows)} records (too few points above {FIT_FLOOR:g} to fit)")
     return 0
 
 

@@ -52,26 +52,11 @@ def check_method(name) -> str:
 
 
 @dataclass
-class TraceRecord:
-    stage: int
-    sweep: int
-    overlap: float
-
-    @property
-    def infidelity(self) -> float:
-        return max(0.0, 1.0 - self.overlap)
-
-
-@dataclass
 class OptimizerTrace:
+    """(stage, sweep, overlap) rows, one per sweep or unswept layer, and per-update overlaps."""
+
     records: list = field(default_factory=list)
     gate_overlaps: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = ["stage,sweep,overlap,infidelity"]
-        for r in self.records:
-            lines.append(f"{r.stage},{r.sweep},{repr(r.overlap)},{repr(r.infidelity)}")
-        return "\n".join(lines) + "\n"
 
 
 def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
@@ -157,7 +142,8 @@ def sweep_optimize(
     suffix and replacing the gate's matrix by its polar factor.  The loop
     holds raw 4x4 matrices; the M new ones are checked for unitarity in one
     stacked call at the end of each sweep.  Per-update overlaps land in
-    ``trace.gate_overlaps``; per-sweep overlaps in ``trace.records``.
+    ``trace.gate_overlaps``; each sweep appends the row (stage, sweep,
+    overlap) to ``trace.records``.
 
     The returned gate stack is ``np.stack`` of the loop's matrices, which
     keeps their memory layout (the polar factors are F-ordered views).  The
@@ -197,7 +183,7 @@ def sweep_optimize(
                     f"sweep {sweep} produced a gate that is not unitary"
                     f" within {CANONICAL_ISOMETRY_TOL}"
                 )
-            trace.records.append(TraceRecord(stage, sweep, overlap))
+            trace.records.append((stage, sweep, overlap))
     return replace(circuit, gates=np.stack(matrices).reshape(circuit.gates.shape)), trace
 
 
@@ -261,7 +247,7 @@ def construction_stages(target: MPS, depth: int, sweeps: int = 0, chi_max: int =
             gates = circuit.gates
         else:
             residual = _apply_layer_adjoint(residual, layer, chi_max)
-            trace.records.append(TraceRecord(stage, 0, _zero_amplitude(residual)))
+            trace.records.append((stage, 0, _zero_amplitude(residual)))
         yield circuit, trace
 
 

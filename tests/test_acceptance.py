@@ -105,7 +105,7 @@ def test_criterion_05_monotone_sweeps_beat_iterative():
 def test_criterion_06_depth_scaling_trend():
     records = depth_scaling_sweep(scene_image(32), [2, 4, 6, 8, 10, 12, 14, 16],
                                   method="iterative")
-    values = [(r.x, r.infidelity) for r in records]
+    values = [(x, i) for x, L, i in records]
     monotone = all(b[1] < a[1] + 1e-15 for a, b in zip(values, values[1:]))
     fit = fit_power_law(values)
     report(6, "infidelity vs depth at L=32: positive exponent, monotone decrease",
@@ -115,7 +115,7 @@ def test_criterion_06_depth_scaling_trend():
 
 def test_criterion_07_chi_scaling_trend():
     records = chi_scaling_sweep(scene_image(256), [2, 4, 8, 16, 32, 64])
-    values = [(r.x, r.infidelity) for r in records]
+    values = [(x, i) for x, L, i in records]
     decreasing = all(b[1] < a[1] for a, b in zip(values, values[1:]))
     fit = fit_power_law(values)
     report(7, "infidelity vs chi at L=256 (chi <= L/4): positive exponent, strictly decreasing",
@@ -125,7 +125,7 @@ def test_criterion_07_chi_scaling_trend():
 
 def test_criterion_08_resolution_saturation():
     records = chi_scaling_sweep(scene_image(256), [8], L_list=[32, 64, 128, 256])
-    by_L = {int(r.L): r.infidelity for r in records}
+    by_L = {int(L): i for x, L, i in records}
     diffs = [abs(by_L[L] - by_L[L // 2]) for L in (64, 128, 256)]
     ok = all(b < a for a, b in zip(diffs, diffs[1:]))
     report(8, "|I(L) - I(L/2)| decreasing across L in {64,128,256} at chi=8",

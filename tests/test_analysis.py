@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from qimgload.analysis import (
-    ScalingRecord,
     chi_scaling_sweep,
     depth_scaling_sweep,
     fit_power_law,
     infidelity,
-    records_to_csv,
     tv_distance,
 )
 from qimgload.compiler import construction_stages, grow_and_optimize, iterative_construct
@@ -124,25 +122,25 @@ class TestBuiltinImages:
 
 class TestScalingSweeps:
     def test_chi_sweep_monotone(self):
-        records = chi_scaling_sweep(scene_image(64), [2, 4, 8, 16], image_id="scene")
-        values = [r.infidelity for r in records]
+        records = chi_scaling_sweep(scene_image(64), [2, 4, 8, 16])
+        values = [i for x, L, i in records]
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert all(r.L == 64 and r.method == "mps_truncation" for r in records)
+        assert all(L == 64 for x, L, i in records)
 
     def test_chi_sweep_multi_resolution(self):
         records = chi_scaling_sweep(scene_image(64), [4], L_list=[16, 32, 64])
-        assert sorted(r.L for r in records) == [16, 32, 64]
+        assert sorted(L for x, L, i in records) == [16, 32, 64]
 
     def test_depth_sweep_monotone(self):
         records = depth_scaling_sweep(scene_image(16), [1, 2, 3], method="iterative")
-        values = [r.infidelity for r in records]
+        values = [i for x, L, i in records]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_gate_by_gate_below_iterative(self):
         image = scene_image(16)
-        it = depth_scaling_sweep(image, [2], method="iterative")
-        gb = depth_scaling_sweep(image, [2], method="grow", sweeps=30)
-        assert gb[0].infidelity < it[0].infidelity
+        [(_, _, it)] = depth_scaling_sweep(image, [2], method="iterative")
+        [(_, _, gb)] = depth_scaling_sweep(image, [2], method="grow", sweeps=30)
+        assert gb < it
 
     @pytest.mark.parametrize("method", ["iterative", "grow"])
     def test_deeper_build_ends_with_every_shallower_one(self, method):
@@ -164,14 +162,13 @@ class TestScalingSweeps:
         exact = encode_amplitudes(image)
         target, _ = from_dense(exact, chi_max=8)
         records = depth_scaling_sweep(image, [3, 1, 2], method=method, sweeps=5, chi_max=8)
-        assert [r.x for r in records] == [1, 2, 3]
-        for r in records:
+        assert [x for x, L, i in records] == [1, 2, 3]
+        for depth, _, value in records:
             if method == "grow":
-                circuit, _ = grow_and_optimize(target, r.x, 5, 8)
+                circuit, _ = grow_and_optimize(target, depth, 5, 8)
             else:
-                circuit, _ = iterative_construct(target, r.x, 8)
-            assert r.infidelity == infidelity(exact, run(circuit))
-            assert r.method == method
+                circuit, _ = iterative_construct(target, depth, 8)
+            assert value == infidelity(exact, run(circuit))
 
     def test_depth_sweep_rejects_depth_zero(self):
         with pytest.raises(ValidationError, match="depth must be >= 1"):
@@ -180,16 +177,3 @@ class TestScalingSweeps:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown compile method 'annealing'"):
             depth_scaling_sweep(scene_image(16), [1], method="annealing")
-
-    def test_records_to_csv(self):
-        records = [
-            ScalingRecord(4, 16, 0.1, "mps_truncation", "a"),
-            ScalingRecord(2, 16, 0.2, "mps_truncation", "a"),
-        ]
-        lines = records_to_csv(records).splitlines()
-        assert lines[0] == "x,L,infidelity,method,image_id"
-        assert lines[1].startswith("2,16,0.2")
-
-    def test_record_validates_range(self):
-        with pytest.raises(ValidationError):
-            ScalingRecord(1, 2, 1.5, "m", "i")

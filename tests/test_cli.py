@@ -125,6 +125,27 @@ class TestCompileSimulate:
         assert traces[0] == traces[1]
         assert [row.split(",")[:2] for row in traces[0][1:]] == [["1", "0"], ["2", "0"], ["3", "0"]]
 
+    def test_trace_has_one_row_per_sweep(self, out):
+        assert run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                       "--depth", "1", "--sweeps", "3", "--out-dir", str(out)) == 0
+        lines = (out / "trace.csv").read_text().splitlines()[2:]  # past the hash lines
+        assert lines[0] == "stage,sweep,overlap,infidelity"
+        assert len(lines) == 4
+
+    def test_trace_infidelity_clamped(self, out, monkeypatch):
+        # round-off can put an overlap above 1; its infidelity is written as 0.0
+        grow = compiler.grow_and_optimize
+
+        def overshooting(*args):
+            circuit, trace = grow(*args)
+            trace.records[-1] = (1, 1, 1.0 + 1e-12)
+            return circuit, trace
+
+        monkeypatch.setattr(compiler, "grow_and_optimize", overshooting)
+        assert run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
+                       "--depth", "1", "--sweeps", "1", "--out-dir", str(out)) == 0
+        assert (out / "trace.csv").read_text().splitlines()[-1] == "1,1,1.000000000001,0.0"
+
     @pytest.mark.parametrize("method", ["grow", "iterative"])
     def test_working_bond_cap_below_two_rejected(self, out, capsys, method):
         assert run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
@@ -286,6 +307,40 @@ class TestAnalyze:
         assert run_cli("analyze", "--sweep", sweep, "--image", "builtin:digit",
                        "--target-l", "4", flag, "2,x", "--out-dir", str(out)) == 3
         assert_one_line_error(capsys, "validation error: ")
+
+    @pytest.mark.parametrize(
+        "sweep,flag,values",
+        [("chi", "--chi-list", "2,4,4,8"), ("depth", "--depth-list", "1,1,1"),
+         ("resolution", "--l-list", "4,4,4")],
+    )
+    def test_repeated_list_entry_rejected(self, out, capsys, sweep, flag, values):
+        # a repeated entry would be written twice and counted twice in the fit
+        assert run_cli("analyze", "--sweep", sweep, "--image", "builtin:digit",
+                       "--target-l", "8", flag, values, "--out-dir", str(out)) == 3
+        option = flag[2:].replace("-", "_")
+        assert_one_line_error(capsys, f"validation error: {option}='{values}' repeats an entry")
+        assert not (out / f"{sweep}_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep,flag,values,method",
+        [
+            ("chi", "--chi-list", "8,2,4", "mps_truncation"),
+            ("depth", "--depth-list", "3,1,2", "iterative"),
+            ("depth", "--depth-list", "3,1,2", "grow"),
+            ("resolution", "--l-list", "16,4,8", "mps_truncation"),
+        ],
+    )
+    def test_rows_ascend_in_x_and_L(self, out, sweep, flag, values, method):
+        compile_method = method if sweep == "depth" else "grow"
+        assert run_cli("analyze", "--sweep", sweep, "--image", "builtin:scene",
+                       "--target-l", "16", "--method", compile_method, "--sweeps", "2",
+                       flag, values, "--out-dir", str(out)) == 0
+        lines = (out / f"{sweep}_sweep.csv").read_text().splitlines()
+        assert lines[2] == "x,L,infidelity,method,image_id"
+        rows = [line.split(",") for line in lines[3:]]
+        column = 1 if sweep == "resolution" else 0
+        assert [int(row[column]) for row in rows] == sorted(int(v) for v in values.split(","))
+        assert all(row[3:] == [method, "builtin:scene"] for row in rows)
 
 
 class TestConfigFile:

@@ -180,8 +180,9 @@ class TestSweepOptimize:
         circuit, _ = iterative_construct(target, 2)
         start = circuit_overlap(circuit, vec)
         optimized, trace = sweep_optimize(circuit, to_dense(target), 50)
-        assert trace.records[-1].overlap > start
-        assert circuit_overlap(optimized, vec) == pytest.approx(trace.records[-1].overlap, abs=1e-9)
+        _, _, overlap = trace.records[-1]
+        assert overlap > start
+        assert circuit_overlap(optimized, vec) == pytest.approx(overlap, abs=1e-9)
 
     def test_preserves_layer_structure(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)
@@ -213,8 +214,9 @@ class TestSweepOptimize:
         want = np.reshape(gates, circuit.gates.shape)
         np.testing.assert_allclose(swept.gates, want, rtol=0, atol=1e-10)
         nuclear = np.sum(np.linalg.svd(f, compute_uv=False))
-        assert trace.records[-1].overlap == pytest.approx(nuclear, abs=1e-10)
-        assert trace.gate_overlaps[-1] == trace.records[-1].overlap
+        _, _, overlap = trace.records[-1]
+        assert overlap == pytest.approx(nuclear, abs=1e-10)
+        assert trace.gate_overlaps[-1] == overlap
 
     @pytest.mark.parametrize(
         "bad_update, corrupt",
@@ -279,7 +281,8 @@ class TestIterativeConstruct:
         target, _ = from_dense(random_state(rng, 6), chi_max=2)
         circuit, trace = iterative_construct(target, 1)
         assert circuit_overlap(circuit, to_dense(target)) == pytest.approx(1.0, abs=1e-10)
-        assert trace.records[-1].overlap == pytest.approx(1.0, abs=1e-10)
+        _, _, overlap = trace.records[-1]
+        assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_deeper_is_monotonically_better(self, rng):
         target, _ = from_dense(random_state(rng, 7), chi_max=8)
@@ -294,9 +297,8 @@ class TestIterativeConstruct:
         # the prepared-state fidelity
         target, _ = from_dense(random_state(rng, 6), chi_max=4)
         circuit, trace = iterative_construct(target, 3)
-        assert trace.records[-1].overlap == pytest.approx(
-            circuit_overlap(circuit, to_dense(target)), abs=1e-8
-        )
+        _, _, overlap = trace.records[-1]
+        assert overlap == pytest.approx(circuit_overlap(circuit, to_dense(target)), abs=1e-8)
 
     def test_depth_sets_layer_count(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)
@@ -330,20 +332,21 @@ class TestGrowAndOptimize:
         target, _ = from_dense(vec, chi_max=8)
         iterative = circuit_overlap(iterative_construct(target, 3)[0], vec)
         grown, trace = grow_and_optimize(target, 3, sweeps_per_stage=30)
-        assert trace.records[-1].overlap >= iterative - 1e-12
-        assert circuit_overlap(grown, vec) == pytest.approx(trace.records[-1].overlap, abs=1e-9)
+        _, _, overlap = trace.records[-1]
+        assert overlap >= iterative - 1e-12
+        assert circuit_overlap(grown, vec) == pytest.approx(overlap, abs=1e-9)
 
     def test_stage_count_and_depth(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)
         circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=5)
         assert circuit.depth == 3
-        assert {r.stage for r in trace.records} == {1, 2, 3}
+        assert {stage for stage, _, _ in trace.records} == {1, 2, 3}
 
     def test_trace_monotone_within_each_stage(self, rng):
         target, _ = from_dense(random_state(rng, 6), chi_max=8)
         _, trace = grow_and_optimize(target, 2, sweeps_per_stage=10)
         for stage in (1, 2):
-            overlaps = [r.overlap for r in trace.records if r.stage == stage]
+            overlaps = [o for s, _, o in trace.records if s == stage]
             assert all(b >= a - 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_provenance_recorded(self, rng):
@@ -351,18 +354,3 @@ class TestGrowAndOptimize:
         circuit, _ = grow_and_optimize(target, 2, sweeps_per_stage=2)
         assert circuit.provenance["method"] == "grow_and_optimize"
         assert circuit.provenance["depth"] == 2
-
-
-class TestTrace:
-    def test_csv_shape(self, rng):
-        target, _ = from_dense(random_state(rng, 4), chi_max=4)
-        circuit, _ = iterative_construct(target, 1)
-        _, trace = sweep_optimize(circuit, to_dense(target), 3)
-        lines = trace.to_csv().splitlines()
-        assert lines[0] == "stage,sweep,overlap,infidelity"
-        assert len(lines) == 4
-
-    def test_infidelity_clamped(self):
-        from qimgload.compiler import TraceRecord
-
-        assert TraceRecord(0, 1, 1.0 + 1e-12).infidelity == 0.0
