@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 selftest failure, 2 input-format error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -108,9 +110,14 @@ def _csv_header(cfg: PipelineConfig) -> str:
 
 
 def _write_rows(path: Path, cfg: PipelineConfig, columns: str, rows) -> None:
-    """A run-record CSV: the provenance header, the column row, one line per row."""
-    lines = [columns] + [",".join(map(str, row)) for row in rows]
-    path.write_text(_csv_header(cfg) + "\n".join(lines) + "\n")
+    """A run-record CSV: the provenance header, the column row, one line per row.
+
+    Fields go through `csv.writer`, so a field holding a comma or a quote
+    (an image path, say) is quoted; ints and floats print as str() would.
+    """
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(rows)
+    path.write_text(_csv_header(cfg) + columns + "\n" + body.getvalue())
 
 
 def _load_grid(cfg: PipelineConfig, side: int):

@@ -11,11 +11,15 @@ Tr[U_m F_m], then rises to the nuclear norm of F_m, so every update is
 monotone.
 
 Overlaps and environments use the dense statevector backend (N capped at
-20 sites); residuals are tracked as MPS with a working bond cap.
+20 sites); residuals are tracked as MPS with a working bond cap.  A sweep
+reads and writes only the leading block of amplitudes that the gates
+applied so far have reached, and keeps its prefix and suffix blocks in
+one buffer per `sweep_optimize` call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -145,6 +149,19 @@ def sweep_optimize(
     ``trace.gate_overlaps``; each sweep appends the row (stage, sweep,
     overlap) to ``trace.records``.
 
+    Only the leading block that the prefix has reached is read or written.
+    With low[m] the lowest site among gates 1..m, the prefix that gate m
+    sees is still |0> on every qubit below low[m]; qubit 0 is the most
+    significant bit, so that prefix lives in the leading 2^(N - low[m])
+    amplitudes, and the environment needs only the same leading block of
+    the suffix.  Gate m's suffix block is gate m+1's block with gate m+1
+    applied at its local site, cut to length.  This is exact.  The
+    environments, prefix gates and suffix gates of a staircase's first
+    layer then touch about 7 * 2^N amplitudes in all, not 3(N-1) * 2^N.
+    Every block lives in one flat buffer, allocated once
+    per call and rewritten each sweep; the conjugated target is written
+    into it once per call.
+
     The returned gate stack is ``np.stack`` of the loop's matrices, which
     keeps their memory layout (the polar factors are F-ordered views).  The
     layout sets the summation order of the einsum in `apply_two_qubit_gate`,
@@ -163,21 +180,48 @@ def sweep_optimize(
     sites = circuit.sites.ravel().tolist()
     matrices = list(circuit.gates.reshape(-1, 4, 4))
     m_total = len(sites)
+    # gate m works on the block of qubits low[m]..n-1, at site `local` in it
+    low = list(itertools.accumulate(sites, min))
+    local = [s - lo for s, lo in zip(sites, low)]
+    width = [n - lo for lo in low]
+    size = [2**w for w in width]
+    # suffix blocks lie in the order they are built, last gate first;
+    # block m is written as gate m+1's whole product on block m+1, so the
+    # room after it holds that product's tail until block m-1 overwrites it
+    start = [0] * m_total
+    for m in range(m_total - 2, -1, -1):
+        start[m] = start[m + 1] + size[m + 1]
+    top = start[0] + size[min(1, m_total - 1)]
+    full = size[-1]
+    buf = np.empty(top + 2 * full, dtype=np.result_type(targ.dtype, circuit.gates.dtype))
+    suffix = [buf[a : a + s] for a, s in zip(start, size)]
+    suffix_out = [buf[a : a + s] for a, s in zip(start, size[1:])]
+    # conj(U^dagger s) = U^T conj(s): the suffixes are built conjugated
+    np.conjugate(targ.reshape(-1)[:full], out=suffix[-1])
+    # the prefix alternates between two blocks; the amplitudes a block
+    # gains when the prefix reaches a lower qubit are zeroed at the start
+    # of each sweep, since no gate before that one writes there
+    prefixes = (buf[top : top + full], buf[top + full :])
+    pads = [prefixes[m % 2][a:s] for m, (a, s) in enumerate(zip([1] + size, size)) if s > a]
+    steps = [
+        (m, local[m], width[m], prefixes[m % 2][:s], suffix[m], prefixes[1 - m % 2][:s])
+        for m, s in enumerate(size)
+    ]
     with np.errstate(invalid="ignore"):
         for sweep in range(1, n_sweeps + 1):
-            # conj(U^dagger s) = U^T conj(s): the suffixes are built conjugated
-            suffix = [None] * (m_total + 1)
-            suffix[m_total] = targ.conj()
-            for m in range(m_total - 1, 0, -1):
-                suffix[m] = apply_gate_dense(suffix[m + 1], matrices[m].T, sites[m], n)
-            prefix = np.zeros(2**n, dtype=targ.dtype)
-            prefix[0] = 1.0
+            for m in range(m_total - 2, -1, -1):
+                apply_gate_dense(
+                    suffix[m + 1], matrices[m + 1].T, local[m + 1], width[m + 1], out=suffix_out[m]
+                )
+            prefixes[0][0] = 1.0
+            for pad in pads:
+                pad.fill(0)
             overlap = 0.0
-            for m in range(m_total):
-                f = _environment(prefix, suffix[m + 1], sites[m], n)
+            for m, site, w, prefix, suffix_m, prefix_next in steps:
+                f = _environment(prefix, suffix_m, site, w)
                 matrices[m], overlap = _optimal_gate(f)
                 trace.gate_overlaps.append(overlap)
-                prefix = apply_gate_dense(prefix, matrices[m], sites[m], n)
+                apply_gate_dense(prefix, matrices[m], site, w, out=prefix_next)
             if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
                 raise ValidationError(
                     f"sweep {sweep} produced a gate that is not unitary"

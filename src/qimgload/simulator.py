@@ -14,21 +14,37 @@ from .image_codec import CSV_CHUNK_ROWS
 from .mps import DENSE_SITE_CAP
 
 
-def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """Apply a 4x4 gate on adjacent qubits (site, site+1) to a dense vector."""
+def apply_gate_dense(
+    vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply a 4x4 gate on adjacent qubits (site, site+1) to a dense vector.
+
+    With ``out`` (a C-contiguous 1-D array of vec's size that does not
+    overlap it) the result is written there and ``out`` is returned.
+    """
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
     if post == 1:
         # one (pre, 4) @ (4, 4) GEMM; a batch of pre matrix-vector products is slower
-        return (vec.reshape(pre, 4) @ matrix.T).reshape(-1)
-    if post <= 4 and pre >= 128:
+        shape = (pre, 4)
+        a, b = vec.reshape(shape), matrix.T
+    elif post <= 4 and pre >= 128:
         # one (pre, 4*post) GEMM against matrix ⊗ I_post; below pre = 128 the
         # batch of pre tiny products is cheaper than building the Kronecker factor
         kron = np.zeros((4, post, 4, post), dtype=matrix.dtype)
         i = np.arange(post)
         kron[:, i, :, i] = matrix
-        return (vec.reshape(pre, 4 * post) @ kron.reshape(4 * post, 4 * post).T).reshape(-1)
-    return np.matmul(matrix, vec.reshape(pre, 4, post)).reshape(-1)
+        shape = (pre, 4 * post)
+        a, b = vec.reshape(shape), kron.reshape(4 * post, 4 * post).T
+    else:
+        shape = (pre, 4, post)
+        a, b = matrix, vec.reshape(shape)
+    if out is None:
+        return np.matmul(a, b).reshape(-1)
+    if not out.flags.c_contiguous:
+        raise ValidationError("out must be C-contiguous")
+    np.matmul(a, b, out=out.reshape(shape))
+    return out
 
 
 def run(c: LayeredCircuit) -> np.ndarray:

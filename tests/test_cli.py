@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: artifacts, determinism, config handling, exit codes."""
 
+import csv
 import json
 import warnings
 
@@ -84,6 +85,15 @@ class TestCompileSimulate:
         assert recon.side_length == 8
         hist = (out / "histogram.csv").read_text()
         assert "index,bitstring,count,probability" in hist
+
+    @pytest.mark.parametrize("side", [2, 4])
+    def test_grow_on_the_smallest_images(self, out, side):
+        # N = 2 and 4: the first gate of each layer already sits at site 0 or 2
+        assert run_cli("compile", "--image", "builtin:digit", "--target-l", str(side),
+                       "--method", "grow", "--sweeps", "3", "--depth", "2",
+                       "--out-dir", str(out)) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[3:]
+        assert len(rows) == 6
 
     def test_exact_simulation_skips_sampling(self, out):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
@@ -285,6 +295,17 @@ class TestAnalyze:
         assert run_cli("compile", "--image", str(path), "--target-l", "4", "--depth", "1",
                        "--sweeps", "1", "--out-dir", str(out)) == 0
         assert json.loads((out / "circuit.json").read_text())["n_qubits"] == 4
+
+    def test_image_path_with_a_comma_is_one_field(self, tmp_path, out, rng):
+        path = tmp_path / "a,b.pgm"
+        path.write_bytes(write_pgm(ImageGrid(0.1 + 0.9 * rng.random((4, 4)))))
+        assert run_cli("analyze", "--sweep", "chi", "--image", str(path), "--target-l", "4",
+                       "--chi-list", "2,4", "--out-dir", str(out)) == 0
+        lines = (out / "chi_sweep.csv").read_text().splitlines()[2:]
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["x", "L", "infidelity", "method", "image_id"]
+        assert len(rows) == 3 and all(len(row) == 5 for row in rows)
+        assert [row[4] for row in rows[1:]] == [str(path)] * 2
 
     def test_depth_sweep_reports_what_compile_writes(self, tmp_path, out):
         flags = ["--method", "grow", "--image", "builtin:digit", "--target-l", "8", "--sweeps", "5"]

@@ -191,32 +191,66 @@ class TestSweepOptimize:
         assert optimized.depth == circuit.depth
         np.testing.assert_array_equal(optimized.sites, circuit.sites)
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_one_sweep_equals_successive_oracle_updates(self, rng, n):
+    @pytest.mark.parametrize(
+        "n, order, complex_valued",
+        [
+            pytest.param(5, None, True, id="5"),
+            pytest.param(6, None, True, id="6"),
+            pytest.param(7, None, True, id="7"),
+            # pair (0, 1) first: every gate sees the whole state
+            pytest.param(6, [0, 1, 2, 3, 4], True, id="ascending"),
+            # the first gate mid-chain; the block then spans every qubit
+            pytest.param(7, [3, 0, 5, 1, 4, 2], True, id="mid-chain"),
+            # the block stays put, then reaches down in several steps
+            pytest.param(8, [4, 5, 2, 6, 1, 3, 0], True, id="stepwise"),
+            # the Kronecker GEMM of apply_gate_dense runs at n = 12
+            pytest.param(12, None, False, id="real-12"),
+        ],
+    )
+    def test_one_sweep_equals_successive_oracle_updates(self, rng, n, order, complex_valued):
         # each update must equal update_gate on the dense oracle's environment
-        # of the partly updated circuit.  Against a random complex target the
-        # environments of gates n+1..M are full rank, so their polar factors
-        # are unique.  Gates 1..n have rank <= 2 environments (the first layer
-        # acts on |0>, and after it the last pair holds one bond of 2); there
-        # sweep and oracle agree because both contract the same gates in the
-        # same order
+        # of the partly updated circuit.  For a descending staircase against a
+        # random complex target the environments of gates n+1..M are full
+        # rank, so their polar factors are unique.  Gates 1..n have rank <= 2
+        # environments (the first layer acts on |0>, and after it the last
+        # pair holds one bond of 2); there sweep and oracle agree because the
+        # sweep's leading blocks give the oracle's sums bit for bit.  A real
+        # target gives the same bits throughout
         circuit = random_staircase_circuit(rng, n, 2)
-        target = random_state(rng, n, complex_valued=True)
+        if order is not None:
+            circuit = LayeredCircuit(n, np.array([order, order]), circuit.gates)
+        target = random_state(rng, n, complex_valued)
         swept, trace = sweep_optimize(circuit, target, 1)
         gates = list(circuit.gates.reshape(-1, 4, 4))
         for m in range(1, len(gates) + 1):
             partly = LayeredCircuit(n, circuit.sites, np.reshape(gates, circuit.gates.shape))
             f = environment_tensor(partly, m, target)
-            if m > n:
+            if m > n and order is None and complex_valued:
                 assert np.linalg.svd(f, compute_uv=False)[-1] > 1e-6
             gates[m - 1] = update_gate(f)
         np.testing.assert_array_equal(swept.sites, circuit.sites)
         want = np.reshape(gates, circuit.gates.shape)
-        np.testing.assert_allclose(swept.gates, want, rtol=0, atol=1e-10)
+        if complex_valued:
+            np.testing.assert_allclose(swept.gates, want, rtol=0, atol=1e-10)
+        else:
+            np.testing.assert_array_equal(swept.gates, want)
         nuclear = np.sum(np.linalg.svd(f, compute_uv=False))
         _, _, overlap = trace.records[-1]
         assert overlap == pytest.approx(nuclear, abs=1e-10)
         assert trace.gate_overlaps[-1] == overlap
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_inputs_untouched_and_calls_repeatable(self, rng, complex_valued):
+        # the buffer is per call: a second call from the same inputs starts clean
+        circuit = random_staircase_circuit(rng, 6, 3)
+        target = random_state(rng, 6, complex_valued)
+        target_before, gates_before = target.copy(), circuit.gates.copy()
+        first, first_trace = sweep_optimize(circuit, target, 2)
+        np.testing.assert_array_equal(target, target_before)
+        np.testing.assert_array_equal(circuit.gates, gates_before)
+        second, second_trace = sweep_optimize(circuit, target, 2)
+        np.testing.assert_array_equal(second.gates, first.gates)
+        assert second_trace.records == first_trace.records
 
     @pytest.mark.parametrize(
         "bad_update, corrupt",

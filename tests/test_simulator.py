@@ -42,6 +42,29 @@ class TestApplyGateDense:
                 assert out.dtype == vec.dtype and out.shape == vec.shape
                 np.testing.assert_allclose(out, oracle_apply_gate(vec, gate, site, n), atol=1e-12)
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize(
+        "site",
+        [
+            pytest.param(10, id="post-1-gemm"),
+            pytest.param(8, id="kron-gemm"),
+            pytest.param(3, id="batched-matmul"),
+        ],
+    )
+    def test_out_receives_the_same_result(self, rng, site, complex_valued):
+        # at n = 12: site 10 has post == 1, site 8 has post 4 and pre 256
+        n = 12
+        vec = random_state(rng, n, complex_valued)
+        gate = random_unitary4(rng, complex_valued)
+        buf = np.full_like(vec, np.nan)
+        assert apply_gate_dense(vec, gate, site, n, out=buf) is buf
+        np.testing.assert_array_equal(buf, apply_gate_dense(vec, gate, site, n))
+
+    def test_out_must_be_contiguous(self, rng):
+        vec = random_state(rng, 4)
+        with pytest.raises(ValidationError, match="contiguous"):
+            apply_gate_dense(vec, random_unitary4(rng), 1, 4, out=np.empty(32)[::2])
+
     def test_site_bit_is_most_significant(self):
         # [DERIVED] a NOT on the gate's first qubit must flip the higher bit
         flip_first = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
