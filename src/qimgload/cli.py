@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,19 +48,25 @@ EXIT_NUMERIC = 4
 
 @dataclass
 class PipelineConfig:
-    """Every option a subcommand reads; each default also fixes the option's type."""
+    """Every option that all subcommands share, as a config-file key and a flag.
 
-    image: str = "builtin:sign"
-    format: str = "auto"
-    target_l: int = 16
-    ordering: str = "straight"
+    Each default also fixes the option's type; a field's metadata holds
+    the rest of its flag's `add_argument` keywords.
+    """
+
+    image: str = field(
+        default="builtin:sign", metadata={"help": "image path or builtin:{sign,scene,digit}"}
+    )
+    format: str = field(default="auto", metadata={"choices": ["auto", "pgm", "csv"]})
+    target_l: int = field(default=16, metadata={"help": "downscale target side"})
+    ordering: str = field(default="straight", metadata={"choices": ORDERINGS})
     chi_max: int = compiler.DEFAULT_CHI_MAX
     depth: int = 3
     sweeps: int = compiler.DEFAULT_SWEEPS
     shots: int = 10000
     seed: int = 0
     out_dir: str = "out"
-    method: str = "grow"
+    method: str = field(default="grow", metadata={"choices": compiler.METHODS})
 
     def hash(self) -> str:
         # out_dir only says where artifacts land, not what they contain
@@ -83,14 +89,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_config(args) -> PipelineConfig:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = _read_config_file(args.config) if args.config else {}
     options = fields(PipelineConfig)
     unknown = set(file_values) - {f.name for f in options}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     values = {}
     for f in options:
-        value = getattr(args, f.name, None)  # explicit flags win over the file
+        value = getattr(args, f.name)  # explicit flags win over the file
         if value is None:
             value = file_values.get(f.name, f.default)
         kind = type(f.default)
@@ -360,57 +366,41 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value config file; flags override")
+    for f in fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        shared.add_argument(flag, dest=f.name, type=type(f.default), **f.metadata)
+
     parser = argparse.ArgumentParser(
         prog="qimgload",
         description="Compile grayscale images into shallow quantum state-preparation circuits.",
     )
     parser.add_argument("--version", action="version", version=f"qimgload {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # looked up per call, so a handler rebound on this module (a tracer's wrapper) is the one run
+    commands = [
+        ("encode", cmd_encode, "image -> amplitude state + MPS artifacts"),
+        ("compile", cmd_compile, "image -> layered circuit JSON + trace CSV"),
+        ("simulate", cmd_simulate, "circuit -> histogram + reconstructed PGM + curve"),
+        ("reconstruct", cmd_reconstruct, "decode a histogram CSV into a PGM image"),
+        ("analyze", cmd_analyze, "scaling sweeps and power-law fits"),
+        ("selftest", cmd_selftest, "quick pass/fail property checks"),
+    ]
+    p = {}
+    for name, handler, text in commands:
+        p[name] = sub.add_parser(name, help=text, parents=[shared])
+        p[name].set_defaults(func=handler)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--image", help="image path or builtin:{sign,scene,digit}")
-        p.add_argument("--format", choices=["auto", "pgm", "csv"])
-        p.add_argument("--target-l", dest="target_l", type=int, help="downscale target side")
-        p.add_argument("--ordering", choices=ORDERINGS)
-        p.add_argument("--chi-max", dest="chi_max", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--sweeps", type=int)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--method", choices=compiler.METHODS)
-
-    p = sub.add_parser("encode", help="image -> amplitude state + MPS artifacts")
-    common(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("compile", help="image -> layered circuit JSON + trace CSV")
-    common(p)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("simulate", help="circuit -> histogram + reconstructed PGM + curve")
-    common(p)
-    p.add_argument("--circuit", required=True, help="circuit JSON from `compile`")
-    p.add_argument("--exact", action="store_true", help="use exact probabilities (infinite shots)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="decode a histogram CSV into a PGM image")
-    common(p)
-    p.add_argument("--histogram", required=True)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("analyze", help="scaling sweeps and power-law fits")
-    common(p)
-    p.add_argument("--sweep", required=True, choices=["chi", "depth", "resolution"])
-    p.add_argument("--chi-list", dest="chi_list", default="2,4,8,16,32")
-    p.add_argument("--depth-list", dest="depth_list", default="2,4,6,8,10,12,14,16")
-    p.add_argument("--l-list", dest="l_list", default="32,64,128,256")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("selftest", help="quick pass/fail property checks")
-    common(p)
-    p.set_defaults(func=cmd_selftest)
+    p["simulate"].add_argument("--circuit", required=True, help="circuit JSON from `compile`")
+    p["simulate"].add_argument(
+        "--exact", action="store_true", help="use exact probabilities (infinite shots)"
+    )
+    p["reconstruct"].add_argument("--histogram", required=True)
+    p["analyze"].add_argument("--sweep", required=True, choices=["chi", "depth", "resolution"])
+    p["analyze"].add_argument("--chi-list", dest="chi_list", default="2,4,8,16,32")
+    p["analyze"].add_argument("--depth-list", dest="depth_list", default="2,4,6,8,10,12,14,16")
+    p["analyze"].add_argument("--l-list", dest="l_list", default="32,64,128,256")
     return parser
 
 
@@ -418,7 +408,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FORMAT
     except ValidationError as exc:
@@ -427,9 +417,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"input format error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_FORMAT
 
 
 if __name__ == "__main__":

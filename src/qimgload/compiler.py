@@ -203,8 +203,11 @@ def sweep_optimize(
     # of each sweep, since no gate before that one writes there
     prefixes = (buf[top : top + full], buf[top + full :])
     pads = [prefixes[m % 2][a:s] for m, (a, s) in enumerate(zip([1] + size, size)) if s > a]
+    # each step writes its product with the prefix into the next step's
+    # block; the last gate's product would never be read, so it has none
+    nexts = [prefixes[1 - m % 2][:s] for m, s in enumerate(size[:-1])] + [None]
     steps = [
-        (m, local[m], width[m], prefixes[m % 2][:s], suffix[m], prefixes[1 - m % 2][:s])
+        (m, local[m], width[m], prefixes[m % 2][:s], suffix[m], nexts[m])
         for m, s in enumerate(size)
     ]
     with np.errstate(invalid="ignore"):
@@ -221,7 +224,8 @@ def sweep_optimize(
                 f = _environment(prefix, suffix_m, site, w)
                 matrices[m], overlap = _optimal_gate(f)
                 trace.gate_overlaps.append(overlap)
-                apply_gate_dense(prefix, matrices[m], site, w, out=prefix_next)
+                if prefix_next is not None:
+                    apply_gate_dense(prefix, matrices[m], site, w, out=prefix_next)
             if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
                 raise ValidationError(
                     f"sweep {sweep} produced a gate that is not unitary"

@@ -1,17 +1,19 @@
 """End-to-end CLI pipeline: artifacts, determinism, config handling, exit codes."""
 
+import argparse
 import csv
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import drifting_circuit, oracle_encode
-from qimgload import compiler
+from qimgload import cli, compiler
 from qimgload.analysis import infidelity
 from qimgload.circuit import deserialize, serialize
-from qimgload.cli import main
+from qimgload.cli import PipelineConfig, build_parser, main
 from qimgload.image_codec import ImageGrid, encode_amplitudes, load_pgm, write_pgm
 from qimgload.sample_images import get_image
 from qimgload.simulator import run
@@ -395,6 +397,99 @@ class TestConfigFile:
         cfg.write_text("depth = three\n")
         assert run_cli("compile", "--config", str(cfg), "--out-dir", str(out)) == 3
         assert_one_line_error(capsys, "validation error: depth='three'")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["encode"], "config = other.cfg"),
+            (["simulate", "--circuit", "c.json"], "circuit = c.json"),
+            (["simulate", "--circuit", "c.json"], "exact = 1"),
+            (["reconstruct", "--histogram", "h.csv"], "histogram = h.csv"),
+            (["analyze", "--sweep", "chi"], "sweep = depth"),
+            (["analyze", "--sweep", "chi"], "chi_list = 2,4"),
+            (["analyze", "--sweep", "depth"], "depth-list = 1,2"),
+            (["analyze", "--sweep", "resolution"], "l_list = 8,16"),
+        ],
+        ids=["config", "circuit", "exact", "histogram", "sweep", "chi_list", "depth-list", "l_list"],
+    )
+    def test_flag_only_options_are_unknown_keys(self, tmp_path, out, capsys, argv, line):
+        # --config and the flags of a single command have no config-file key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(*argv, "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: unknown config keys")
+
+
+# (option strings, dest, type, choices, default, required) of every flag, in order
+HELP = (("-h", "--help"), "help", None, None, argparse.SUPPRESS, False)
+SHARED = [
+    (("--config",), "config", None, None, None, False),
+    (("--image",), "image", str, None, None, False),
+    (("--format",), "format", str, ["auto", "pgm", "csv"], None, False),
+    (("--target-l",), "target_l", int, None, None, False),
+    (("--ordering",), "ordering", str, ["straight", "snake"], None, False),
+    (("--chi-max",), "chi_max", int, None, None, False),
+    (("--depth",), "depth", int, None, None, False),
+    (("--sweeps",), "sweeps", int, None, None, False),
+    (("--shots",), "shots", int, None, None, False),
+    (("--seed",), "seed", int, None, None, False),
+    (("--out-dir",), "out_dir", str, None, None, False),
+    (("--method",), "method", str, ["grow", "iterative"], None, False),
+]
+SINGLE = {
+    "encode": [],
+    "compile": [],
+    "simulate": [
+        (("--circuit",), "circuit", None, None, None, True),
+        (("--exact",), "exact", None, None, False, False),
+    ],
+    "reconstruct": [(("--histogram",), "histogram", None, None, None, True)],
+    "analyze": [
+        (("--sweep",), "sweep", None, ["chi", "depth", "resolution"], None, True),
+        (("--chi-list",), "chi_list", None, None, "2,4,8,16,32", False),
+        (("--depth-list",), "depth_list", None, None, "2,4,6,8,10,12,14,16", False),
+        (("--l-list",), "l_list", None, None, "32,64,128,256", False),
+    ],
+    "selftest": [],
+}
+
+
+def subcommands():
+    """{name: parser} of the subcommands `build_parser` registers, in order."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestFlagSurface:
+    def test_subcommands_and_handlers(self):
+        commands = subcommands()
+        assert list(commands) == list(SINGLE)
+        for name, parser in commands.items():
+            assert parser.get_default("func") is getattr(cli, f"cmd_{name}")
+
+    def test_handlers_are_looked_up_when_the_parser_is_built(self, monkeypatch):
+        # a tracer rebinds cmd_compile on the module; the parser built after must run it
+        def wrapped(args):
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_compile", wrapped)
+        assert subcommands()["compile"].get_default("func") is wrapped
+
+    @pytest.mark.parametrize("name", list(SINGLE))
+    def test_flags(self, name):
+        parser = subcommands()[name]
+        got = [
+            (tuple(a.option_strings), a.dest, a.type,
+             None if a.choices is None else list(a.choices), a.default, a.required)
+            for a in parser._actions
+        ]
+        assert got == [HELP, *SHARED, *SINGLE[name]]
+
+    def test_shared_flags_are_the_config_fields(self):
+        names = ["config"] + [f.name for f in fields(PipelineConfig)]
+        for parser in subcommands().values():
+            assert [a.dest for a in parser._actions[1 : 1 + len(names)]] == names
 
 
 class TestExitCodes:

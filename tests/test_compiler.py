@@ -252,6 +252,22 @@ class TestSweepOptimize:
         np.testing.assert_array_equal(second.gates, first.gates)
         assert second_trace.records == first_trace.records
 
+    @pytest.mark.parametrize("n, depth, n_sweeps", [(5, 2, 3), (6, 3, 1), (2, 1, 2)])
+    def test_dense_products_per_sweep(self, rng, monkeypatch, n, depth, n_sweeps):
+        # per sweep, M - 1 suffix products and M - 1 prefix products: the
+        # last gate's product with the prefix would never be read
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply_gate_dense(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "apply_gate_dense", counted)
+        circuit = random_staircase_circuit(rng, n, depth)
+        sweep_optimize(circuit, random_state(rng, n), n_sweeps)
+        m_total = len(circuit.all_gates())
+        assert len(calls) == n_sweeps * (2 * m_total - 2)
+
     @pytest.mark.parametrize(
         "bad_update, corrupt",
         [
