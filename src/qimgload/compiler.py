@@ -14,7 +14,10 @@ Overlaps and environments use the dense statevector backend (N capped at
 20 sites); residuals are tracked as MPS with a working bond cap.  A sweep
 reads and writes only the leading block of amplitudes that the gates
 applied so far have reached, and keeps its prefix and suffix blocks in
-one buffer per `sweep_optimize` call.
+one buffer per `sweep_optimize` call.  The reshaped views that every
+environment GEMM and every gate product reads and writes are built once
+per call, before the first sweep, so a gate update is one environment
+product, one SVD and one gate product.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .mps import (
     to_dense,
     truncate,
 )
-from .simulator import apply_gate_dense
+from .simulator import apply_gate, apply_gate_dense, gate_operands
 
 DEFAULT_CHI_MAX = 32
 DEFAULT_SWEEPS = 200
@@ -63,8 +66,12 @@ class OptimizerTrace:
     gate_overlaps: list = field(default_factory=list)
 
 
-def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """F[c, r] = sum over spectators of prefix[x, c, y] * suffix[x, r, y].
+def _environment_operands(
+    prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: int, work: np.ndarray | None = None
+) -> tuple:
+    """Operands of `_environment` for the gate on qubits (site, site+1).
+
+    F[c, r] = sum over spectators of prefix[x, c, y] * suffix[x, r, y].
 
     ``suffix`` is the conjugated suffix state, conj(<target| U_M ... U_{m+1}),
     which callers build as conj(target) under the transposed gates, so no
@@ -72,16 +79,31 @@ def _environment(prefix: np.ndarray, suffix: np.ndarray, site: int, n_qubits: in
     reshaped views, never transposed copies.  For post <= 8 the sum over
     x is one (4*post, pre) @ (pre, 4*post) GEMM and the sum over y a trace
     over its post diagonal blocks; for larger post it is a batch over x of
-    (4, post) @ (post, 4) products, summed.
+    (4, post) @ (post, 4) products, summed.  The product is written into
+    the leading entries of ``work`` (a 1-D array of the vectors' dtype),
+    or into a new array without it.
     """
     pre = 2**site
     post = 2 ** (n_qubits - site - 2)
     if post <= 8:
-        g = prefix.reshape(pre, 4 * post).T @ suffix.reshape(pre, 4 * post)
-        return g.reshape(4, post, 4, post).diagonal(0, 1, 3).sum(axis=-1)
-    a = prefix.reshape(pre, 4, post)
-    b = suffix.reshape(pre, 4, post)
-    return (a @ b.swapaxes(1, 2)).sum(axis=0)
+        shape = (4 * post, 4 * post)
+        a, b = prefix.reshape(pre, 4 * post).T, suffix.reshape(pre, 4 * post)
+    else:
+        shape = (pre, 4, 4)
+        a, b = prefix.reshape(pre, 4, post), suffix.reshape(pre, 4, post).swapaxes(1, 2)
+    if work is None:
+        g = np.empty(shape, dtype=np.result_type(prefix, suffix))
+    else:
+        g = work[: math.prod(shape)].reshape(shape)
+    if post <= 8:
+        return a, b, g, g.reshape(4, post, 4, post).diagonal(0, 1, 3), -1
+    return a, b, g, g, 0
+
+
+def _environment(a, b, g, terms, axis) -> np.ndarray:
+    """The 4x4 environment from the operands of `_environment_operands`."""
+    np.matmul(a, b, out=g)
+    return np.add.reduce(terms, axis)
 
 
 def _optimal_gate(f: np.ndarray):
@@ -95,7 +117,7 @@ def _optimal_gate(f: np.ndarray):
     and the nuclear-norm check raises NumericError.
     """
     u, s, vt = _svd_full(f, signature="D->DdD" if f.dtype.kind == "c" else "d->ddd")
-    overlap = float(s.sum())
+    overlap = float(np.add.reduce(s))
     if not math.isfinite(overlap):
         raise NumericError("environment tensor is not finite or its SVD did not converge")
     return (u @ vt).conj().T, overlap
@@ -121,7 +143,7 @@ def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
     suffix = targ.conj()
     for site, matrix in reversed(gates[m:]):
         suffix = apply_gate_dense(suffix, matrix.T, site, n)
-    return _environment(prefix, suffix, gates[m - 1][0], n)
+    return _environment(*_environment_operands(prefix, suffix, gates[m - 1][0], n))
 
 
 def update_gate(f: np.ndarray) -> np.ndarray:
@@ -160,7 +182,10 @@ def sweep_optimize(
     layer then touch about 7 * 2^N amplitudes in all, not 3(N-1) * 2^N.
     Every block lives in one flat buffer, allocated once
     per call and rewritten each sweep; the conjugated target is written
-    into it once per call.
+    into it once per call.  The blocks never move, so the operands of
+    each step (`_environment_operands` and `gate_operands` views of its
+    blocks) are built once per call too, and the loop body makes only the
+    calls that compute: `_environment`, `_optimal_gate` and `apply_gate`.
 
     The returned gate stack is ``np.stack`` of the loop's matrices, which
     keeps their memory layout (the polar factors are F-ordered views).  The
@@ -193,39 +218,50 @@ def sweep_optimize(
         start[m] = start[m + 1] + size[m + 1]
     top = start[0] + size[min(1, m_total - 1)]
     full = size[-1]
-    buf = np.empty(top + 2 * full, dtype=np.result_type(targ.dtype, circuit.gates.dtype))
+    # every environment product fits in max(1024, full / 4) entries: (4*post)^2
+    # for post <= 8, else 16 * pre with pre <= 2^(width - 6)
+    work_size = max(1024, full // 4)
+    buf = np.empty(
+        top + 2 * full + work_size, dtype=np.result_type(targ.dtype, circuit.gates.dtype)
+    )
     suffix = [buf[a : a + s] for a, s in zip(start, size)]
     suffix_out = [buf[a : a + s] for a, s in zip(start, size[1:])]
     # conj(U^dagger s) = U^T conj(s): the suffixes are built conjugated
     np.conjugate(targ.reshape(-1)[:full], out=suffix[-1])
+    # (m + 1, operands of gate m+1's product into block m), last gate first
+    suffix_steps = [
+        (m + 1, gate_operands(suffix[m + 1], local[m + 1], width[m + 1], suffix_out[m]))
+        for m in range(m_total - 2, -1, -1)
+    ]
     # the prefix alternates between two blocks; the amplitudes a block
     # gains when the prefix reaches a lower qubit are zeroed at the start
     # of each sweep, since no gate before that one writes there
-    prefixes = (buf[top : top + full], buf[top + full :])
+    prefixes = (buf[top : top + full], buf[top + full : top + 2 * full])
+    work = buf[top + 2 * full :]
     pads = [prefixes[m % 2][a:s] for m, (a, s) in enumerate(zip([1] + size, size)) if s > a]
     # each step writes its product with the prefix into the next step's
     # block; the last gate's product would never be read, so it has none
-    nexts = [prefixes[1 - m % 2][:s] for m, s in enumerate(size[:-1])] + [None]
-    steps = [
-        (m, local[m], width[m], prefixes[m % 2][:s], suffix[m], nexts[m])
-        for m, s in enumerate(size)
-    ]
+    steps = []
+    for m, s in enumerate(size):
+        prefix = prefixes[m % 2][:s]
+        env = _environment_operands(prefix, suffix[m], local[m], width[m], work)
+        product = None
+        if m + 1 < m_total:
+            product = gate_operands(prefix, local[m], width[m], prefixes[1 - m % 2][:s])
+        steps.append((m, env, product))
     with np.errstate(invalid="ignore"):
         for sweep in range(1, n_sweeps + 1):
-            for m in range(m_total - 2, -1, -1):
-                apply_gate_dense(
-                    suffix[m + 1], matrices[m + 1].T, local[m + 1], width[m + 1], out=suffix_out[m]
-                )
+            for m, operands in suffix_steps:
+                apply_gate(operands, matrices[m].T)
             prefixes[0][0] = 1.0
             for pad in pads:
                 pad.fill(0)
             overlap = 0.0
-            for m, site, w, prefix, suffix_m, prefix_next in steps:
-                f = _environment(prefix, suffix_m, site, w)
-                matrices[m], overlap = _optimal_gate(f)
+            for m, env, product in steps:
+                matrices[m], overlap = _optimal_gate(_environment(*env))
                 trace.gate_overlaps.append(overlap)
-                if prefix_next is not None:
-                    apply_gate_dense(prefix, matrices[m], site, w, out=prefix_next)
+                if product is not None:
+                    apply_gate(product, matrices[m])
             if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
                 raise ValidationError(
                     f"sweep {sweep} produced a gate that is not unitary"

@@ -14,6 +14,45 @@ from .image_codec import CSV_CHUNK_ROWS
 from .mps import DENSE_SITE_CAP
 
 
+def gate_operands(vec: np.ndarray, site: int, n_qubits: int, out: np.ndarray) -> tuple:
+    """Reshaped views of ``vec`` and ``out`` for `apply_gate` on qubits (site, site+1).
+
+    ``out`` must be a C-contiguous 1-D array of vec's size that does not
+    overlap it.  The views pick the product's branch, so a caller that
+    applies many gates at the same place builds them once.
+    """
+    if not out.flags.c_contiguous:
+        raise ValidationError("out must be C-contiguous")
+    pre = 2**site
+    post = 2 ** (n_qubits - site - 2)
+    if post == 1:
+        # one (pre, 4) @ (4, 4) GEMM; a batch of pre matrix-vector products is slower
+        return vec.reshape(pre, 4), out.reshape(pre, 4), None
+    if post <= 4 and pre >= 128:
+        # one (pre, 4*post) GEMM against matrix ⊗ I_post; below pre = 128 the
+        # batch of pre tiny products is cheaper than building the Kronecker factor.
+        # `apply_gate` writes the matrix into kron[:, y, :, y] for every y
+        kron = np.zeros((4, post, 4, post), dtype=out.dtype)
+        s = kron.strides
+        diagonal = np.lib.stride_tricks.as_strided(kron, (4, 4, post), (s[0], s[2], s[1] + s[3]))
+        kron_t = kron.reshape(4 * post, 4 * post).T
+        return vec.reshape(pre, 4 * post), out.reshape(pre, 4 * post), (diagonal, kron_t)
+    return vec.reshape(pre, 4, post), out.reshape(pre, 4, post), None
+
+
+def apply_gate(operands: tuple, matrix: np.ndarray) -> None:
+    """Write the 4x4 ``matrix`` applied to the vector of `gate_operands` into its ``out``."""
+    vec, out, kron = operands
+    if vec.ndim == 3:
+        np.matmul(matrix, vec, out=out)
+    elif kron is None:
+        np.matmul(vec, matrix.T, out=out)
+    else:
+        diagonal, kron_t = kron
+        np.copyto(diagonal, matrix[:, :, None])
+        np.matmul(vec, kron_t, out=out)
+
+
 def apply_gate_dense(
     vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -22,28 +61,9 @@ def apply_gate_dense(
     With ``out`` (a C-contiguous 1-D array of vec's size that does not
     overlap it) the result is written there and ``out`` is returned.
     """
-    pre = 2**site
-    post = 2 ** (n_qubits - site - 2)
-    if post == 1:
-        # one (pre, 4) @ (4, 4) GEMM; a batch of pre matrix-vector products is slower
-        shape = (pre, 4)
-        a, b = vec.reshape(shape), matrix.T
-    elif post <= 4 and pre >= 128:
-        # one (pre, 4*post) GEMM against matrix ⊗ I_post; below pre = 128 the
-        # batch of pre tiny products is cheaper than building the Kronecker factor
-        kron = np.zeros((4, post, 4, post), dtype=matrix.dtype)
-        i = np.arange(post)
-        kron[:, i, :, i] = matrix
-        shape = (pre, 4 * post)
-        a, b = vec.reshape(shape), kron.reshape(4 * post, 4 * post).T
-    else:
-        shape = (pre, 4, post)
-        a, b = matrix, vec.reshape(shape)
     if out is None:
-        return np.matmul(a, b).reshape(-1)
-    if not out.flags.c_contiguous:
-        raise ValidationError("out must be C-contiguous")
-    np.matmul(a, b, out=out.reshape(shape))
+        out = np.empty(vec.size, dtype=np.result_type(vec, matrix))
+    apply_gate(gate_operands(vec, site, n_qubits, out), matrix)
     return out
 
 

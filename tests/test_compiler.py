@@ -1,6 +1,8 @@
 """Circuit compilation: environment tensors, monotone gate updates,
 iterative layer extraction, and the grow-then-reoptimize protocol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qimgload.analysis import infidelity
 from qimgload.compiler import (
     OptimizerTrace,
     _environment,
+    _environment_operands,
     _optimal_gate,
     environment_tensor,
     grow_and_optimize,
@@ -24,7 +27,7 @@ from qimgload.compiler import (
 from qimgload.circuit import LayeredCircuit
 from qimgload.errors import NumericError, ValidationError
 from qimgload.mps import MPS, from_dense, to_dense
-from qimgload.simulator import apply_gate_dense, run
+from qimgload.simulator import apply_gate, apply_gate_dense, run
 
 
 def circuit_overlap(circuit, target_vec):
@@ -38,6 +41,41 @@ def overlap_with_replacement(circuit, m, w, target_vec):
     for i, (site, matrix) in enumerate(circuit.all_gates()):
         vec = apply_gate_dense(vec, w if i == m - 1 else matrix, site, circuit.n_qubits)
     return np.vdot(target_vec, vec)
+
+
+def reference_sweeps(circuit, target, n_sweeps):
+    """Gates and per-update overlaps of plain sweeps on full 2^N vectors.
+
+    Every suffix is a whole vector from `apply_gate_dense`, and each update
+    is `_optimal_gate` of `_environment` on the full prefix and suffix: no
+    leading blocks, no shared buffer, no operands built ahead of the loop.
+    """
+    n = circuit.n_qubits
+    sites = circuit.sites.ravel().tolist()
+    gates = list(circuit.gates.reshape(-1, 4, 4))
+    dtype = np.result_type(target, circuit.gates)
+    overlaps = []
+    for _ in range(n_sweeps):
+        suffixes = [target.conj().astype(dtype)]
+        for site, gate in zip(sites[:0:-1], gates[:0:-1]):
+            suffixes.append(apply_gate_dense(suffixes[-1], gate.T, site, n))
+        prefix = np.zeros(2**n, dtype)
+        prefix[0] = 1.0
+        for m, (site, suffix) in enumerate(zip(sites, suffixes[::-1])):
+            f = _environment(*_environment_operands(prefix, suffix, site, n))
+            gates[m], overlap = _optimal_gate(f)
+            overlaps.append(overlap)
+            prefix = apply_gate_dense(prefix, gates[m], site, n)
+    return np.reshape(gates, circuit.gates.shape), overlaps
+
+
+def reference_circuits(rng, n):
+    """A staircase and a circuit of shuffled layers at each depth 1..3."""
+    for depth in (1, 2, 3):
+        circuit = random_staircase_circuit(rng, n, depth)
+        yield circuit
+        shuffled = np.array([rng.permutation(n - 1) for _ in range(depth)])
+        yield LayeredCircuit(n, shuffled, circuit.gates)
 
 
 class TestEnvironmentTensor:
@@ -67,7 +105,7 @@ class TestEnvironmentTensor:
                     "xcy,xry->cr", prefix.reshape(shape), np.conj(suffix.reshape(shape))
                 )
                 # the kernel takes the suffix state already conjugated
-                f = _environment(prefix, suffix.conj(), site, n)
+                f = _environment(*_environment_operands(prefix, suffix.conj(), site, n))
                 assert f.dtype == prefix.dtype and f.shape == (4, 4)
                 np.testing.assert_allclose(f, expected, rtol=0, atol=1e-12)
 
@@ -258,11 +296,11 @@ class TestSweepOptimize:
         # last gate's product with the prefix would never be read
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return apply_gate_dense(*args, **kwargs)
+            return apply_gate(*args)
 
-        monkeypatch.setattr(compiler, "apply_gate_dense", counted)
+        monkeypatch.setattr(compiler, "apply_gate", counted)
         circuit = random_staircase_circuit(rng, n, depth)
         sweep_optimize(circuit, random_state(rng, n), n_sweeps)
         m_total = len(circuit.all_gates())
@@ -315,6 +353,54 @@ class TestSweepOptimize:
         with pytest.raises(NumericError, match="not finite"):
             sweep_optimize(circuit, to_dense(target), 3, trace)
         assert len(calls) == 11 and len(trace.gate_overlaps) == 10
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_real_target_equals_the_reference_loop_bit_for_bit(self, rng, n):
+        # the leading blocks, the shared buffer and the prebuilt operands
+        # change no bit of any gate or overlap against a real target
+        for circuit in reference_circuits(rng, n):
+            target = random_state(rng, n)
+            swept, trace = sweep_optimize(circuit, target, 3)
+            gates, overlaps = reference_sweeps(circuit, target, 3)
+            np.testing.assert_array_equal(swept.gates, gates)
+            assert trace.gate_overlaps == overlaps
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_complex_target_against_the_reference_loop(self, rng, n):
+        # below N = 10 the bits agree as for real targets.  From N = 10 a
+        # block can take the batched product where the full vector takes the
+        # Kronecker GEMM (pre >= 128), and complex sums then differ in the
+        # last bits.  Rank-deficient environments turn that into O(1)
+        # differences in the gates' null-space columns, which the next
+        # sweep's suffixes carry into its overlaps; so there one sweep's
+        # overlaps, which those columns do not reach, are compared
+        for circuit in reference_circuits(rng, n):
+            target = random_state(rng, n, complex_valued=True)
+            n_sweeps = 3 if n < 10 else 1
+            swept, trace = sweep_optimize(circuit, target, n_sweeps)
+            gates, overlaps = reference_sweeps(circuit, target, n_sweeps)
+            if n < 10:
+                np.testing.assert_array_equal(swept.gates, gates)
+                assert trace.gate_overlaps == overlaps
+            else:
+                np.testing.assert_allclose(trace.gate_overlaps, overlaps, rtol=0, atol=1e-12)
+
+    def test_peak_memory_does_not_grow_with_the_sweep_count(self, rng):
+        # the blocks live in one buffer per call and no update keeps an
+        # array, so twenty sweeps peak within one 2^N float64 block of one
+        # sweep; what grows is the trace's per-update overlaps
+        n = 14
+        circuit = random_staircase_circuit(rng, n, 2)
+        target = random_state(rng, n)
+        peaks = []
+        for n_sweeps in (1, 20):
+            tracemalloc.start()
+            try:
+                sweep_optimize(circuit, target, n_sweeps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**n * 8
 
     def test_zero_sweeps_is_identity(self, rng):
         target, _ = from_dense(random_state(rng, 4), chi_max=4)

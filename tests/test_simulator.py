@@ -20,7 +20,9 @@ from conftest import (
 from qimgload import simulator
 from qimgload.errors import ValidationError
 from qimgload.simulator import (
+    apply_gate,
     apply_gate_dense,
+    gate_operands,
     histogram_to_csv,
     histogram_to_probs,
     run,
@@ -64,6 +66,44 @@ class TestApplyGateDense:
         vec = random_state(rng, 4)
         with pytest.raises(ValidationError, match="contiguous"):
             apply_gate_dense(vec, random_unitary4(rng), 1, 4, out=np.empty(32)[::2])
+        with pytest.raises(ValidationError, match="contiguous"):
+            gate_operands(vec, 1, 4, np.empty(32)[::2])
+
+    @pytest.mark.parametrize(
+        "vec_complex, gate_complex",
+        [(False, False), (True, True), (False, True)],
+        ids=["real", "complex", "complex-gate"],
+    )
+    @pytest.mark.parametrize(
+        "site",
+        [
+            pytest.param(10, id="post-1-gemm"),
+            pytest.param(8, id="kron-gemm"),
+            pytest.param(3, id="batched-matmul"),
+        ],
+    )
+    def test_split_product_equals_apply_gate_dense(self, rng, site, vec_complex, gate_complex):
+        # operands built once serve every gate applied through them; the
+        # Kronecker branch rewrites its factor's diagonal blocks each time
+        n = 12
+        vec = random_state(rng, n, vec_complex)
+        dtype = complex if vec_complex or gate_complex else float
+        out = np.full(vec.size, np.nan, dtype=dtype)
+        operands = gate_operands(vec, site, n, out)
+        shape = (2**site, 4, 2 ** (n - site - 2))
+        for _ in range(2):
+            gate = random_unitary4(rng, gate_complex)
+            assert apply_gate(operands, gate) is None
+            np.testing.assert_array_equal(out, apply_gate_dense(vec, gate, site, n))
+            want = np.einsum("rc,xcy->xry", gate, vec.reshape(shape)).reshape(-1)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("site", [10, 8, 3], ids=["post-1-gemm", "kron-gemm", "batched-matmul"])
+    def test_complex_gate_into_a_real_out_raises(self, rng, site):
+        # the imaginary part is never dropped silently
+        vec = random_state(rng, 12)
+        with pytest.raises(TypeError):
+            apply_gate_dense(vec, random_unitary4(rng, True), site, 12, out=np.empty_like(vec))
 
     def test_site_bit_is_most_significant(self):
         # [DERIVED] a NOT on the gate's first qubit must flip the higher bit
