@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -111,8 +111,12 @@ def _provenance(cfg: PipelineConfig) -> dict:
     return {"tool": f"qimgload {__version__}", "config_hash": cfg.hash()}
 
 
-def _csv_header(cfg: PipelineConfig) -> str:
-    return f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
+@contextmanager
+def _csv_file(path: Path, cfg: PipelineConfig):
+    """The text file at `path`, open for writing, after its provenance header."""
+    with path.open("w") as fh:
+        fh.write(f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n")
+        yield fh
 
 
 def _write_rows(path: Path, cfg: PipelineConfig, columns: str, rows) -> None:
@@ -121,9 +125,9 @@ def _write_rows(path: Path, cfg: PipelineConfig, columns: str, rows) -> None:
     Fields go through `csv.writer`, so a field holding a comma or a quote
     (an image path, say) is quoted; ints and floats print as str() would.
     """
-    body = io.StringIO()
-    csv.writer(body, lineterminator="\n").writerows(rows)
-    path.write_text(_csv_header(cfg) + columns + "\n" + body.getvalue())
+    with _csv_file(path, cfg) as fh:
+        fh.write(columns + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _load_grid(cfg: PipelineConfig, side: int):
@@ -173,24 +177,26 @@ def cmd_encode(args) -> int:
     grid, state, mps, weights = _prepare_target(cfg)
     scheme = f"interleaved-{cfg.ordering}"
     total = float(sum(weights))
-    (out / "amplitude_state.json").write_text(
-        json.dumps(
+    with (out / "amplitude_state.json").open("w") as fh:
+        json.dump(
             {
                 "n_qubits": mps.n_sites,
                 "ordering": scheme,
                 "amplitudes": state.tolist(),
                 "provenance": _provenance(cfg),
             },
+            fh,
             indent=1,
         )
-    )
     meta = {
         "ordering": scheme,
         "provenance": _provenance(cfg),
         "truncation": {"per_bond": list(weights), "total": total},
     }
-    (out / "mps.json").write_text(json.dumps(mps_to_dict(mps, meta), indent=1))
-    (out / "amplitudes.csv").write_text(_csv_header(cfg) + curve_to_csv(state))
+    with (out / "mps.json").open("w") as fh:
+        json.dump(mps_to_dict(mps, meta), fh, indent=1)
+    with _csv_file(out / "amplitudes.csv", cfg) as fh:
+        curve_to_csv(state, fh)
     print(
         f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
         f"max bond {mps.max_bond}, truncation weight {total:.3e}"
@@ -233,16 +239,24 @@ def cmd_simulate(args) -> int:
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
     state = run(circuit)
     if args.exact:
-        probs = np.abs(state) ** 2
+        probs = np.abs(state)
+        np.square(probs, out=probs)
     else:
         if cfg.shots < 1:
             raise ValidationError("shots must be >= 1 (or pass --exact)")
         counts = sample(state, cfg.shots, cfg.seed)
-        (out / "histogram.csv").write_text(_csv_header(cfg) + histogram_to_csv(counts))
+    # each 2^N array is dropped once the last artifact that needs it is written
+    with _csv_file(out / "curve.csv", cfg) as fh:
+        state_to_csv(state, fh)
+    del state
+    if not args.exact:
+        with _csv_file(out / "histogram.csv", cfg) as fh:
+            histogram_to_csv(counts, fh)
         probs = histogram_to_probs(counts)
+        del counts
     grid = decode_probabilities(probs, L, ordering)
+    del probs
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
-    (out / "curve.csv").write_text(_csv_header(cfg) + state_to_csv(state))
     label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
     print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
     return 0

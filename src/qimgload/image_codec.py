@@ -21,9 +21,9 @@ from .errors import InputFormatError, NumericError, ValidationError
 # order on successive rungs.
 ORDERINGS = ("straight", "snake")
 
-# CSV writers format this many rows per join: tolist() converts a chunk in C,
-# far faster than iterating numpy scalars, without all 2^N Python objects and
-# row strings alive at once
+# CSV writers format and write this many rows at a time: tolist() converts a
+# chunk in C, far faster than iterating numpy scalars, and no more than one
+# chunk's Python objects and text is alive at once
 CSV_CHUNK_ROWS = 4096
 
 
@@ -99,7 +99,9 @@ def basis_permutation(L: int, ordering: str = "straight") -> np.ndarray:
         yk = (y >> (n - 1 - k)) & 1
         if snake and k % 2 == 1:
             xk, yk = yk, xk
-        index = (index << 2) | (xk << 1) | yk
+        index <<= 2
+        index |= xk << 1
+        index |= yk
     return index
 
 
@@ -135,13 +137,14 @@ def decode_probabilities(probs: np.ndarray, L: int, ordering: str = "straight") 
     total = p.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise ValidationError(f"probabilities must sum to 1 within 1e-6, got {total}")
-    p = np.clip(p, 0.0, None) / total
-    perm = basis_permutation(L, ordering)
-    grid = p[perm]
+    p = np.clip(p, 0.0, None)
+    p /= total
+    grid = p[basis_permutation(L, ordering)]
     peak = grid.max()
     if peak <= 0.0:
         raise NumericError("degenerate all-zero probability vector")
-    return ImageGrid(grid / peak)
+    grid /= peak
+    return ImageGrid(grid)
 
 
 def downscale(g: ImageGrid, target_L: int) -> ImageGrid:
@@ -255,20 +258,22 @@ def load_image(path, fmt: str) -> ImageGrid:
     raise InputFormatError(f"unknown image format {fmt!r}")
 
 
+# the decimal text of every 8-bit sample; indexing it formats a whole raster in C
+_SAMPLE_TEXT = np.array([str(v) for v in range(256)], dtype=object)
+
+
 def write_pgm(g: ImageGrid) -> bytes:
     """Serialize a grid as ascii P2 PGM with maxval 255."""
     L = g.side_length
-    samples = np.rint(g.pixels * 255).astype(int)
+    samples = np.rint(g.pixels * 255).astype(int)  # in 0..255: ImageGrid clips to [0, 1]
     lines = ["P2", f"{L} {L}", "255"]
-    lines += [" ".join(map(str, row)) for row in samples.tolist()]
+    lines += [" ".join(row) for row in _SAMPLE_TEXT[samples].tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 
-def curve_to_csv(seq: np.ndarray) -> str:
-    """Single-column CSV of a flattened intensity/amplitude curve."""
+def curve_to_csv(seq: np.ndarray, fh) -> None:
+    """Write a flattened intensity/amplitude curve to the text file ``fh``, one value per line."""
     values = np.asarray(seq, dtype=float)
-    parts = []
     for start in range(0, values.size, CSV_CHUNK_ROWS):
         chunk = values[start : start + CSV_CHUNK_ROWS].tolist()
-        parts.append("".join([f"{v!r}\n" for v in chunk]))
-    return "".join(parts)
+        fh.write("".join([f"{v!r}\n" for v in chunk]))

@@ -88,40 +88,47 @@ def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
         raise ValidationError("shots must be at most 2^63 - 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    probs = np.abs(vec) ** 2
-    probs = probs / probs.sum()
+    probs = np.abs(vec)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)
 
 
-def histogram_to_probs(counts: np.ndarray) -> np.ndarray:
+def _shots(counts: np.ndarray):
     shots = counts.sum()
     if shots <= 0:
         raise ValidationError("histogram has no shots")
-    return counts / shots
+    return shots
 
 
-def histogram_to_csv(counts: np.ndarray) -> str:
+def histogram_to_probs(counts: np.ndarray) -> np.ndarray:
+    return counts / _shots(counts)
+
+
+def histogram_to_csv(counts: np.ndarray, fh) -> None:
+    """Write the histogram's column row and one row per outcome to the text file ``fh``."""
+    shots = _shots(counts)
     n_bits = max(int(np.log2(len(counts))), 1)
     # the count,probability text depends only on the count, so format each
-    # distinct count once; its probability is the same entry of counts / shots
-    distinct, first = np.unique(counts, return_index=True)
-    probs = histogram_to_probs(counts)[first]
-    text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), probs.tolist())}
-    parts = ["index,bitstring,count,probability\n"]
+    # distinct count once; distinct / shots divides exactly as counts / shots does.
+    # One sort finds them: np.unique's hash table is slower on a histogram and
+    # leaves about 1 MB more resident in the process
+    ordered = np.sort(counts)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), (distinct / shots).tolist())}
+    fh.write("index,bitstring,count,probability\n")
     for start in range(0, counts.size, CSV_CHUNK_ROWS):
         chunk = counts[start : start + CSV_CHUNK_ROWS].tolist()
-        rows = [f"{i},{i:0{n_bits}b},{text[c]}\n" for i, c in enumerate(chunk, start)]
-        parts.append("".join(rows))
-    return "".join(parts)
+        fh.write("".join([f"{i},{i:0{n_bits}b},{text[c]}\n" for i, c in enumerate(chunk, start)]))
 
 
-def state_to_csv(vec: np.ndarray) -> str:
+def state_to_csv(vec: np.ndarray, fh) -> None:
+    """Write the column row and one ``index,amplitude`` row per amplitude to the text ``fh``."""
     # tolist() of a float64/complex128 array yields Python floats or complexes,
     # whose repr is the CSV text
     amplitudes = vec.astype(np.result_type(vec.dtype, float), copy=False)
-    parts = ["index,amplitude\n"]
+    fh.write("index,amplitude\n")
     for start in range(0, amplitudes.size, CSV_CHUNK_ROWS):
         chunk = amplitudes[start : start + CSV_CHUNK_ROWS].tolist()
-        parts.append("".join([f"{i},{a!r}\n" for i, a in enumerate(chunk, start)]))
-    return "".join(parts)
+        fh.write("".join([f"{i},{a!r}\n" for i, a in enumerate(chunk, start)]))

@@ -7,6 +7,8 @@ explicit per-pixel bit loop, so agreement is meaningful.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ def assert_same_text(text: str, reference: str) -> None:
         f"line {i} differs: {got[i] if i < len(got) else '<end>'!r} "
         f"!= {want[i] if i < len(want) else '<end>'!r} ({len(got)} vs {len(want)} lines)"
     )
+
+
+def written(writer, data) -> str:
+    """The text that ``writer(data, fh)`` writes to a text file."""
+    fh = io.StringIO()
+    writer(data, fh)
+    return fh.getvalue()
 
 
 def random_state(rng, n_qubits: int, complex_valued: bool = False) -> np.ndarray:

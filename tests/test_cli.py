@@ -3,14 +3,15 @@
 import argparse
 import csv
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import drifting_circuit, oracle_encode
-from qimgload import cli, compiler
+from conftest import assert_same_text, drifting_circuit, oracle_encode
+from qimgload import __version__, cli, compiler
 from qimgload.analysis import infidelity
 from qimgload.circuit import deserialize, serialize
 from qimgload.cli import PipelineConfig, build_parser, main
@@ -64,6 +65,22 @@ class TestEncode:
             b / "amplitude_state.json"
         ).read_text()
 
+    def test_chunked_artifacts_equal_the_joined_text(self, out):
+        # L = 128: 2^14 amplitudes, so the chunked CSV writer crosses chunk boundaries
+        assert run_cli("encode", "--image", "builtin:scene", "--target-l", "128",
+                       "--out-dir", str(out)) == 0
+        cfg = PipelineConfig(image="builtin:scene", target_l=128)
+        provenance = {"tool": f"qimgload {__version__}", "config_hash": cfg.hash()}
+        amplitudes = encode_amplitudes(get_image("scene", 128)).tolist()
+        record = {"n_qubits": 14, "ordering": "interleaved-straight",
+                  "amplitudes": amplitudes, "provenance": provenance}
+        assert_same_text((out / "amplitude_state.json").read_text(), json.dumps(record, indent=1))
+        mps = (out / "mps.json").read_text()
+        assert_same_text(mps, json.dumps(json.loads(mps), indent=1))
+        header = f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
+        assert_same_text((out / "amplitudes.csv").read_text(),
+                         header + "".join([f"{a!r}\n" for a in amplitudes]))
+
     def test_file_input(self, tmp_path, out, rng):
         path = tmp_path / "img.pgm"
         path.write_bytes(write_pgm(ImageGrid(rng.random((8, 8)))))
@@ -103,6 +120,23 @@ class TestCompileSimulate:
         assert run_cli("simulate", "--circuit", str(out / "circuit.json"),
                        "--exact", "--out-dir", str(out)) == 0
         assert not (out / "histogram.csv").exists()
+
+    def test_simulate_peak_memory(self, out):
+        # the statevector, the counts and the probabilities are one 2^N-entry
+        # array each, and the 2^N-row artifacts are written chunk by chunk
+        n = 16
+        assert run_cli("compile", "--image", "builtin:scene", "--target-l", "256",
+                       "--method", "iterative", "--depth", "2", "--out-dir", str(out)) == 0
+        argv = ("simulate", "--circuit", str(out / "circuit.json"), "--shots", "1000000",
+                "--out-dir", str(out))
+        assert run_cli(*argv) == 0  # first-use imports are not the simulation's memory
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
 
     def test_simulation_seed_determinism(self, out, tmp_path):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
@@ -188,6 +222,7 @@ class TestCompileSimulate:
         assert run_cli(*argv) == 3
         assert_one_line_error(capsys, f"validation error: {message}")
         assert not (out / "histogram.csv").exists()
+        assert not (out / "curve.csv").exists()
 
     def test_largest_shot_count_samples(self, out):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",

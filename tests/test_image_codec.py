@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, oracle_encode
+from conftest import assert_same_text, oracle_encode, written
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
     ORDERINGS,
@@ -162,6 +162,15 @@ class TestDecodeProbabilities:
         recovered = decode_probabilities(state**2, 2**n)
         np.testing.assert_allclose(recovered.pixels, pixels / pixels.max(), atol=1e-10)
 
+    def test_leaves_the_callers_array_unchanged(self):
+        # one entry is clipped to 0 and all are divided by a sum just off 1
+        probs = np.array([0.5, -1e-13, 0.25, 0.2500001])
+        before = probs.copy()
+        recovered = decode_probabilities(probs, 2)
+        np.testing.assert_array_equal(probs, before)
+        expected = np.clip(before, 0.0, None) / before.sum()
+        np.testing.assert_array_equal(recovered.pixels.ravel(), expected / expected.max())
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             decode_probabilities(np.full(4, 0.3), 2)
@@ -239,13 +248,13 @@ class TestWriterGoldenBytes:
     def test_curve_csv(self, rng, dtype):
         # 2^13 values cross a chunk boundary of the writer
         seq = (rng.standard_normal(2**13) * 100).astype(dtype)
-        text = curve_to_csv(seq)
+        text = written(curve_to_csv, seq)
         assert_same_text(text, "\n".join(repr(float(v)) for v in seq) + "\n")
         assert text.count("\n") == 2**13
 
     def test_curve_csv_of_an_encoded_state(self):
         state = encode_amplitudes(grid([[0.0, 0.25], [0.25, 0.5]]))
-        assert curve_to_csv(state) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
+        assert written(curve_to_csv, state) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
 
 
 class TestCsv:

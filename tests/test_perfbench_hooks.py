@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_state
+from qimgload import cli
 from qimgload.circuit import LayeredCircuit
 from qimgload.compiler import grow_and_optimize, iterative_construct, sweep_optimize
 from qimgload.mps import from_dense, to_dense
@@ -71,3 +72,22 @@ def test_sweep_counter_sees_one_record_per_sweep(rng):
     assert len(trace.records) == before + 3
     _, grown = grow_and_optimize(target, 2, 4)
     assert len(grown.records) == 8
+
+
+def test_simulate_calls_the_traced_writers_once_each(tmp_path, monkeypatch):
+    # simulator.state_to_csv_s and histogram_to_csv_s time the calls that
+    # cmd_simulate makes through the names cli binds the writers to
+    calls = []
+    for name in ("state_to_csv", "histogram_to_csv"):
+        writer = getattr(cli, name)
+
+        def counted(*args, name=name, writer=writer):
+            calls.append(name)
+            return writer(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = str(tmp_path)
+    assert cli.main(["compile", "--image", "builtin:digit", "--target-l", "4", "--depth", "1",
+                     "--method", "iterative", "--out-dir", out]) == 0
+    assert cli.main(["simulate", "--circuit", f"{out}/circuit.json", "--out-dir", out]) == 0
+    assert sorted(calls) == ["histogram_to_csv", "state_to_csv"]

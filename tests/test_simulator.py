@@ -16,6 +16,7 @@ from conftest import (
     random_staircase_circuit,
     random_state,
     random_unitary4,
+    written,
 )
 from qimgload import simulator
 from qimgload.errors import ValidationError
@@ -199,24 +200,35 @@ class TestSample:
 
 class TestHistogram:
     def test_csv_format(self):
-        lines = histogram_to_csv(np.array([3, 0, 1, 0])).splitlines()
+        lines = written(histogram_to_csv, np.array([3, 0, 1, 0])).splitlines()
         assert lines[0] == "index,bitstring,count,probability"
         assert lines[1].startswith("0,00,3,")
         assert lines[3].startswith("2,10,1,")
 
     def test_csv_rejects_a_histogram_without_shots(self):
         with pytest.raises(ValidationError):
-            histogram_to_csv(np.zeros(4, dtype=np.int64))
+            written(histogram_to_csv, np.zeros(4, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[3, 0, 1, 0], [7, 7, 1, 0, 2**40, 5, 3, 1], [2**62, 3, 2**61 + 1, 0, 7, 1, 1, 2**53 + 1]],
+        ids=["small", "repeated-counts", "shots-above-2^53"],
+    )
+    def test_probability_is_count_over_shots(self, counts):
+        # each distinct count is divided once, with the same operands as counts / shots
+        h = np.array(counts, dtype=np.int64)
+        rows = written(histogram_to_csv, h).splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == [repr(p) for p in (h / h.sum()).tolist()]
 
     def test_state_csv_roundtrips_floats(self, rng):
         v = random_state(rng, 2)
-        lines = state_to_csv(v).splitlines()[1:]
+        lines = written(state_to_csv, v).splitlines()[1:]
         values = [float(line.split(",")[1]) for line in lines]
         np.testing.assert_array_equal(values, v)
 
     def test_state_csv_roundtrips_complex(self, rng):
         v = random_state(rng, 3, complex_valued=True)
-        lines = state_to_csv(v).splitlines()[1:]
+        lines = written(state_to_csv, v).splitlines()[1:]
         values = [complex(line.split(",")[1]) for line in lines]
         np.testing.assert_array_equal(values, v)
 
@@ -259,19 +271,20 @@ class TestCsvGoldenBytes:
         else:
             complex_valued = np.issubdtype(dtype, np.complexfloating)
             amplitudes = random_state(rng, self.N, complex_valued).astype(dtype)
-        text = state_to_csv(amplitudes)
+        text = written(state_to_csv, amplitudes)
         assert_same_text(text, reference_state_csv(amplitudes))
         assert text.count("\n") == 2**self.N + 1
         if np.issubdtype(dtype, np.integer):
             assert "\n4096,0.0\n4097,-1.0\n4098,0.0\n" in text
 
     def test_state_csv_prints_python_reprs(self):
-        assert state_to_csv(np.array([0.6, 0.8j])) == "index,amplitude\n0,(0.6+0j)\n1,0.8j\n"
+        text = written(state_to_csv, np.array([0.6, 0.8j]))
+        assert text == "index,amplitude\n0,(0.6+0j)\n1,0.8j\n"
 
     def test_million_shot_histogram(self, rng):
         v = random_state(rng, self.N, complex_valued=True)
         h = sample(v, shots=10**6, seed=5)
-        assert_same_text(histogram_to_csv(h), reference_histogram_csv(h))
+        assert_same_text(written(histogram_to_csv, h), reference_histogram_csv(h))
 
     @pytest.mark.parametrize(
         "counts, expected",
@@ -282,6 +295,6 @@ class TestCsvGoldenBytes:
     )
     def test_short_histograms(self, counts, expected):
         h = np.array(counts)
-        text = histogram_to_csv(h)
+        text = written(histogram_to_csv, h)
         assert_same_text(text, reference_histogram_csv(h))
         assert text == "index,bitstring,count,probability\n" + expected
