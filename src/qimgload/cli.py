@@ -26,7 +26,6 @@ from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
     ORDERINGS,
     check_ordering,
-    curve_to_csv,
     decode_probabilities,
     downscale,
     encode_amplitudes,
@@ -35,7 +34,15 @@ from .image_codec import (
 )
 from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict
 from .sample_images import get_image
-from .simulator import histogram_to_csv, histogram_to_probs, run, sample, state_to_csv
+from .simulator import (
+    curve_to_csv,
+    histogram_from_csv,
+    histogram_to_csv,
+    histogram_to_probs,
+    run,
+    sample,
+    state_to_csv,
+)
 
 # analyze fits only infidelities above this: 1 - |<a|b>| has round-off of
 # order 1e-15, so a point at or below the floor carries no power law
@@ -84,7 +91,10 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise InputFormatError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValidationError(f"config key {key!r} is set more than once")
+        values[key] = value.strip()
     return values
 
 
@@ -115,7 +125,7 @@ def _provenance(cfg: PipelineConfig) -> dict:
 def _csv_file(path: Path, cfg: PipelineConfig):
     """The text file at `path`, open for writing, after its provenance header."""
     with path.open("w") as fh:
-        fh.write(f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n")
+        fh.writelines(f"# {key}: {value}\n" for key, value in _provenance(cfg).items())
         yield fh
 
 
@@ -265,18 +275,9 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
-    counts = []
-    for line in Path(args.histogram).read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("index"):
-            continue
-        try:
-            counts.append(float(line.split(",")[2]))
-        except (IndexError, ValueError):
-            raise InputFormatError(f"histogram row without a numeric count: {line!r}") from None
-    counts = np.array(counts)
-    if not np.all(np.abs(counts) <= 2.0**53):  # NaN fails too; the sum cannot overflow
-        raise InputFormatError("histogram counts must be finite, at most 2^53 in magnitude")
-    if counts.sum() <= 0:
+    with Path(args.histogram).open() as fh:
+        counts = histogram_from_csv(fh)
+    if counts.sum() <= 0:  # every |count| <= 2^53, so the sum cannot overflow
         raise NumericError("histogram holds no counts")
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):

@@ -21,11 +21,6 @@ from .errors import InputFormatError, NumericError, ValidationError
 # order on successive rungs.
 ORDERINGS = ("straight", "snake")
 
-# CSV writers format and write this many rows at a time: tolist() converts a
-# chunk in C, far faster than iterating numpy scalars, and no more than one
-# chunk's Python objects and text is alive at once
-CSV_CHUNK_ROWS = 4096
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -269,11 +264,3 @@ def write_pgm(g: ImageGrid) -> bytes:
     lines = ["P2", f"{L} {L}", "255"]
     lines += [" ".join(row) for row in _SAMPLE_TEXT[samples].tolist()]
     return ("\n".join(lines) + "\n").encode()
-
-
-def curve_to_csv(seq: np.ndarray, fh) -> None:
-    """Write a flattened intensity/amplitude curve to the text file ``fh``, one value per line."""
-    values = np.asarray(seq, dtype=float)
-    for start in range(0, values.size, CSV_CHUNK_ROWS):
-        chunk = values[start : start + CSV_CHUNK_ROWS].tolist()
-        fh.write("".join([f"{v!r}\n" for v in chunk]))

@@ -1,17 +1,27 @@
 """Exact statevector execution of layered circuits plus seeded shot sampling.
 
 Qubit 0 is the most significant bit of the basis index, matching the
-MSB-first ladder ordering of the image codec.
+MSB-first ladder ordering of the image codec.  This module also owns the
+2^N-row CSV artifacts: it writes the state, histogram and curve files and
+reads the histogram back.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from array import array
+
 import numpy as np
 
 from .circuit import LayeredCircuit
-from .errors import ValidationError
-from .image_codec import CSV_CHUNK_ROWS
+from .errors import InputFormatError, ValidationError
 from .mps import DENSE_SITE_CAP
+
+# the CSV writers and the histogram reader handle this many rows at a time:
+# tolist() converts a chunk in C, far faster than iterating numpy scalars, and
+# no more than one chunk's Python objects and text is alive at once
+CSV_CHUNK_ROWS = 4096
 
 
 def gate_operands(vec: np.ndarray, site: int, n_qubits: int, out: np.ndarray) -> tuple:
@@ -53,16 +63,9 @@ def apply_gate(operands: tuple, matrix: np.ndarray) -> None:
         np.matmul(vec, kron_t, out=out)
 
 
-def apply_gate_dense(
-    vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply a 4x4 gate on adjacent qubits (site, site+1) to a dense vector.
-
-    With ``out`` (a C-contiguous 1-D array of vec's size that does not
-    overlap it) the result is written there and ``out`` is returned.
-    """
-    if out is None:
-        out = np.empty(vec.size, dtype=np.result_type(vec, matrix))
+def apply_gate_dense(vec: np.ndarray, matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
+    """A new dense vector: the 4x4 gate applied on adjacent qubits (site, site+1) to ``vec``."""
+    out = np.empty(vec.size, dtype=np.result_type(vec, matrix))
     apply_gate(gate_operands(vec, site, n_qubits, out), matrix)
     return out
 
@@ -132,3 +135,55 @@ def state_to_csv(vec: np.ndarray, fh) -> None:
     for start in range(0, amplitudes.size, CSV_CHUNK_ROWS):
         chunk = amplitudes[start : start + CSV_CHUNK_ROWS].tolist()
         fh.write("".join([f"{i},{a!r}\n" for i, a in enumerate(chunk, start)]))
+
+
+def curve_to_csv(seq: np.ndarray, fh) -> None:
+    """Write a flattened intensity/amplitude curve to the text file ``fh``, one value per line."""
+    values = np.asarray(seq, dtype=float)
+    for start in range(0, values.size, CSV_CHUNK_ROWS):
+        chunk = values[start : start + CSV_CHUNK_ROWS].tolist()
+        fh.write("".join([f"{v!r}\n" for v in chunk]))
+
+
+# the lines the histogram reader skips: empty ones, comments and the column row
+_SKIPPED = operator.methodcaller("startswith", ("\n", "#", "index"))
+
+
+def _bad_row(line: str, problem: str) -> InputFormatError:
+    line = line.removesuffix("\n")
+    return InputFormatError(f"histogram row {problem}: {line!r}")
+
+
+def histogram_from_csv(fh) -> np.ndarray:
+    """The float64 counts of a histogram CSV read from the text file ``fh``.
+
+    Empty lines and lines starting with '#' or 'index' are skipped.  Every
+    other line is one outcome's row in index order: field 0 is its position,
+    field 2 its count, finite and at most 2^53 in magnitude.
+    """
+    counts = array("d")
+    while lines := list(itertools.islice(fh, CSV_CHUNK_ROWS)):
+        # field 0 of the row at position i is str(i) when the row starts with
+        # "i,"; a chunk whose lines all do holds no line to skip
+        start = len(counts)
+        prefixes = [f"{i}," for i in range(start, start + len(lines))]
+        rows = lines
+        if not all(map(str.startswith, lines, prefixes)):
+            rows = list(itertools.filterfalse(_SKIPPED, lines))
+            for row, prefix in zip(rows, prefixes):
+                if not row.startswith(prefix):
+                    raise _bad_row(row, f"out of index order, expected index {prefix[:-1]}")
+        # each row's fields are dropped as soon as its count is read: a chunk
+        # of lists of four strings would outweigh the counts it holds
+        try:
+            chunk = array("d", [float(row.split(",", 3)[2]) for row in rows])
+        except (IndexError, ValueError):
+            for row in rows:
+                try:
+                    float(row.split(",", 3)[2])
+                except (IndexError, ValueError):
+                    raise _bad_row(row, "without a numeric count") from None
+        if not np.all(np.abs(np.frombuffer(chunk)) <= 2.0**53):  # NaN fails too
+            raise InputFormatError("histogram counts must be finite, at most 2^53 in magnitude")
+        counts += chunk
+    return np.frombuffer(counts)

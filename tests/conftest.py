@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qimgload.circuit import LayeredCircuit, staircase_sites
+from qimgload.image_codec import ImageGrid
 from qimgload.mps import from_dense
 
 
@@ -53,6 +54,10 @@ def written(writer, data) -> str:
     fh = io.StringIO()
     writer(data, fh)
     return fh.getvalue()
+
+
+def grid(values) -> ImageGrid:
+    return ImageGrid(np.array(values, dtype=float))
 
 
 def random_state(rng, n_qubits: int, complex_valued: bool = False) -> np.ndarray:

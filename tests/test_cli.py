@@ -17,7 +17,7 @@ from qimgload.circuit import deserialize, serialize
 from qimgload.cli import PipelineConfig, build_parser, main
 from qimgload.image_codec import ImageGrid, encode_amplitudes, load_pgm, write_pgm
 from qimgload.sample_images import get_image
-from qimgload.simulator import run
+from qimgload.simulator import histogram_to_csv, run, sample
 
 
 @pytest.fixture
@@ -262,6 +262,38 @@ class TestReconstruct:
         assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 2
         assert_one_line_error(capsys, "input format error: histogram")
 
+    @pytest.mark.parametrize(
+        "order",
+        [[3, 2, 1, 0], [0, 1, 3, 2], [0, 1, 1, 3]],
+        ids=["reversed", "skipped", "repeated"],
+    )
+    def test_rows_out_of_index_order(self, tmp_path, out, capsys, order):
+        # each row's count is read for the outcome its place names, so a
+        # reordered file is refused, not decoded into another image
+        hist = tmp_path / "histogram.csv"
+        rows = "".join(f"{i},{i:02b},{i + 1},{(i + 1) / 10!r}\n" for i in order)
+        hist.write_text("index,bitstring,count,probability\n" + rows)
+        assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: histogram row out of index order")
+        assert not (out / "reconstructed.pgm").exists()
+
+    def test_reconstruct_peak_memory(self, tmp_path, out, rng):
+        # the counts are one 2^N-entry array, read chunk by chunk
+        n = 16
+        hist = tmp_path / "histogram.csv"
+        counts = sample(rng.standard_normal(2**n), 10**6, seed=0)
+        with hist.open("w") as fh:
+            histogram_to_csv(counts, fh)
+        argv = ("reconstruct", "--histogram", str(hist), "--out-dir", str(out))
+        assert run_cli(*argv) == 0  # first-use imports are not the reconstruction's memory
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
+
 
 class TestAnalyze:
     def test_chi_sweep_with_fit(self, out):
@@ -426,6 +458,21 @@ class TestConfigFile:
                        "--target-l", "4", "--out-dir", str(out)) == 3
         assert_one_line_error(capsys, "validation error: unknown compile method 'annealing'")
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["depth = 1", "depth = 2"], ["target-l = 4", "target_l = 8"]],
+        ids=["same-spelling", "both-spellings"],
+    )
+    def test_key_set_twice_rejected(self, tmp_path, out, capsys, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run_cli("compile", "--config", str(cfg), "--image", "builtin:digit",
+                       "--out-dir", str(out)) == 3
+        key = lines[0].split()[0].replace("-", "_")
+        message = f"validation error: config key '{key}' is set more than once"
+        assert_one_line_error(capsys, message)
+        assert not out.exists()
 
     def test_unparseable_value_rejected(self, tmp_path, out, capsys):
         cfg = tmp_path / "run.cfg"

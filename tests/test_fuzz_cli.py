@@ -147,6 +147,7 @@ def test_encode_survives_mutated_images(tmp_path, capsys, suffix_and_data):
 @FUZZ
 @given(data=token_mutations(SEED_HISTOGRAM) | byte_mutations(SEED_HISTOGRAM.encode()))
 @example(data=b"index,bitstring,count,probability\n0,0,1e308,0\n1,1,1e308,0\n2,2,1,0\n3,3,1,0\n")
+@example(data=b"index,bitstring,count,probability\n1,1,3,0.75\n0,0,1,0.25\n")
 def test_reconstruct_survives_mutated_histograms(tmp_path, capsys, data):
     path = tmp_path / "histogram.csv"
     path.write_bytes(data)

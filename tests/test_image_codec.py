@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, oracle_encode, written
+from conftest import assert_same_text, grid, oracle_encode
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
     ORDERINGS,
     ImageGrid,
     basis_permutation,
     check_ordering,
-    curve_to_csv,
     decode_probabilities,
     downscale,
     encode_amplitudes,
@@ -24,10 +23,6 @@ from qimgload.image_codec import (
     pixel_to_basis_index,
     write_pgm,
 )
-
-
-def grid(values):
-    return ImageGrid(np.array(values, dtype=float))
 
 
 class TestCheckOrdering:
@@ -243,18 +238,6 @@ class TestWriterGoldenBytes:
 
     def test_pgm_text(self):
         assert write_pgm(grid([[0.0, 1.0], [0.5, 0.2]])) == b"P2\n2 2\n255\n0 255\n128 51\n"
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
-    def test_curve_csv(self, rng, dtype):
-        # 2^13 values cross a chunk boundary of the writer
-        seq = (rng.standard_normal(2**13) * 100).astype(dtype)
-        text = written(curve_to_csv, seq)
-        assert_same_text(text, "\n".join(repr(float(v)) for v in seq) + "\n")
-        assert text.count("\n") == 2**13
-
-    def test_curve_csv_of_an_encoded_state(self):
-        state = encode_amplitudes(grid([[0.0, 0.25], [0.25, 0.5]]))
-        assert written(curve_to_csv, state) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 """Dense statevector execution and seeded shot sampling."""
 
+import io
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_text,
     drifting_circuit,
+    grid,
     identity_circuit,
     oracle_apply_gate,
     oracle_run,
@@ -19,11 +21,14 @@ from conftest import (
     written,
 )
 from qimgload import simulator
-from qimgload.errors import ValidationError
+from qimgload.errors import InputFormatError, ValidationError
+from qimgload.image_codec import encode_amplitudes
 from qimgload.simulator import (
     apply_gate,
     apply_gate_dense,
+    curve_to_csv,
     gate_operands,
+    histogram_from_csv,
     histogram_to_csv,
     histogram_to_probs,
     run,
@@ -45,28 +50,8 @@ class TestApplyGateDense:
                 assert out.dtype == vec.dtype and out.shape == vec.shape
                 np.testing.assert_allclose(out, oracle_apply_gate(vec, gate, site, n), atol=1e-12)
 
-    @pytest.mark.parametrize("complex_valued", [False, True])
-    @pytest.mark.parametrize(
-        "site",
-        [
-            pytest.param(10, id="post-1-gemm"),
-            pytest.param(8, id="kron-gemm"),
-            pytest.param(3, id="batched-matmul"),
-        ],
-    )
-    def test_out_receives_the_same_result(self, rng, site, complex_valued):
-        # at n = 12: site 10 has post == 1, site 8 has post 4 and pre 256
-        n = 12
-        vec = random_state(rng, n, complex_valued)
-        gate = random_unitary4(rng, complex_valued)
-        buf = np.full_like(vec, np.nan)
-        assert apply_gate_dense(vec, gate, site, n, out=buf) is buf
-        np.testing.assert_array_equal(buf, apply_gate_dense(vec, gate, site, n))
-
     def test_out_must_be_contiguous(self, rng):
         vec = random_state(rng, 4)
-        with pytest.raises(ValidationError, match="contiguous"):
-            apply_gate_dense(vec, random_unitary4(rng), 1, 4, out=np.empty(32)[::2])
         with pytest.raises(ValidationError, match="contiguous"):
             gate_operands(vec, 1, 4, np.empty(32)[::2])
 
@@ -103,8 +88,9 @@ class TestApplyGateDense:
     def test_complex_gate_into_a_real_out_raises(self, rng, site):
         # the imaginary part is never dropped silently
         vec = random_state(rng, 12)
+        operands = gate_operands(vec, site, 12, np.empty_like(vec))
         with pytest.raises(TypeError):
-            apply_gate_dense(vec, random_unitary4(rng, True), site, 12, out=np.empty_like(vec))
+            apply_gate(operands, random_unitary4(rng, True))
 
     def test_site_bit_is_most_significant(self):
         # [DERIVED] a NOT on the gate's first qubit must flip the higher bit
@@ -261,6 +247,18 @@ class TestCsvGoldenBytes:
 
     N = 13
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_curve_csv(self, rng, dtype):
+        # 2^13 values cross a chunk boundary of the writer
+        seq = (rng.standard_normal(2**13) * 100).astype(dtype)
+        text = written(curve_to_csv, seq)
+        assert_same_text(text, "\n".join(repr(float(v)) for v in seq) + "\n")
+        assert text.count("\n") == 2**13
+
+    def test_curve_csv_of_an_encoded_state(self):
+        state = encode_amplitudes(grid([[0.0, 0.25], [0.25, 0.5]]))
+        assert written(curve_to_csv, state) == "0.0\n0.5\n0.5\n0.7071067811865476\n"
+
     @pytest.mark.parametrize(
         "dtype", [np.float64, np.complex128, np.float32, np.complex64, np.int64]
     )
@@ -298,3 +296,55 @@ class TestCsvGoldenBytes:
         text = written(histogram_to_csv, h)
         assert_same_text(text, reference_histogram_csv(h))
         assert text == "index,bitstring,count,probability\n" + expected
+
+
+def read_histogram(text: str) -> np.ndarray:
+    return histogram_from_csv(io.StringIO(text))
+
+
+class TestHistogramFromCsv:
+    @pytest.mark.parametrize("counts", [[2, 0, 5], [4]], ids=["three", "one"])
+    def test_short_histograms_round_trip(self, counts):
+        got = read_histogram(written(histogram_to_csv, np.array(counts)))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, counts)
+
+    def test_round_trip_across_chunks(self, rng):
+        # 2^13 outcomes span two reader chunks
+        h = sample(random_state(rng, 13, complex_valued=True), shots=10**6, seed=5)
+        np.testing.assert_array_equal(read_histogram(written(histogram_to_csv, h)), h)
+
+    def test_skips_empty_comment_and_column_lines(self):
+        text = "# tool: x\n\nindex,bitstring,count,probability\n0,0,3,0.75\n\n# c\n1,1,1,0.25"
+        np.testing.assert_array_equal(read_histogram(text), [3.0, 1.0])
+
+    def test_no_rows_is_an_empty_histogram(self):
+        assert read_histogram("index,bitstring,count,probability\n").size == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,3,0.5\n0,0,1,0.5\n", r"^histogram row out of index order, expected index 0: "
+                                       r"'1,1,3,0.5'$"),
+            ("0,0,3,0.5\n2,10,1,0.5\n", "expected index 1: '2,10,1,0.5'"),
+            ("0,0,3,0.5\n0,0,1,0.5\n", "expected index 1: '0,0,1,0.5'"),
+            ("0,0,3,0.5\n 1,1,1,0.5\n", "expected index 1"),
+            ("0,0,3,0.5\n01,1,1,0.5\n", "expected index 1"),
+            ("0,0,x,0.5\n", r"^histogram row without a numeric count: '0,0,x,0.5'$"),
+            ("0,0\n", "without a numeric count: '0,0'"),
+            ("0,0,1e400,0\n", "finite"),
+            ("0,0,nan,0\n", "finite"),
+            ("0,0,9007199254740994,0\n", "at most 2\\^53"),
+        ],
+        ids=["reversed", "skipped", "repeated", "padded", "zero-padded", "count", "short",
+             "inf", "nan", "above-2^53"],
+    )
+    def test_rejects(self, text, message):
+        with pytest.raises(InputFormatError, match=message):
+            read_histogram(text)
+
+    def test_rejects_a_row_out_of_order_in_a_later_chunk(self):
+        rows = [f"{i},0,1,0\n" for i in range(5000)]
+        rows[4500] = "4501,0,1,0\n"
+        with pytest.raises(InputFormatError, match="expected index 4500: '4501,0,1,0'"):
+            read_histogram("".join(rows))
