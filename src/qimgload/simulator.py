@@ -23,6 +23,10 @@ from .mps import DENSE_SITE_CAP
 # no more than one chunk's Python objects and text is alive at once
 CSV_CHUNK_ROWS = 4096
 
+# histogram_to_csv formats the low bits of each bitstring from a table of
+# 2^_LOW_BITS strings; a run of that many rows must not cross a chunk
+_LOW_BITS = 8
+
 
 def gate_operands(vec: np.ndarray, site: int, n_qubits: int, out: np.ndarray) -> tuple:
     """Reshaped views of ``vec`` and ``out`` for `apply_gate` on qubits (site, site+1).
@@ -120,10 +124,31 @@ def histogram_to_csv(counts: np.ndarray, fh) -> None:
     ordered = np.sort(counts)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), (distinct / shots).tolist())}
+    # the bitstring f"{i:0{n_bits}b}" is i's high bits, formatted once per run of
+    # 2^_LOW_BITS rows, then its low bits, formatted once per call into a table.
+    # The high bits are padded to n_bits - _LOW_BITS digits; when that is not
+    # positive the table's entries carry the padding, and the high text is
+    # empty until i reaches 2^_LOW_BITS
+    run = 2**_LOW_BITS
+    low = [f"{j:0{min(n_bits, _LOW_BITS)}b}" for j in range(run)]
+    high_width = max(n_bits - _LOW_BITS, 0)
     fh.write("index,bitstring,count,probability\n")
     for start in range(0, counts.size, CSV_CHUNK_ROWS):
         chunk = counts[start : start + CSV_CHUNK_ROWS].tolist()
-        fh.write("".join([f"{i},{i:0{n_bits}b},{text[c]}\n" for i, c in enumerate(chunk, start)]))
+        stop = start + len(chunk)
+        runs = [
+            (range(first, min(first + run, stop)),
+             f"{first >> _LOW_BITS:0{high_width}b}" if first >= run or high_width else "")
+            for first in range(start, stop, run)
+        ]
+        # zip takes from the run's indices first, so it stops before taking
+        # the next run's first count
+        chunk_counts = iter(chunk)
+        fh.write("".join([
+            f"{i},{high}{b},{text[c]}\n"
+            for indices, high in runs
+            for i, b, c in zip(indices, low, chunk_counts)
+        ]))
 
 
 def state_to_csv(vec: np.ndarray, fh) -> None:
@@ -154,36 +179,85 @@ def _bad_row(line: str, problem: str) -> InputFormatError:
     return InputFormatError(f"histogram row {problem}: {line!r}")
 
 
+def _checked_counts(rows: list[str], start: int) -> array:
+    """The counts of ``rows``, at positions from ``start``, checked one row at a time.
+
+    Raises for the first row that breaks a rule of `histogram_from_csv`; a
+    row's field, bitstring and probability rules are checked only once it has
+    passed the index, count and magnitude rules.
+    """
+    counts = array("d")
+    for i, row in enumerate(rows, start):
+        if not row.startswith(f"{i},"):
+            raise _bad_row(row, f"out of index order, expected index {i}")
+        fields = row.split(",")
+        try:
+            count = float(fields[2])
+        except (IndexError, ValueError):
+            raise _bad_row(row, "without a numeric count") from None
+        if not abs(count) <= 2.0**53:  # NaN fails too
+            raise InputFormatError("histogram counts must be finite, at most 2^53 in magnitude")
+        if len(fields) != 4:
+            raise _bad_row(row, f"with {len(fields)} fields, expected 4")
+        bits = fields[1]
+        if not bits or bits.strip("01") or int(bits, 2) != i:
+            raise _bad_row(row, f"whose bitstring is not {i} in binary")
+        try:
+            float(fields[3])
+        except ValueError:
+            raise _bad_row(row, "without a numeric probability") from None
+        counts.append(count)
+    return counts
+
+
+def _fast_counts(rows: list[str], start: int) -> array | None:
+    """The counts of ``rows``, at positions from ``start``, when every row keeps
+    the rules of `histogram_from_csv`, else None.
+
+    The same rules as `_checked_counts`, checked a column at a time.
+    """
+    n = len(rows)
+    if list(map(str.count, rows, itertools.repeat(","))) != [3] * n:
+        return None
+    # four fields a row: a row's last field ends where its line does
+    fields = "".join(rows).replace("\n", ",").split(",")
+    bits = fields[1::4]
+    try:
+        # int(b, 2) alone also takes '0b1', ' 1' and '1_0'; encode raises
+        # ValueError on a lone surrogate, and int on an empty bitstring
+        if not (
+            all(map(operator.eq, fields[0 : 4 * n : 4], map(str, itertools.count(start))))
+            and not "".join(bits).encode().translate(None, b"01")
+            and all(map(operator.eq, map(int, bits, itertools.repeat(2)), itertools.count(start)))
+        ):
+            return None
+        counts = array("d", map(float, fields[2::4]))
+        array("d", map(float, fields[3::4]))
+    except ValueError:
+        return None
+    return counts if np.all(np.abs(np.frombuffer(counts)) <= 2.0**53) else None
+
+
 def histogram_from_csv(fh) -> np.ndarray:
     """The float64 counts of a histogram CSV read from the text file ``fh``.
 
     Empty lines and lines starting with '#' or 'index' are skipped.  Every
-    other line is one outcome's row in index order: field 0 is its position,
-    field 2 its count, finite and at most 2^53 in magnitude.
+    other line is one outcome's row in index order, with four fields: field 0
+    is its position, field 1 that position in binary (digits 0 and 1 only,
+    leading zeros allowed), field 2 its count, finite and at most 2^53 in
+    magnitude, and field 3 a probability that parses as a float.
     """
     counts = array("d")
     while lines := list(itertools.islice(fh, CSV_CHUNK_ROWS)):
-        # field 0 of the row at position i is str(i) when the row starts with
-        # "i,"; a chunk whose lines all do holds no line to skip
+        # a chunk whose lines all read as rows holds no line to skip; a chunk
+        # that still breaks a rule without them is read row by row, which
+        # names the first bad row
         start = len(counts)
-        prefixes = [f"{i}," for i in range(start, start + len(lines))]
-        rows = lines
-        if not all(map(str.startswith, lines, prefixes)):
+        chunk = _fast_counts(lines, start)
+        if chunk is None:
             rows = list(itertools.filterfalse(_SKIPPED, lines))
-            for row, prefix in zip(rows, prefixes):
-                if not row.startswith(prefix):
-                    raise _bad_row(row, f"out of index order, expected index {prefix[:-1]}")
-        # each row's fields are dropped as soon as its count is read: a chunk
-        # of lists of four strings would outweigh the counts it holds
-        try:
-            chunk = array("d", [float(row.split(",", 3)[2]) for row in rows])
-        except (IndexError, ValueError):
-            for row in rows:
-                try:
-                    float(row.split(",", 3)[2])
-                except (IndexError, ValueError):
-                    raise _bad_row(row, "without a numeric count") from None
-        if not np.all(np.abs(np.frombuffer(chunk)) <= 2.0**53):  # NaN fails too
-            raise InputFormatError("histogram counts must be finite, at most 2^53 in magnitude")
+            chunk = _fast_counts(rows, start)
+            if chunk is None:
+                chunk = _checked_counts(rows, start)
         counts += chunk
     return np.frombuffer(counts)

@@ -255,7 +255,11 @@ class TestReconstruct:
                        "--out-dir", str(out)) == 0
         assert (out / "reconstructed.pgm").read_bytes() == direct
 
-    @pytest.mark.parametrize("row", ["0,0,x,0.5", "0,0", "0,0,nan,0.5"])
+    @pytest.mark.parametrize(
+        "row",
+        ["0,0,x,0.5", "0,0", "0,0,nan,0.5", "0,0,2,x,y", "0,0,2", "0,1,2,0.5", "0,0b0,2,0.5",
+         "0,0,2,x"],
+    )
     def test_malformed_row(self, tmp_path, out, capsys, row):
         hist = tmp_path / "histogram.csv"
         hist.write_text(f"index,bitstring,count,probability\n{row}\n1,1,3,0.5\n")

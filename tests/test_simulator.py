@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ class TestHistogram:
         rows = written(histogram_to_csv, h).splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == [repr(p) for p in (h / h.sum()).tolist()]
 
+    def test_histogram_peak_memory(self, tmp_path, rng):
+        # one sorted copy of the counts and one chunk's rows and text; the
+        # bit table is small next to them
+        n = 16
+        counts = sample(rng.standard_normal(2**n), 10**6, seed=0)
+        with (tmp_path / "histogram.csv").open("w") as fh:
+            histogram_to_csv(counts, fh)  # first-use allocations are not the writer's memory
+            tracemalloc.start()
+            try:
+                histogram_to_csv(counts, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.25 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
+
     def test_state_csv_roundtrips_floats(self, rng):
         v = random_state(rng, 2)
         lines = written(state_to_csv, v).splitlines()[1:]
@@ -236,6 +252,14 @@ def reference_histogram_csv(counts: np.ndarray) -> str:
     for i, (count, p) in enumerate(zip(counts, probs)):
         lines.append(f"{i},{i:0{n_bits}b},{int(count)},{float(p)!r}")
     return "\n".join(lines) + "\n"
+
+
+# lengths around the writer's bit table, around a chunk, and four chunks
+EDGE_LENGTHS = sorted({
+    1, 2, 3,
+    2**simulator._LOW_BITS - 1, 2**simulator._LOW_BITS, 2**simulator._LOW_BITS + 1,
+    4095, 4096, 4097, 5000, 2**14,
+})
 
 
 class TestCsvGoldenBytes:
@@ -297,6 +321,15 @@ class TestCsvGoldenBytes:
         assert_same_text(text, reference_histogram_csv(h))
         assert text == "index,bitstring,count,probability\n" + expected
 
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_histogram_at_the_edges_of_the_bit_table(self, rng, length):
+        # the bitstrings are a per-run high part and a low part from a table of
+        # 2^_LOW_BITS strings; around its size, around a chunk and at 2^14 (four
+        # chunks, high parts of two bits) they must stay f"{i:0{n_bits}b}"
+        h = rng.integers(0, 4, length)
+        h[-1] += 1
+        assert_same_text(written(histogram_to_csv, h), reference_histogram_csv(h))
+
 
 def read_histogram(text: str) -> np.ndarray:
     return histogram_from_csv(io.StringIO(text))
@@ -308,6 +341,12 @@ class TestHistogramFromCsv:
         got = read_histogram(written(histogram_to_csv, np.array(counts)))
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, counts)
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_round_trip_at_every_edge_length(self, rng, length):
+        h = rng.integers(0, 4, length)
+        h[-1] += 1
+        np.testing.assert_array_equal(read_histogram(written(histogram_to_csv, h)), h)
 
     def test_round_trip_across_chunks(self, rng):
         # 2^13 outcomes span two reader chunks
@@ -335,16 +374,51 @@ class TestHistogramFromCsv:
             ("0,0,1e400,0\n", "finite"),
             ("0,0,nan,0\n", "finite"),
             ("0,0,9007199254740994,0\n", "at most 2\\^53"),
+            ("0,0,3,0.5\n1,0001,2,x,y\n", r"^histogram row with 5 fields, expected 4: "
+                                         r"'1,0001,2,x,y'$"),
+            ("0,0,3\n", "with 3 fields, expected 4: '0,0,3'"),
+            ("0,0,3,0.5\n1,0,1,0.5\n", r"^histogram row whose bitstring is not 1 in binary: "
+                                       r"'1,0,1,0.5'$"),
+            ("0,0,3,0.5\n1,0b1,1,0.5\n", "bitstring is not 1 in binary"),
+            ("0,0,3,0.5\n1, 1,1,0.5\n", "bitstring is not 1 in binary"),
+            ("0,0,3,0.5\n1,+1,1,0.5\n", "bitstring is not 1 in binary"),
+            ("0,0,3,0.5\n1,1,1,0.5\n2,1_0,1,0.5\n", "bitstring is not 2 in binary"),
+            ("0,0,3,0.5\n1,1,1,0.5\n2,2,1,0.5\n", "bitstring is not 2 in binary"),
+            ("0,,3,0.5\n", "bitstring is not 0 in binary"),
+            ("0,0,3,x\n", r"^histogram row without a numeric probability: '0,0,3,x'$"),
+            ("0,0,3,\n", "without a numeric probability"),
         ],
         ids=["reversed", "skipped", "repeated", "padded", "zero-padded", "count", "short",
-             "inf", "nan", "above-2^53"],
+             "inf", "nan", "above-2^53", "five-fields", "three-fields", "wrong-bitstring",
+             "0b-bitstring", "space-bitstring", "signed-bitstring", "underscore-bitstring",
+             "decimal-bitstring", "empty-bitstring", "probability", "empty-probability"],
     )
     def test_rejects(self, text, message):
         with pytest.raises(InputFormatError, match=message):
             read_histogram(text)
 
     def test_rejects_a_row_out_of_order_in_a_later_chunk(self):
-        rows = [f"{i},0,1,0\n" for i in range(5000)]
-        rows[4500] = "4501,0,1,0\n"
-        with pytest.raises(InputFormatError, match="expected index 4500: '4501,0,1,0'"):
+        rows = [f"{i},{i:013b},1,0\n" for i in range(5000)]
+        rows[4500] = "4501,1000110010101,1,0\n"
+        with pytest.raises(InputFormatError,
+                           match="expected index 4500: '4501,1000110010101,1,0'"):
             read_histogram("".join(rows))
+
+    @pytest.mark.parametrize("position", [0, 4095, 4096, 4500], ids=str)
+    @pytest.mark.parametrize(
+        "row, message",
+        [("{i},{bits},1,0,0", "with 5 fields"), ("{i},0{bits}1,1,0", "whose bitstring is not"),
+         ("{i},{bits},1,p", "without a numeric probability")],
+        ids=["fields", "bitstring", "probability"],
+    )
+    def test_rejects_a_bad_row_anywhere(self, position, row, message):
+        # a chunk is checked a column at a time when it reads cleanly, and
+        # row by row otherwise; both must catch the row wherever it is
+        rows = [f"{i},{i:013b},1,0\n" for i in range(5000)]
+        rows[position] = row.format(i=position, bits=f"{position:013b}") + "\n"
+        with pytest.raises(InputFormatError, match=f"^histogram row {message}.*: '{position},"):
+            read_histogram("".join(rows))
+
+    def test_any_padding_of_the_bitstring_is_read(self):
+        text = "0,0,3,0.5\n1,0001,2,0.25\n2,10,1,0.125\n"
+        np.testing.assert_array_equal(read_histogram(text), [3.0, 2.0, 1.0])
