@@ -88,6 +88,11 @@ def embed_isometry(v: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a tall 2- or 4-row isometry, got shape {v.shape}")
     if isometry_error(v) > CANONICAL_ISOMETRY_TOL:
         raise ValidationError(f"input columns are not orthonormal within {CANONICAL_ISOMETRY_TOL}")
+    return _complete_isometry(v)
+
+
+def _complete_isometry(v: np.ndarray) -> np.ndarray:
+    """`embed_isometry` of an isometry that its caller has already checked."""
     dim, m = v.shape
     if m == dim:
         return np.array(v)
@@ -130,9 +135,10 @@ def layer_from_chi2_mps(m: MPS) -> np.ndarray:
         left, _, right = a.shape
         v = np.zeros((4, right), dtype=dtype)
         v[: 2 * left] = a.reshape(2 * left, right)
-        gates.append(embed_isometry(v))
+        gates.append(_complete_isometry(v))
+    # the fused isometry is a product of two checked ones
     fused = np.tensordot(m.tensors[0][0], m.tensors[1], axes=(1, 0))  # (2, 2, right)
-    gates.append(embed_isometry(fused.reshape(4, -1)))
+    gates.append(_complete_isometry(fused.reshape(4, -1)))
     return np.stack(gates)
 
 

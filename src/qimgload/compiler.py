@@ -37,7 +37,7 @@ from .errors import NumericError, ValidationError
 from .mps import (
     CANONICAL_ISOMETRY_TOL,
     MPS,
-    apply_two_qubit_gate,
+    _apply_gates,
     inner,
     isometry_error,
     left_canonicalize,
@@ -189,7 +189,7 @@ def sweep_optimize(
 
     The returned gate stack is ``np.stack`` of the loop's matrices, which
     keeps their memory layout (the polar factors are F-ordered views).  The
-    layout sets the summation order of the einsum in `apply_two_qubit_gate`,
+    layout sets the summation order of the einsum in `mps._apply_gates`,
     so it reaches the last bits of later residuals: forcing C order moved
     the grow compile of ``builtin:scene`` L=32 D=4, 50 sweeps, from
     infidelity 1.361e-3 to 1.346e-3 (one BLAS thread).  Do not copy the
@@ -283,10 +283,11 @@ def _apply_layer_adjoint(residual: MPS, layer: np.ndarray, chi_max: int) -> MPS:
     """Undo a layer's (N-1, 4, 4) gate stack in one left-to-right sweep of adjoint gates.
 
     The layer must apply pair (N-2, N-1) first and (0, 1) last, as every
-    layer from `layer_from_chi2_mps` does.
+    layer from `layer_from_chi2_mps` does.  It is not checked again: every
+    caller's layer sits in a `LayeredCircuit`, which checked it.
     """
     stack = layer[::-1].conj().swapaxes(-1, -2)
-    residual, _ = apply_two_qubit_gate(residual, stack, 0, chi_max)
+    residual, _ = _apply_gates(residual, stack, 0, chi_max)
     return residual
 
 

@@ -11,9 +11,13 @@ staircase circuit conversion consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+# the gufuncs behind np.linalg.svd(full_matrices=False) and np.linalg.qr, without
+# their per-call wrappers; tests/test_compiler.py pins them bit for bit against those
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, svd_s
 
 from .errors import NumericError, ValidationError
 
@@ -62,8 +66,9 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     inputs are rotated so that entry becomes real positive.
     """
     # singular vectors have unit norm, so no pivot is zero
-    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    phase = pivot / np.abs(pivot)
+    pivot = u[np.abs(u).argmax(0), np.arange(u.shape[1])]
+    # a real pivot's phase is its sign: one call, with the same +-1 as the quotient
+    phase = np.copysign(1.0, pivot) if u.dtype.kind != "c" else pivot / np.abs(pivot)
     u /= phase
     vt *= phase[:, None]
     return u, vt
@@ -86,14 +91,18 @@ def _cut(mat: np.ndarray, chi=None):
     """SVD of a bond matrix cut to at most ``chi`` (no cap if None) nonzero singular values.
 
     At least one value is kept.  Returns (u, s, vt, discarded weight), with
-    sign-fixed singular vectors and the kept columns/rows only.
+    sign-fixed singular vectors and the kept columns/rows only.  NaN or inf
+    singular values (LAPACK gives NaN when it fails) raise NumericError.
     """
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    with np.errstate(invalid="ignore"):
+        u, s, vt = svd_s(mat, signature="D->DdD" if mat.dtype.kind == "c" else "d->ddd")
+    if not np.isfinite(s).all():
+        raise NumericError("bond SVD met a non-finite entry or did not converge")
     u, vt = _fix_svd_signs(u, vt)
     keep = max(int(np.count_nonzero(s**2)), 1)
     if chi is not None:
         keep = min(keep, chi)
-    return u[:, :keep], s[:keep], vt[:keep], float(np.sum(s[keep:] ** 2))
+    return u[:, :keep], s[:keep], vt[:keep], float(np.add.reduce(s[keep:] ** 2))
 
 
 def from_dense(v, chi_max=None):
@@ -135,8 +144,15 @@ def to_dense(m: MPS) -> np.ndarray:
         raise ValidationError(f"{m.n_sites} sites exceeds the dense cap of {DENSE_SITE_CAP}")
     vec = m.tensors[0].reshape(2, -1)
     for t in m.tensors[1:]:
-        vec = np.tensordot(vec, t, axes=(1, 0)).reshape(vec.shape[0] * 2, -1)
+        vec = np.dot(vec, t.reshape(t.shape[0], -1)).reshape(vec.shape[0] * 2, -1)
     return vec[:, 0]
+
+
+def _qr(mat: np.ndarray):
+    """np.linalg.qr(mat), in double precision, from its two LAPACK calls on a copy of mat."""
+    a = mat.astype(np.result_type(mat.dtype, np.float64))
+    tau = qr_r_raw(a)
+    return qr_reduced(a, tau), np.triu(a[: len(tau)])
 
 
 def left_canonicalize(m: MPS) -> MPS:
@@ -145,22 +161,26 @@ def left_canonicalize(m: MPS) -> MPS:
         return m
     tensors = []
     carry = None
-    for i, t in enumerate(m.tensors):
+    for t in m.tensors:
+        right = t.shape[2]
         if carry is not None:
-            t = np.tensordot(carry, t, axes=(1, 0))
-        left, _, right = t.shape
-        q, r = np.linalg.qr(t.reshape(left * 2, right))
+            t = np.dot(carry, t.reshape(t.shape[0], -1))
+        q, r = _qr(t.reshape(-1, right))
         # fix gauge so diag(R) >= 0, making the sweep deterministic
         d = np.diagonal(r)
-        phase = np.where(d == 0, 1.0, d / np.abs(np.where(d == 0, 1.0, d)))
-        q = q * phase
-        r = np.conj(phase)[:, None] * r
-        tensors.append(q.reshape(left, 2, q.shape[1]))
+        if r.dtype.kind != "c":  # the phase of a real d is its sign, applied in place
+            phase = np.where(d < 0, -1.0, 1.0)
+            q *= phase
+            r *= phase[:, None]
+        else:
+            phase = np.where(d == 0, 1.0, d / np.abs(np.where(d == 0, 1.0, d)))
+            q = q * phase
+            r = np.conj(phase)[:, None] * r
+        tensors.append(q.reshape(-1, 2, q.shape[1]))
         carry = r
     # carry is now the 1x1 global norm; dropping it renormalizes the state
-    scale = carry[0, 0]
-    if abs(scale) == 0:
-        raise NumericError("zero-norm MPS cannot be canonicalized")
+    if not 0 < abs(carry[0, 0]) < math.inf:
+        raise NumericError("an MPS of zero or non-finite norm cannot be canonicalized")
     return MPS(tuple(tensors), canonical_form="left")
 
 
@@ -176,7 +196,7 @@ def _move_center_left(tensors: list, stop: int, chi=None) -> list:
         left, _, right = tensors[i].shape
         u, s, vt, eps[i - 1] = _cut(tensors[i].reshape(left, 2 * right), chi)
         tensors[i] = vt.reshape(len(s), 2, right)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+        tensors[i - 1] = np.dot(tensors[i - 1].reshape(-1, left), u * s).reshape(-1, 2, len(s))
     return eps
 
 
@@ -201,10 +221,12 @@ def inner(a: MPS, b: MPS):
     """Overlap <a|b> by transfer-matrix contraction, O(N * chi^3)."""
     if a.n_sites != b.n_sites:
         raise ValidationError("site-count mismatch")
-    env = np.tensordot(np.conj(a.tensors[0]), b.tensors[0], axes=([0, 1], [0, 1]))
+    # np.tensordot's own operands and products, without its wrapper
+    ta, tb = np.conj(a.tensors[0]), b.tensors[0]
+    env = np.dot(ta.reshape(-1, ta.shape[2]).T, tb.reshape(-1, tb.shape[2]))
     for ta, tb in zip(a.tensors[1:], b.tensors[1:]):
-        tmp = np.tensordot(env, np.conj(ta), axes=(0, 0))
-        env = np.tensordot(tmp, tb, axes=([0, 1], [0, 1]))
+        tmp = np.dot(env.T, np.conj(ta).reshape(ta.shape[0], -1))
+        env = np.dot(tmp.reshape(-1, ta.shape[2]).T, tb.reshape(-1, tb.shape[2]))
     val = env[0, 0]
     return float(val.real) if not np.iscomplexobj(env) else complex(val)
 
@@ -229,18 +251,24 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
     last = site + len(gates)  # rightmost site the stack touches
     if not (0 <= site and last < m.n_sites):
         raise ValidationError(f"gates on sites {site}..{last} out of range for {m.n_sites} sites")
+    return _apply_gates(m, gates, site, chi_max)
+
+
+def _apply_gates(m: MPS, gates: np.ndarray, site: int, chi_max):
+    """`apply_two_qubit_gate` of a (k, 4, 4) stack that its caller has already checked."""
     # the canonical center sits on the pair being split and is carried right
     # with each split, so every bond is cut at its true Schmidt coefficients
     tensors = list(left_canonicalize(m).tensors)
     weights = _move_center_left(tensors, site + 1)
     for i, g in enumerate(gates, start=site):
-        theta = np.tensordot(tensors[i], tensors[i + 1], axes=(2, 0))
+        (left, _, mid), right = tensors[i].shape, tensors[i + 1].shape[2]
+        theta = np.dot(tensors[i].reshape(-1, mid), tensors[i + 1].reshape(mid, -1))
+        theta = theta.reshape(left, 2, 2, right)
         theta = np.einsum("stuv,luvr->lstr", g.reshape(2, 2, 2, 2), theta)
-        left, _, _, right = theta.shape
         u, s, vt, weights[i] = _cut(theta.reshape(left * 2, 2 * right), chi_max)
         tensors[i] = u.reshape(left, 2, len(s))
-        tensors[i + 1] = (s[:, None] / np.linalg.norm(s) * vt).reshape(len(s), 2, right)
-    form = "left" if last == m.n_sites - 1 else "none"
+        tensors[i + 1] = (s[:, None] / math.sqrt(s.dot(s)) * vt).reshape(len(s), 2, right)
+    form = "left" if site + len(gates) == m.n_sites - 1 else "none"
     return MPS(tuple(tensors), canonical_form=form), tuple(weights)
 
 

@@ -113,6 +113,26 @@ def histogram_to_probs(counts: np.ndarray) -> np.ndarray:
     return counts / _shots(counts)
 
 
+def _low_bits(n_bits: int) -> list:
+    """`_bit_runs`'s table: 0 .. 2^_LOW_BITS - 1 in binary, min(n_bits, _LOW_BITS) digits wide."""
+    return [f"{j:0{min(n_bits, _LOW_BITS)}b}" for j in range(2**_LOW_BITS)]
+
+
+def _bit_runs(start: int, stop: int, n_bits: int) -> list:
+    """(indices, high) per run of start..stop-1 sharing the bits above the low _LOW_BITS.
+
+    high + _low_bits(n_bits)[i % 2^_LOW_BITS] is f"{i:0{n_bits}b}" for each index
+    i of a run: for every i if n_bits >= _LOW_BITS, else while i < 2^_LOW_BITS.
+    """
+    run = 2**_LOW_BITS
+    high_width = max(n_bits - _LOW_BITS, 0)
+    return [
+        (range(max(first, start), min(first + run, stop)),
+         f"{first >> _LOW_BITS:0{high_width}b}" if first >= run or high_width else "")
+        for first in range(start - start % run, stop, run)
+    ]
+
+
 def histogram_to_csv(counts: np.ndarray, fh) -> None:
     """Write the histogram's column row and one row per outcome to the text file ``fh``."""
     shots = _shots(counts)
@@ -124,29 +144,16 @@ def histogram_to_csv(counts: np.ndarray, fh) -> None:
     ordered = np.sort(counts)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), (distinct / shots).tolist())}
-    # the bitstring f"{i:0{n_bits}b}" is i's high bits, formatted once per run of
-    # 2^_LOW_BITS rows, then its low bits, formatted once per call into a table.
-    # The high bits are padded to n_bits - _LOW_BITS digits; when that is not
-    # positive the table's entries carry the padding, and the high text is
-    # empty until i reaches 2^_LOW_BITS
-    run = 2**_LOW_BITS
-    low = [f"{j:0{min(n_bits, _LOW_BITS)}b}" for j in range(run)]
-    high_width = max(n_bits - _LOW_BITS, 0)
+    low = _low_bits(n_bits)
     fh.write("index,bitstring,count,probability\n")
     for start in range(0, counts.size, CSV_CHUNK_ROWS):
         chunk = counts[start : start + CSV_CHUNK_ROWS].tolist()
-        stop = start + len(chunk)
-        runs = [
-            (range(first, min(first + run, stop)),
-             f"{first >> _LOW_BITS:0{high_width}b}" if first >= run or high_width else "")
-            for first in range(start, stop, run)
-        ]
         # zip takes from the run's indices first, so it stops before taking
         # the next run's first count
         chunk_counts = iter(chunk)
         fh.write("".join([
             f"{i},{high}{b},{text[c]}\n"
-            for indices, high in runs
+            for indices, high in _bit_runs(start, start + len(chunk), n_bits)
             for i, b, c in zip(indices, low, chunk_counts)
         ]))
 
@@ -222,13 +229,25 @@ def _fast_counts(rows: list[str], start: int) -> array | None:
     # four fields a row: a row's last field ends where its line does
     fields = "".join(rows).replace("\n", ",").split(",")
     bits = fields[1::4]
+    # the writer's bitstrings, as wide as the first; comma-free lists match as
+    # their joins do.  Below _LOW_BITS digits they hold only below 2^_LOW_BITS
+    width = len(bits[0]) if n else _LOW_BITS
+    low = _low_bits(width)
+    written = ",".join([
+        high + ("," + high).join(low[i.start % len(low) :][: len(i)])
+        for i, high in _bit_runs(start, start + n, width)
+    ])
     try:
         # int(b, 2) alone also takes '0b1', ' 1' and '1_0'; encode raises
         # ValueError on a lone surrogate, and int on an empty bitstring
         if not (
             all(map(operator.eq, fields[0 : 4 * n : 4], map(str, itertools.count(start))))
-            and not "".join(bits).encode().translate(None, b"01")
-            and all(map(operator.eq, map(int, bits, itertools.repeat(2)), itertools.count(start)))
+            and (
+                (width >= _LOW_BITS and ",".join(bits) == written)
+                or (not "".join(bits).encode().translate(None, b"01")
+                    and all(map(operator.eq, map(int, bits, itertools.repeat(2)),
+                                itertools.count(start))))
+            )
         ):
             return None
         counts = array("d", map(float, fields[2::4]))

@@ -11,7 +11,7 @@ from conftest import (
     random_state,
     random_unitary4,
 )
-from qimgload import compiler
+from qimgload import compiler, mps
 from qimgload.analysis import infidelity
 from qimgload.compiler import (
     OptimizerTrace,
@@ -26,7 +26,9 @@ from qimgload.compiler import (
 )
 from qimgload.circuit import LayeredCircuit
 from qimgload.errors import NumericError, ValidationError
+from qimgload.image_codec import encode_amplitudes
 from qimgload.mps import MPS, from_dense, to_dense
+from qimgload.sample_images import get_image
 from qimgload.simulator import apply_gate, apply_gate_dense, run
 
 
@@ -201,6 +203,109 @@ class TestOptimalGate:
             new_gate = update_gate(f)
             after = abs(overlap_with_replacement(circuit, m, new_gate, target))
             assert after >= before - 1e-12
+
+
+# Reference bond-level MPS code through numpy's public wrappers (np.linalg.svd,
+# np.linalg.qr, np.tensordot, np.linalg.norm): the direct LAPACK calls and 2-D
+# products in `mps` must give the same bits.
+
+def reference_cut(mat, chi=None):
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    phase = pivot / np.abs(pivot)
+    u /= phase
+    vt *= phase[:, None]
+    keep = max(int(np.count_nonzero(s**2)), 1)
+    if chi is not None:
+        keep = min(keep, chi)
+    return u[:, :keep], s[:keep], vt[:keep], float(np.sum(s[keep:] ** 2))
+
+
+def reference_left_canonicalize(m):
+    if m.canonical_form == "left":
+        return m
+    tensors, carry = [], None
+    for t in m.tensors:
+        if carry is not None:
+            t = np.tensordot(carry, t, axes=(1, 0))
+        left, _, right = t.shape
+        q, r = np.linalg.qr(t.reshape(left * 2, right))
+        d = np.diagonal(r)
+        phase = np.where(d == 0, 1.0, d / np.abs(np.where(d == 0, 1.0, d)))
+        tensors.append((q * phase).reshape(left, 2, q.shape[1]))
+        carry = np.conj(phase)[:, None] * r
+    return MPS(tuple(tensors), canonical_form="left")
+
+
+def reference_move_center_left(tensors, stop, chi=None):
+    eps = [0.0] * (len(tensors) - 1)
+    for i in range(len(tensors) - 1, stop, -1):
+        left, _, right = tensors[i].shape
+        u, s, vt, eps[i - 1] = reference_cut(tensors[i].reshape(left, 2 * right), chi)
+        tensors[i] = vt.reshape(len(s), 2, right)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+    return eps
+
+
+def reference_apply_gates(m, gates, site, chi_max):
+    tensors = list(reference_left_canonicalize(m).tensors)
+    weights = reference_move_center_left(tensors, site + 1)
+    for i, g in enumerate(gates, start=site):
+        theta = np.tensordot(tensors[i], tensors[i + 1], axes=(2, 0))
+        theta = np.einsum("stuv,luvr->lstr", g.reshape(2, 2, 2, 2), theta)
+        left, _, _, right = theta.shape
+        u, s, vt, weights[i] = reference_cut(theta.reshape(left * 2, 2 * right), chi_max)
+        tensors[i] = u.reshape(left, 2, len(s))
+        tensors[i + 1] = (s[:, None] / np.linalg.norm(s) * vt).reshape(len(s), 2, right)
+    form = "left" if site + len(gates) == m.n_sites - 1 else "none"
+    return MPS(tuple(tensors), canonical_form=form), tuple(weights)
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("shape", [(8, 4), (4, 8), (4, 4)], ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("rank", [4, 1, 0], ids=["full-rank", "rank-1", "zero"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_thin_svd_and_qr_equal_np_linalg(self, rng, shape, rank, dtype):
+        a = rng.standard_normal((shape[0], rank))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((shape[0], rank))
+        mat = a @ rng.standard_normal((rank, shape[1]))
+        before = mat.copy()
+        signature = "D->DdD" if dtype is complex else "d->ddd"
+        got = mps.svd_s(mat, signature=signature) + mps._qr(mat)
+        want = np.linalg.svd(mat, full_matrices=False) + np.linalg.qr(mat)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(mat, before)  # qr_r_raw overwrote a copy
+
+    @pytest.mark.parametrize("method", ["iterative", "grow"])
+    @pytest.mark.parametrize("source", ["digit", "scene", "complex"])
+    def test_compiles_equal_the_wrapper_based_reference(self, rng, monkeypatch, method, source):
+        if source == "complex":
+            vec = random_state(rng, 6, complex_valued=True)
+        else:
+            vec = encode_amplitudes(get_image(source, 8))
+
+        def build():
+            target, weights = from_dense(vec, chi_max=8)
+            if method == "iterative":
+                circuit, trace = iterative_construct(target, 3, chi_max=8)
+            else:
+                circuit, trace = grow_and_optimize(target, 2, sweeps_per_stage=3, chi_max=8)
+            return weights, circuit.gates, trace.records
+
+        weights, gates, records = build()
+        monkeypatch.setattr(mps, "_cut", reference_cut)
+        monkeypatch.setattr(mps, "left_canonicalize", reference_left_canonicalize)
+        monkeypatch.setattr(compiler, "left_canonicalize", reference_left_canonicalize)
+        monkeypatch.setattr(mps, "_move_center_left", reference_move_center_left)
+        monkeypatch.setattr(compiler, "_apply_gates", reference_apply_gates)
+        want_weights, want_gates, want_records = build()
+        assert weights == want_weights
+        assert gates.dtype == want_gates.dtype
+        np.testing.assert_array_equal(gates, want_gates)
+        assert records == want_records
 
 
 class TestSweepOptimize:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_circuit, oracle_apply_gate, random_state, random_unitary4
-from qimgload.errors import ValidationError
+from qimgload import mps
+from qimgload.errors import NumericError, ValidationError
 from qimgload.mps import (
     CANONICAL_ISOMETRY_TOL,
     MPS,
@@ -142,6 +143,43 @@ class TestCanonicalForm:
         assert isometry_defect(ml) < 1e-12
         got, want = to_dense(ml), dense / np.linalg.norm(dense)
         assert abs(abs(np.vdot(got, want)) - 1.0) < 1e-12
+
+
+def mps_with_a_nan(rng, form):
+    m, _ = from_dense(random_state(rng, 6), chi_max=4)
+    tensors = [t.copy() for t in m.tensors]
+    tensors[3][1, 0, 2] = np.nan
+    return MPS(tuple(tensors), canonical_form=form)
+
+
+class TestNonFinite:
+    # a bond SVD or QR step on a NaN must raise NumericError (exit code 4), not
+    # numpy's LinAlgError or a warning
+    @pytest.mark.parametrize("form", ["none", "left"])
+    def test_truncate(self, rng, form):
+        with pytest.raises(NumericError):
+            truncate(mps_with_a_nan(rng, form), 2)
+
+    @pytest.mark.parametrize("form", ["none", "left"])
+    def test_apply_two_qubit_gate(self, rng, form):
+        with pytest.raises(NumericError):
+            apply_two_qubit_gate(mps_with_a_nan(rng, form), random_unitary4(rng), 1)
+
+    def test_qr_step_on_a_nan_tensor(self, rng):
+        with pytest.raises(NumericError, match="non-finite norm"):
+            left_canonicalize(mps_with_a_nan(rng, "none"))
+
+    def test_a_bond_svd_that_did_not_converge(self, rng, monkeypatch):
+        # LAPACK's failure comes back from the gufunc as NaN singular values
+        svd_s = mps.svd_s
+
+        def failing(mat, signature):
+            u, s, vt = svd_s(mat, signature=signature)
+            return u, np.full_like(s, np.nan), vt
+
+        monkeypatch.setattr(mps, "svd_s", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            from_dense(random_state(rng, 4))
 
 
 class TestTruncate:

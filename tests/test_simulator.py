@@ -408,17 +408,37 @@ class TestHistogramFromCsv:
     @pytest.mark.parametrize(
         "row, message",
         [("{i},{bits},1,0,0", "with 5 fields"), ("{i},0{bits}1,1,0", "whose bitstring is not"),
+         ("{i},{wrong},1,0", "whose bitstring is not"),
+         ("{i},000{wrong},1,0", "whose bitstring is not"),
          ("{i},{bits},1,p", "without a numeric probability")],
-        ids=["fields", "bitstring", "probability"],
+        ids=["fields", "bitstring", "writer-width-bitstring", "over-padded-bitstring",
+             "probability"],
     )
     def test_rejects_a_bad_row_anywhere(self, position, row, message):
         # a chunk is checked a column at a time when it reads cleanly, and
         # row by row otherwise; both must catch the row wherever it is
         rows = [f"{i},{i:013b},1,0\n" for i in range(5000)]
-        rows[position] = row.format(i=position, bits=f"{position:013b}") + "\n"
+        bits, wrong = f"{position:013b}", f"{position ^ 1:013b}"
+        rows[position] = row.format(i=position, bits=bits, wrong=wrong) + "\n"
         with pytest.raises(InputFormatError, match=f"^histogram row {message}.*: '{position},"):
             read_histogram("".join(rows))
 
     def test_any_padding_of_the_bitstring_is_read(self):
         text = "0,0,3,0.5\n1,0001,2,0.25\n2,10,1,0.125\n"
         np.testing.assert_array_equal(read_histogram(text), [3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("width", [0, 13, 20], ids=["unpadded", "writer-padded", "over-padded"])
+    def test_any_padding_is_read_across_chunks(self, width):
+        # the leading comment and column lines put the second chunk's first row
+        # at index 4094, off the 2^_LOW_BITS runs of the writer's bit table
+        rows = [f"{i},{i:0{width}b},{i % 7},0\n" for i in range(9000)]
+        text = "# tool: x\nindex,bitstring,count,probability\n" + "".join(rows)
+        np.testing.assert_array_equal(read_histogram(text), [i % 7 for i in range(9000)])
+
+    def test_a_narrow_bit_table_vouches_for_no_row_past_it(self):
+        # unpadded bitstrings start one digit wide; a table of one-digit low
+        # bits, with "1" as the high text of 256..511, would give "10" for 256
+        rows = [f"{i},{i:b},1,0\n" for i in range(256)]
+        rows += [f"{i},1{i - 256:b},1,0\n" for i in range(256, 300)]
+        with pytest.raises(InputFormatError, match="bitstring is not 256 in binary: '256,10,1,0'"):
+            read_histogram("".join(rows))
