@@ -157,14 +157,27 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     return entry
 
 
-def _matrix_from_json(d: dict) -> np.ndarray:
+def _gate_stack(matrices: list) -> np.ndarray:
+    """The matrices of `_matrix_to_json` entries, stacked: one conversion for all real parts,
+    and one for all imaginary parts when any entry has one.
+
+    Bit for bit the stack of each entry's ``real + 1j * imag`` (just ``real``
+    without ``imag``): a real-only entry of a complex stack is upcast, which
+    keeps a -0.0 that adding 0j would turn into 0.0.
+    """
     try:
-        m = np.array(d["real"], dtype=float)
-        if "imag" in d:
-            m = m + 1j * np.array(d["imag"], dtype=float)
+        real = np.array([m["real"] for m in matrices], dtype=float)
+        complex_rows = np.array(["imag" in m for m in matrices], dtype=bool)
+        if not complex_rows.any():
+            return real
+        imag = np.array([m["imag"] for m in matrices if "imag" in m], dtype=float)
     except ValueError as exc:  # ragged or non-numeric entries
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
-    return m
+    if imag.shape != real[complex_rows].shape:
+        raise InputFormatError("corrupt circuit payload: a gate's imag and real differ in shape")
+    gates = real.astype(complex)
+    gates[complex_rows] = real[complex_rows] + 1j * imag
+    return gates
 
 
 def circuit_to_dict(c: LayeredCircuit) -> dict:
@@ -190,7 +203,9 @@ def circuit_from_dict(d: dict) -> LayeredCircuit:
     try:
         layers = d["layers"]
         sites = [[g["site"] for g in layer] for layer in layers]
-        gates = [[_matrix_from_json(g["matrix"]) for g in layer] for layer in layers]
+        gates = _gate_stack([g["matrix"] for layer in layers for g in layer])
+        if len({len(layer) for layer in layers}) == 1:  # else LayeredCircuit refuses the sites
+            gates = gates.reshape(len(layers), -1, *gates.shape[1:])
         return LayeredCircuit(d["n_qubits"], sites, gates, provenance=dict(provenance))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None

@@ -3,13 +3,14 @@
 Every subcommand is deterministic given its config and seed.  Options can
 come from a flat key=value config file (--config); explicit flags win.
 Exit codes: 0 success, 1 selftest failure, 2 input-format error,
-3 validation error, 4 numeric failure.
+3 validation error, 4 numeric failure or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -393,19 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qimgload {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # looked up per call, so a handler rebound on this module (a tracer's wrapper) is the one run
+    # `main` runs the handler cmd_<name> of this module
     commands = [
-        ("encode", cmd_encode, "image -> amplitude state + MPS artifacts"),
-        ("compile", cmd_compile, "image -> layered circuit JSON + trace CSV"),
-        ("simulate", cmd_simulate, "circuit -> histogram + reconstructed PGM + curve"),
-        ("reconstruct", cmd_reconstruct, "decode a histogram CSV into a PGM image"),
-        ("analyze", cmd_analyze, "scaling sweeps and power-law fits"),
-        ("selftest", cmd_selftest, "quick pass/fail property checks"),
+        ("encode", "image -> amplitude state + MPS artifacts"),
+        ("compile", "image -> layered circuit JSON + trace CSV"),
+        ("simulate", "circuit -> histogram + reconstructed PGM + curve"),
+        ("reconstruct", "decode a histogram CSV into a PGM image"),
+        ("analyze", "scaling sweeps and power-law fits"),
+        ("selftest", "quick pass/fail property checks"),
     ]
-    p = {}
-    for name, handler, text in commands:
-        p[name] = sub.add_parser(name, help=text, parents=[shared])
-        p[name].set_defaults(func=handler)
+    p = {name: sub.add_parser(name, help=text, parents=[shared]) for name, text in commands}
 
     p["simulate"].add_argument("--circuit", required=True, help="circuit JSON from `compile`")
     p["simulate"].add_argument(
@@ -419,10 +417,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built by its first call, so importing builds none."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; callable any number of times in one process.
+
+    The parser is built once, but the handler cmd_<command> is looked up on
+    this module at each call, so one rebound here (a tracer's wrapper, say)
+    is the one that runs.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FORMAT
@@ -431,6 +441,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        # numpy's message names the allocation: "Unable to allocate 2.25 GiB for an array ..."
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric error: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

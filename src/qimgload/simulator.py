@@ -8,6 +8,7 @@ reads the histogram back.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from array import array
@@ -113,16 +114,17 @@ def histogram_to_probs(counts: np.ndarray) -> np.ndarray:
     return counts / _shots(counts)
 
 
-def _low_bits(n_bits: int) -> list:
-    """`_bit_runs`'s table: 0 .. 2^_LOW_BITS - 1 in binary, min(n_bits, _LOW_BITS) digits wide."""
-    return [f"{j:0{min(n_bits, _LOW_BITS)}b}" for j in range(2**_LOW_BITS)]
+@functools.cache
+def _low_bits(width: int) -> tuple:
+    """`_bit_runs`'s table: 0 .. 2^_LOW_BITS - 1 in binary, ``width`` <= _LOW_BITS digits wide."""
+    return tuple(f"{j:0{width}b}" for j in range(2**_LOW_BITS))
 
 
 def _bit_runs(start: int, stop: int, n_bits: int) -> list:
     """(indices, high) per run of start..stop-1 sharing the bits above the low _LOW_BITS.
 
-    high + _low_bits(n_bits)[i % 2^_LOW_BITS] is f"{i:0{n_bits}b}" for each index
-    i of a run: for every i if n_bits >= _LOW_BITS, else while i < 2^_LOW_BITS.
+    high + _low_bits(min(n_bits, _LOW_BITS))[i % 2^_LOW_BITS] is f"{i:0{n_bits}b}" for
+    each index i of a run: for every i if n_bits >= _LOW_BITS, else while i < 2^_LOW_BITS.
     """
     run = 2**_LOW_BITS
     high_width = max(n_bits - _LOW_BITS, 0)
@@ -144,7 +146,7 @@ def histogram_to_csv(counts: np.ndarray, fh) -> None:
     ordered = np.sort(counts)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     text = {c: f"{c},{p!r}" for c, p in zip(distinct.tolist(), (distinct / shots).tolist())}
-    low = _low_bits(n_bits)
+    low = _low_bits(min(n_bits, _LOW_BITS))
     fh.write("index,bitstring,count,probability\n")
     for start in range(0, counts.size, CSV_CHUNK_ROWS):
         chunk = counts[start : start + CSV_CHUNK_ROWS].tolist()
@@ -232,7 +234,7 @@ def _fast_counts(rows: list[str], start: int) -> array | None:
     # the writer's bitstrings, as wide as the first; comma-free lists match as
     # their joins do.  Below _LOW_BITS digits they hold only below 2^_LOW_BITS
     width = len(bits[0]) if n else _LOW_BITS
-    low = _low_bits(width)
+    low = _low_bits(min(width, _LOW_BITS))
     written = ",".join([
         high + ("," + high).join(low[i.start % len(low) :][: len(i)])
         for i, high in _bit_runs(start, start + n, width)

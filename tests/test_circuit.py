@@ -227,3 +227,70 @@ class TestSerialization:
             deserialize(b"not json")
         with pytest.raises(InputFormatError):
             circuit_from_dict({"version": 0})
+
+
+def per_gate_matrices(layers: list) -> np.ndarray:
+    """The decode as one conversion per gate: the reference for `circuit_from_dict`."""
+
+    def matrix(d):
+        m = np.array(d["real"], dtype=float)
+        if "imag" in d:
+            m = m + 1j * np.array(d["imag"], dtype=float)
+        return m
+
+    return np.asarray([[matrix(g["matrix"]) for g in layer] for layer in layers])
+
+
+def _signed_zero_gates() -> list:
+    """Matrix entries of unitaries whose zeros carry both signs, in real and imaginary parts."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    swap[swap == 0] = np.where(np.arange(12) % 3, 0.0, -0.0)
+    phases = np.diag([1j, -1j, 1.0, -1.0])
+    real, imag = np.real(phases).copy(), np.imag(phases).copy()
+    real[0, 0], real[1, 1], real[0, 3], imag[2, 2], imag[3, 0], imag[1, 2] = (
+        -0.0, 0.0, -0.0, -0.0, -0.0, 0.0)
+    return [{"real": swap.tolist()}, {"real": real.tolist(), "imag": imag.tolist()},
+            {"real": (-swap).tolist(), "imag": (swap * 0.0).tolist()}]
+
+
+class TestGateDecode:
+    """`circuit_from_dict` converts all gates at once, bit for bit as gate by gate."""
+
+    @pytest.mark.parametrize("kinds", ["real", "complex", "mixed", "signed-zeros"])
+    def test_equals_the_per_gate_decode(self, rng, kinds):
+        n, depth = 4, 3
+        entries = []
+        for k in range(depth * (n - 1)):
+            complex_valued = kinds == "complex" or (kinds == "mixed" and k % 2 == 0)
+            g = random_unitary4(rng, complex_valued=complex_valued)
+            entry = {"real": np.real(g).tolist()}
+            if complex_valued:
+                entry["imag"] = np.imag(g).tolist()
+            entries.append(entry)
+        if kinds == "signed-zeros":
+            entries[1::3] = _signed_zero_gates()
+        sites = staircase_sites(n, depth).tolist()
+        layers = [[{"site": s, "matrix": entries[d * (n - 1) + k]} for k, s in enumerate(row)]
+                  for d, row in enumerate(sites)]
+        gates = circuit_from_dict({"version": 1, "n_qubits": n, "layers": layers}).gates
+        expected = per_gate_matrices(layers)
+        assert gates.dtype == expected.dtype == (float if kinds == "real" else complex)
+        np.testing.assert_array_equal(gates, expected)
+        assert gates.tobytes() == expected.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ({"real": [[1.0, 0.0]] * 3 + [[1.0]]}, "inhomogeneous"),
+            ({"real": [["x"] * 4] * 4}, "could not convert string to float"),
+            ({"imag": np.eye(4).tolist()}, "'real'"),
+            ({"real": np.eye(4).tolist(), "imag": [[0.0] * 4] * 3}, "imag and real differ"),
+            ({"real": np.eye(4).tolist(), "imag": [[0.0, "y"]] * 4}, "could not convert"),
+        ],
+        ids=["ragged-matrix", "non-numeric", "missing-real", "imag-shape", "non-numeric-imag"],
+    )
+    def test_corrupt_gate_is_input_format_error(self, matrix, message):
+        layers = [[_gate(1), {"site": 0, "matrix": matrix}]]
+        with pytest.raises(InputFormatError, match=f"corrupt circuit payload: .*{message}"):
+            circuit_from_dict({"version": 1, "n_qubits": 3, "layers": layers})
+

@@ -3,14 +3,18 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_text, drifting_circuit, oracle_encode
+from conftest import assert_same_text, drifting_circuit, identity_circuit, oracle_encode
 from qimgload import __version__, cli, compiler
 from qimgload.analysis import infidelity
 from qimgload.circuit import deserialize, serialize
@@ -551,16 +555,8 @@ class TestFlagSurface:
     def test_subcommands_and_handlers(self):
         commands = subcommands()
         assert list(commands) == list(SINGLE)
-        for name, parser in commands.items():
-            assert parser.get_default("func") is getattr(cli, f"cmd_{name}")
-
-    def test_handlers_are_looked_up_when_the_parser_is_built(self, monkeypatch):
-        # a tracer rebinds cmd_compile on the module; the parser built after must run it
-        def wrapped(args):
-            return 0
-
-        monkeypatch.setattr(cli, "cmd_compile", wrapped)
-        assert subcommands()["compile"].get_default("func") is wrapped
+        for name in commands:
+            assert callable(getattr(cli, f"cmd_{name}"))
 
     @pytest.mark.parametrize("name", list(SINGLE))
     def test_flags(self, name):
@@ -578,7 +574,114 @@ class TestFlagSurface:
             assert [a.dest for a in parser._actions[1 : 1 + len(names)]] == names
 
 
+class TestReusedParser:
+    """`main` builds its parser once per process and looks handlers up per call."""
+
+    def test_handler_rebound_after_the_first_call_runs(self, out, monkeypatch):
+        # a tracer rebinds cmd_compile on the module after the parser exists
+        assert run_cli("encode", "--image", "ghost.pgm", "--out-dir", str(out)) == 2
+        seen = []
+
+        def wrapped(args):
+            seen.append(args.depth)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_compile", wrapped)
+        assert run_cli("compile", "--depth", "5", "--out-dir", str(out)) == 0
+        assert seen == [5]
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import qimgload.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert done.stdout == "0\n"
+
+    def test_two_calls_build_one_parser(self, out, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert run_cli("encode", "--image", "ghost.pgm", "--out-dir", str(out)) == 2
+        assert run_cli("encode", "--image", "builtin:digit", "--target-l", "4",
+                       "--out-dir", str(out)) == 0
+        assert built == [1]
+
+    def test_config_values_do_not_reach_the_next_call(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("image = builtin:scene\ntarget_l = 4\nordering = snake\n")
+        assert run_cli("encode", "--config", str(config), "--out-dir", str(tmp_path / "a")) == 0
+        assert run_cli("encode", "--out-dir", str(tmp_path / "b")) == 0
+        a = json.loads((tmp_path / "a" / "amplitude_state.json").read_text())
+        b = json.loads((tmp_path / "b" / "amplitude_state.json").read_text())
+        assert (a["n_qubits"], a["ordering"]) == (4, "interleaved-snake")
+        assert (b["n_qubits"], b["ordering"]) == (8, "interleaved-straight")
+        assert b["amplitudes"] == encode_amplitudes(get_image("sign", 16)).tolist()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compile", "--depth", "x"], ["nothere"], ["simulate"], []],
+        ids=["bad-int", "unknown-command", "missing-required", "no-command"],
+    )
+    def test_argparse_error_leaves_the_next_call_working(self, out, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert run_cli("encode", "--image", "builtin:digit", "--target-l", "4",
+                       "--out-dir", str(out)) == 0
+        assert json.loads((out / "amplitude_state.json").read_text())["n_qubits"] == 4
+
+
+# numpy's message when an array cannot be allocated
+NUMPY_OUT_OF_MEMORY = (
+    "Unable to allocate 2.25 GiB for an array with shape (287, 1048576) and data type float64"
+)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, allocation, message",
+        [
+            ("encode", "qimgload.cli.from_dense", NUMPY_OUT_OF_MEMORY),
+            ("compile", "qimgload.compiler.sweep_optimize", NUMPY_OUT_OF_MEMORY),
+            ("simulate", "qimgload.cli.run", NUMPY_OUT_OF_MEMORY),
+            ("simulate", "qimgload.cli.sample", ""),
+        ],
+        ids=["encode", "compile", "simulate", "simulate-without-message"],
+    )
+    def test_out_of_memory_is_numeric_error(self, tmp_path, out, capsys, monkeypatch, command,
+                                            allocation, message):
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(4, 2)))
+
+        def refused(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(allocation, refused)
+        argv = {
+            "encode": ["--image", "builtin:digit", "--target-l", "8"],
+            "compile": ["--image", "builtin:digit", "--target-l", "8", "--method", "grow"],
+            "simulate": ["--circuit", str(circuit)],
+        }[command]
+        assert run_cli(command, *argv, "--out-dir", str(out)) == 4
+        expected = f"numeric error: out of memory: {message}" if message else (
+            "numeric error: out of memory")
+        assert capsys.readouterr().err == expected + "\n"
+
     def test_input_format_error(self, tmp_path, out):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P9 not a pgm")
@@ -671,6 +774,24 @@ class TestExitCodes:
         bad.write_text("[1]")
         assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
         assert_one_line_error(capsys, "input format error: corrupt circuit payload")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m["real"][2].pop(),
+            lambda m: m["real"][1].__setitem__(0, "x"),
+            lambda m: m.pop("real"),
+            lambda m: m.__setitem__("imag", [[0.0] * 4] * 2),
+        ],
+        ids=["ragged-matrix", "non-numeric", "missing-real", "imag-shape"],
+    )
+    def test_corrupt_gate_payload(self, tmp_path, out, capsys, mutate):
+        payload = json.loads(serialize(identity_circuit(4, 2)))
+        mutate(payload["layers"][1][2]["matrix"])
+        bad = tmp_path / "circuit.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: corrupt circuit payload: ")
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_pixel_rejected(self, tmp_path, out, capsys, entry):
