@@ -106,21 +106,29 @@ def _environment(a, b, g, terms, axis) -> np.ndarray:
     return np.add.reduce(terms, axis)
 
 
-def _optimal_gate(f: np.ndarray):
-    """Unitary maximizing Re Tr[W F] and the achieved value (nuclear norm of F).
+def _polar_into(f: np.ndarray, out: np.ndarray) -> float:
+    """Write u·vt of F's SVD into the C-contiguous 4x4 ``out``; return F's nuclear norm.
 
-    Calls LAPACK's gesdd through the gufunc that np.linalg.svd wraps, so
-    the result is bit-identical to np.linalg.svd(f).  The caller holds
-    ``np.errstate(invalid="ignore")``: `sweep_optimize` enters it once per
-    call and `update_gate` once per gate.  A non-finite F or a
-    non-converged SVD then gives NaN singular values instead of a warning,
-    and the nuclear-norm check raises NumericError.
+    (u·vt)† maximizes Re Tr[W F], reaching the nuclear norm; the factors are
+    np.linalg.svd's bits (the same gesdd gufunc).  Under the caller's
+    ``np.errstate(invalid="ignore")`` a non-finite F or a failed SVD gives NaN
+    singular values, and NumericError is raised before ``out`` is written.
     """
     u, s, vt = _svd_full(f, signature="D->DdD" if f.dtype.kind == "c" else "d->ddd")
-    overlap = float(np.add.reduce(s))
+    # left to right, the order np.add.reduce sums four floats; sum() compensates from 3.12 on
+    a, b, c, d = s.tolist()
+    overlap = a + b + c + d
     if not math.isfinite(overlap):
         raise NumericError("environment tensor is not finite or its SVD did not converge")
-    return (u @ vt).conj().T, overlap
+    np.dot(u, vt, out=out)
+    return overlap
+
+
+def _optimal_gate(f: np.ndarray):
+    """The unitary maximizing Re Tr[W F] and the value it reaches: `_polar_into` on a new array."""
+    polar = np.empty((4, 4), dtype=complex if f.dtype.kind == "c" else float)
+    overlap = _polar_into(f, polar)
+    return polar.conj().T, overlap
 
 
 def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
@@ -165,9 +173,10 @@ def sweep_optimize(
     Each sweep rebuilds the conjugated suffix states once (a pass of
     transposed gates from the conjugated target), then walks gates 1..M
     computing each environment from the running prefix and the cached
-    suffix and replacing the gate's matrix by its polar factor.  The loop
-    holds raw 4x4 matrices; the M new ones are checked for unitarity in one
-    stacked call at the end of each sweep.  Per-update overlaps land in
+    suffix and replacing the gate's matrix by its polar factor.  Update m
+    writes u·vt into slot m of one (M, 4, 4) stack per call, which
+    `isometry_error` checks in place at the end of each sweep, before the
+    next sweep applies any of it.  Per-update overlaps land in
     ``trace.gate_overlaps``; each sweep appends the row (stage, sweep,
     overlap) to ``trace.records``.
 
@@ -185,15 +194,16 @@ def sweep_optimize(
     into it once per call.  The blocks never move, so the operands of
     each step (`_environment_operands` and `gate_operands` views of its
     blocks) are built once per call too, and the loop body makes only the
-    calls that compute: `_environment`, `_optimal_gate` and `apply_gate`.
+    calls that compute: `_environment`, `_polar_into` and `apply_gate`.
 
-    The returned gate stack is ``np.stack`` of the loop's matrices, which
-    keeps their memory layout (the polar factors are F-ordered views).  The
-    layout sets the summation order of the einsum in `mps._apply_gates`,
-    so it reaches the last bits of later residuals: forcing C order moved
-    the grow compile of ``builtin:scene`` L=32 D=4, 50 sweeps, from
-    infidelity 1.361e-3 to 1.346e-3 (one BLAS thread).  Do not copy the
-    gates into a preallocated C-ordered array.
+    The loop applies F-ordered views ``t.T`` of C-contiguous slots t, which
+    the suffix pass reads: polar's own for real gates, for complex ones
+    those of its exact conjugate.  The returned stack is ``np.stack`` of
+    the applied views, which keeps their layout.  The layout sets the
+    summation order of the einsum in `mps._apply_gates`, so it reaches
+    later residuals' last bits: forcing C order moved the grow compile of
+    ``builtin:scene`` L=32 D=4, 50 sweeps, from infidelity 1.361e-3 to
+    1.346e-3 (one BLAS thread).  Return no C-ordered copy of the gates.
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
@@ -203,7 +213,7 @@ def sweep_optimize(
         raise ValidationError("target dimension does not match the circuit")
     trace = trace if trace is not None else OptimizerTrace()
     sites = circuit.sites.ravel().tolist()
-    matrices = list(circuit.gates.reshape(-1, 4, 4))
+    gates = list(circuit.gates.reshape(-1, 4, 4))
     m_total = len(sites)
     # gate m works on the block of qubits low[m]..n-1, at site `local` in it
     low = list(itertools.accumulate(sites, min))
@@ -239,6 +249,11 @@ def sweep_optimize(
     prefixes = (buf[top : top + full], buf[top + full : top + 2 * full])
     work = buf[top + 2 * full :]
     pads = [prefixes[m % 2][a:s] for m, (a, s) in enumerate(zip([1] + size, size)) if s > a]
+    # update m writes u·vt into polar[m]; the loop applies transposed[m].T
+    polar = np.empty((m_total, 4, 4), dtype=buf.dtype)
+    transposed = list(np.empty_like(polar) if polar.dtype.kind == "c" else polar)
+    conjugates = transposed if polar.dtype.kind == "c" else [None] * m_total
+    swept = [t.T for t in transposed]
     # each step writes its product with the prefix into the next step's
     # block; the last gate's product would never be read, so it has none
     steps = []
@@ -248,27 +263,32 @@ def sweep_optimize(
         product = None
         if m + 1 < m_total:
             product = gate_operands(prefix, local[m], width[m], prefixes[1 - m % 2][:s])
-        steps.append((m, env, product))
+        steps.append((env, polar[m], conjugates[m], product, swept[m]))
+    # the first suffix pass reads the input gates, every later one the stack
+    suffix_gates = [w.T for w in gates]
     with np.errstate(invalid="ignore"):
         for sweep in range(1, n_sweeps + 1):
             for m, operands in suffix_steps:
-                apply_gate(operands, matrices[m].T)
+                apply_gate(operands, suffix_gates[m])
             prefixes[0][0] = 1.0
             for pad in pads:
                 pad.fill(0)
             overlap = 0.0
-            for m, env, product in steps:
-                matrices[m], overlap = _optimal_gate(_environment(*env))
+            for env, slot, conjugate, product, gate in steps:
+                overlap = _polar_into(_environment(*env), slot)
                 trace.gate_overlaps.append(overlap)
+                if conjugate is not None:
+                    np.conjugate(slot, out=conjugate)
                 if product is not None:
-                    apply_gate(product, matrices[m])
-            if isometry_error(np.stack(matrices)) > CANONICAL_ISOMETRY_TOL:
+                    apply_gate(product, gate)
+            if isometry_error(polar) > CANONICAL_ISOMETRY_TOL:
                 raise ValidationError(
                     f"sweep {sweep} produced a gate that is not unitary"
                     f" within {CANONICAL_ISOMETRY_TOL}"
                 )
             trace.records.append((stage, sweep, overlap))
-    return replace(circuit, gates=np.stack(matrices).reshape(circuit.gates.shape)), trace
+            suffix_gates, gates = transposed, swept
+    return replace(circuit, gates=np.stack(gates).reshape(circuit.gates.shape)), trace
 
 
 def _zero_amplitude(m: MPS) -> float:

@@ -18,6 +18,7 @@ from qimgload.compiler import (
     _environment,
     _environment_operands,
     _optimal_gate,
+    _polar_into,
     environment_tensor,
     grow_and_optimize,
     iterative_construct,
@@ -175,6 +176,41 @@ class TestOptimalGate:
         w, value = _optimal_gate(f)
         np.testing.assert_array_equal(w, (want[0] @ want[2]).conj().T)
         assert value == float(want[1].sum())
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_polar_kernel_equals_np_linalg_svd_bit_for_bit(self, rng, dtype):
+        # the in-place kernel of every sweep update: u @ vt of np.linalg.svd
+        # written into the slot, and np.add.reduce of the singular values
+        # returned, over environments of rank 4, 3, 2 and 1 (sweeps meet
+        # rank 1 and 2 most) and scales from 1e-6 to 1e3
+        out = np.empty((4, 4), dtype)
+        for trial in range(10_000):
+            rank = 4 - trial % 4
+            a = rng.standard_normal((4, rank))
+            b = rng.standard_normal((rank, 4))
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal((4, rank))
+                b = b + 1j * rng.standard_normal((rank, 4))
+            f = (a @ b) * 10.0 ** rng.uniform(-6, 3)
+            with np.errstate(invalid="ignore"):
+                value = _polar_into(f, out)
+            u, s, vt = np.linalg.svd(f)
+            np.testing.assert_array_equal(out, u @ vt)
+            assert value == float(np.add.reduce(s))
+        w, value = _optimal_gate(f)
+        np.testing.assert_array_equal(w, (u @ vt).conj().T)
+        assert w.strides == (out.itemsize, 4 * out.itemsize)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_polar_kernel_rejects_a_non_finite_environment(self, rng, dtype, bad):
+        # the raise comes before the slot is written
+        f = rng.standard_normal((4, 4)).astype(dtype)
+        f[2, 1] = bad
+        out = np.zeros((4, 4), dtype)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="not finite"):
+            _polar_into(f, out)
+        assert not out.any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_update_gate_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
@@ -412,30 +448,77 @@ class TestSweepOptimize:
         assert len(calls) == n_sweeps * (2 * m_total - 2)
 
     @pytest.mark.parametrize(
-        "bad_update, corrupt",
+        "bad_update, corrupt, complex_valued",
         [
-            pytest.param(1, lambda w: w * (1 + 1e-8), id="scaled-first"),
-            pytest.param(8, lambda w: w * (1 + 1e-8), id="scaled-last"),
-            pytest.param(8, lambda w: np.full_like(w, np.nan), id="nan-last"),
+            pytest.param(1, lambda w: w * (1 + 1e-8), False, id="scaled-first"),
+            pytest.param(8, lambda w: w * (1 + 1e-8), False, id="scaled-last"),
+            pytest.param(8, lambda w: np.full_like(w, np.nan), False, id="nan-last"),
+            # complex gates are applied through a conjugate of the stored stack
+            pytest.param(8, lambda w: w * (1 + 1e-8), True, id="complex-scaled-last"),
         ],
     )
-    def test_rejects_a_non_unitary_update(self, rng, monkeypatch, bad_update, corrupt):
-        # one bad update, the first or the last of the first sweep's 8: the
-        # stacked check at the end of that sweep must see it, before the
-        # second sweep replaces the gate
-        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+    def test_rejects_a_non_unitary_update(
+        self, rng, monkeypatch, bad_update, corrupt, complex_valued
+    ):
+        # one bad update, the first or the last of the first sweep's 8,
+        # written where the loop stores it: the check at the end of that
+        # sweep must see it, before the second sweep applies the gate
+        target, _ = from_dense(random_state(rng, 5, complex_valued), chi_max=4)
         circuit, _ = iterative_construct(target, 2)
+        assert (circuit.gates.dtype.kind == "c") == complex_valued
+        kernel = compiler._polar_into
         calls = []
 
-        def one_update_corrupted(f):
-            w, value = _optimal_gate(f)
+        def one_update_corrupted(f, out):
+            value = kernel(f, out)
             calls.append(f)
-            return (corrupt(w) if len(calls) == bad_update else w), value
+            if len(calls) == bad_update:
+                out[...] = corrupt(out)
+            return value
 
-        monkeypatch.setattr(compiler, "_optimal_gate", one_update_corrupted)
-        with pytest.raises(ValidationError):
+        monkeypatch.setattr(compiler, "_polar_into", one_update_corrupted)
+        with pytest.raises(ValidationError, match="sweep 1 produced a gate that is not unitary"):
             sweep_optimize(circuit, to_dense(target), 2)
         assert len(calls) == len(circuit.all_gates()) == 8
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_gate_layout_is_pinned(self, rng, monkeypatch, complex_valued):
+        # the layout of the applied gates sets BLAS operand order and the
+        # returned stack's sets the einsum order in mps._apply_gates, so both
+        # reach result bits: the prefix pass applies F-ordered 4x4 views, the
+        # suffix pass their C-contiguous transposes (the input gates'
+        # transposed views in sweep 1), and the returned np.stack of F-ordered
+        # views has strides of (16, 1, 4) items over gate, row and column
+        n, depth, n_sweeps = 5, 2, 3
+        circuit = random_staircase_circuit(rng, n, depth)
+        target = random_state(rng, n, complex_valued)
+        seen = []
+
+        def recorded(operands, matrix):
+            seen.append(
+                (matrix.dtype, matrix.strides, matrix.flags.c_contiguous, matrix.flags.f_contiguous)
+            )
+            return apply_gate(operands, matrix)
+
+        monkeypatch.setattr(compiler, "apply_gate", recorded)
+        swept, _ = sweep_optimize(circuit, target, n_sweeps)
+        dtype = np.dtype(complex if complex_valued else float)
+        size = dtype.itemsize
+        c_order = (dtype, (4 * size, size), True, False)
+        f_order = (dtype, (size, 4 * size), False, True)
+        m_total = (n - 1) * depth
+        for sweep in range(n_sweeps):
+            calls = seen[sweep * (2 * m_total - 2) :][: 2 * m_total - 2]
+            suffix_pass, prefix_pass = calls[: m_total - 1], calls[m_total - 1 :]
+            if sweep == 0:
+                assert suffix_pass == [(np.dtype(float), (8, 32), False, True)] * (m_total - 1)
+            else:
+                assert suffix_pass == [c_order] * (m_total - 1)
+            assert prefix_pass == [f_order] * (m_total - 1)
+        gates = swept.gates
+        assert gates.dtype == dtype and gates.shape == circuit.gates.shape
+        assert gates.strides == (16 * (n - 1) * size, 16 * size, size, 4 * size)
+        assert not gates.flags.c_contiguous and not gates.flags.f_contiguous
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
