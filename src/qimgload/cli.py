@@ -115,6 +115,9 @@ def _build_config(args) -> PipelineConfig:
             values[f.name] = kind(value)
         except ValueError:
             raise ValidationError(f"{f.name}={value!r} is not a valid {kind.__name__}") from None
+        choices = f.metadata.get("choices")
+        if choices is not None and values[f.name] not in choices:
+            raise ValidationError(f"{f.name}={value!r} is not one of {list(choices)}")
     return PipelineConfig(**values)
 
 
@@ -141,21 +144,26 @@ def _write_rows(path: Path, cfg: PipelineConfig, columns: str, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _check_dense_cap(side: int) -> None:
+    if side > 2 ** (DENSE_SITE_CAP / 2):
+        raise ValidationError(
+            f"an L={side} image needs {2 * math.log2(side):g} qubits, "
+            f"above the dense cap of {DENSE_SITE_CAP}"
+        )
+
+
 def _load_grid(cfg: PipelineConfig, side: int):
     """The input image: a built-in one rendered at `side`, a file downscaled to it if larger.
 
-    A built-in image whose encoding passes the dense cap is refused before
-    it is rendered: the renderer would allocate the whole 2^N-amplitude
-    target.  File inputs are bounded by their size.
+    An image whose encoding passes the dense cap is refused before anything
+    is encoded: a built-in one before it is rendered, since the renderer
+    would allocate the whole 2^N-amplitude target, and a file once it is
+    read and downscaled.
     """
     if cfg.target_l < 2:
         raise ValidationError(f"target_l={cfg.target_l} must be >= 2")
     if cfg.image.startswith("builtin:"):
-        if side > 2 ** (DENSE_SITE_CAP / 2):
-            raise ValidationError(
-                f"an L={side} image needs {2 * math.log2(side):g} qubits, "
-                f"above the dense cap of {DENSE_SITE_CAP}"
-            )
+        _check_dense_cap(side)
         return get_image(cfg.image.split(":", 1)[1], side)
     fmt = cfg.format
     if fmt == "auto":
@@ -166,12 +174,13 @@ def _load_grid(cfg: PipelineConfig, side: int):
     grid = load_image(Path(cfg.image), fmt)
     if side < grid.side_length:
         grid = downscale(grid, side)
+    _check_dense_cap(grid.side_length)
     return grid
 
 
 def _prepare_target(cfg: PipelineConfig):
     grid = _load_grid(cfg, cfg.target_l)
-    state = encode_amplitudes(grid, check_ordering(cfg.ordering))
+    state = encode_amplitudes(grid, cfg.ordering)
     mps, weights = from_dense(state, chi_max=cfg.chi_max)
     return grid, state, mps, weights
 
@@ -219,7 +228,7 @@ def cmd_compile(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg)
     _, state, target, _ = _prepare_target(cfg)
-    if compiler.check_method(cfg.method) == "grow":
+    if cfg.method == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
     else:
         circuit, trace = compiler.iterative_construct(target, cfg.depth, cfg.chi_max)
@@ -283,7 +292,7 @@ def cmd_reconstruct(args) -> int:
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):
         raise ValidationError("histogram length is not a square")
-    grid = decode_probabilities(counts / counts.sum(), L, check_ordering(cfg.ordering))
+    grid = decode_probabilities(counts / counts.sum(), L, cfg.ordering)
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
     return 0
@@ -309,9 +318,8 @@ def cmd_analyze(args) -> int:
         # read the image at the largest side the sweep needs
         side = max(side, *values)
     grid = _load_grid(cfg, side)
-    ordering = check_ordering(cfg.ordering)
     if args.sweep == "chi":
-        rows = analysis.chi_scaling_sweep(grid, values, ordering=ordering)
+        rows = analysis.chi_scaling_sweep(grid, values, ordering=cfg.ordering)
         method = "mps_truncation"
     elif args.sweep == "depth":
         rows = analysis.depth_scaling_sweep(
@@ -320,11 +328,11 @@ def cmd_analyze(args) -> int:
             method=cfg.method,
             sweeps=cfg.sweeps,
             chi_max=cfg.chi_max,
-            ordering=ordering,
+            ordering=cfg.ordering,
         )
         method = cfg.method
     else:  # resolution; argparse bounds --sweep
-        rows = analysis.chi_scaling_sweep(grid, [cfg.chi_max], L_list=values, ordering=ordering)
+        rows = analysis.chi_scaling_sweep(grid, [cfg.chi_max], L_list=values, ordering=cfg.ordering)
         method = "mps_truncation"
     name = f"{args.sweep}_sweep"
     labelled = [(*row, method, cfg.image) for row in rows]

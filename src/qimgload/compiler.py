@@ -107,20 +107,24 @@ def _environment(a, b, g, terms, axis) -> np.ndarray:
 
 
 def _polar_into(f: np.ndarray, out: np.ndarray) -> float:
-    """Write u·vt of F's SVD into the C-contiguous 4x4 ``out``; return F's nuclear norm.
+    """Write conj(u·vt) of F's SVD into the C-contiguous 4x4 ``out``; return its nuclear norm.
 
-    (u·vt)† maximizes Re Tr[W F], reaching the nuclear norm; the factors are
-    np.linalg.svd's bits (the same gesdd gufunc).  Under the caller's
+    (u·vt)† maximizes Re Tr[W F], reaching the nuclear norm, so ``out`` holds
+    that gate's transpose; the factors are np.linalg.svd's bits (the same
+    gesdd gufunc), and conjugation is exact.  Under the caller's
     ``np.errstate(invalid="ignore")`` a non-finite F or a failed SVD gives NaN
     singular values, and NumericError is raised before ``out`` is written.
     """
-    u, s, vt = _svd_full(f, signature="D->DdD" if f.dtype.kind == "c" else "d->ddd")
+    complex_valued = f.dtype.kind == "c"
+    u, s, vt = _svd_full(f, signature="D->DdD" if complex_valued else "d->ddd")
     # left to right, the order np.add.reduce sums four floats; sum() compensates from 3.12 on
     a, b, c, d = s.tolist()
     overlap = a + b + c + d
     if not math.isfinite(overlap):
         raise NumericError("environment tensor is not finite or its SVD did not converge")
     np.dot(u, vt, out=out)
+    if complex_valued:
+        np.conjugate(out, out=out)
     return overlap
 
 
@@ -128,7 +132,7 @@ def _optimal_gate(f: np.ndarray):
     """The unitary maximizing Re Tr[W F] and the value it reaches: `_polar_into` on a new array."""
     polar = np.empty((4, 4), dtype=complex if f.dtype.kind == "c" else float)
     overlap = _polar_into(f, polar)
-    return polar.conj().T, overlap
+    return polar.T, overlap
 
 
 def environment_tensor(circuit: LayeredCircuit, m: int, target) -> np.ndarray:
@@ -174,9 +178,9 @@ def sweep_optimize(
     transposed gates from the conjugated target), then walks gates 1..M
     computing each environment from the running prefix and the cached
     suffix and replacing the gate's matrix by its polar factor.  Update m
-    writes u·vt into slot m of one (M, 4, 4) stack per call, which
-    `isometry_error` checks in place at the end of each sweep, before the
-    next sweep applies any of it.  Per-update overlaps land in
+    writes the new gate's transpose into slot m of one (M, 4, 4) stack per
+    call, which `isometry_error` checks in place at the end of each sweep,
+    before the next sweep applies any of it.  Per-update overlaps land in
     ``trace.gate_overlaps``; each sweep appends the row (stage, sweep,
     overlap) to ``trace.records``.
 
@@ -196,14 +200,14 @@ def sweep_optimize(
     blocks) are built once per call too, and the loop body makes only the
     calls that compute: `_environment`, `_polar_into` and `apply_gate`.
 
-    The loop applies F-ordered views ``t.T`` of C-contiguous slots t, which
-    the suffix pass reads: polar's own for real gates, for complex ones
-    those of its exact conjugate.  The returned stack is ``np.stack`` of
-    the applied views, which keeps their layout.  The layout sets the
-    summation order of the einsum in `mps._apply_gates`, so it reaches
-    later residuals' last bits: forcing C order moved the grow compile of
-    ``builtin:scene`` L=32 D=4, 50 sweeps, from infidelity 1.361e-3 to
-    1.346e-3 (one BLAS thread).  Return no C-ordered copy of the gates.
+    The loop applies F-ordered views ``slot.T`` of the C-contiguous slots,
+    which the suffix pass reads as they are, for real and complex gates
+    alike.  The returned stack is ``np.stack`` of the applied views, which
+    keeps their layout.  The layout sets the summation order of the einsum
+    in `mps._apply_gates`, so it reaches later residuals' last bits: forcing
+    C order moved the grow compile of ``builtin:scene`` L=32 D=4, 50 sweeps,
+    from infidelity 1.361e-3 to 1.346e-3 (one BLAS thread).  Return no
+    C-ordered copy of the gates.
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
@@ -249,11 +253,10 @@ def sweep_optimize(
     prefixes = (buf[top : top + full], buf[top + full : top + 2 * full])
     work = buf[top + 2 * full :]
     pads = [prefixes[m % 2][a:s] for m, (a, s) in enumerate(zip([1] + size, size)) if s > a]
-    # update m writes u·vt into polar[m]; the loop applies transposed[m].T
+    # update m writes the transpose of gate m into polar[m]; the loop applies polar[m].T
     polar = np.empty((m_total, 4, 4), dtype=buf.dtype)
-    transposed = list(np.empty_like(polar) if polar.dtype.kind == "c" else polar)
-    conjugates = transposed if polar.dtype.kind == "c" else [None] * m_total
-    swept = [t.T for t in transposed]
+    slots = list(polar)
+    swept = [slot.T for slot in slots]
     # each step writes its product with the prefix into the next step's
     # block; the last gate's product would never be read, so it has none
     steps = []
@@ -263,7 +266,7 @@ def sweep_optimize(
         product = None
         if m + 1 < m_total:
             product = gate_operands(prefix, local[m], width[m], prefixes[1 - m % 2][:s])
-        steps.append((env, polar[m], conjugates[m], product, swept[m]))
+        steps.append((env, slots[m], product, swept[m]))
     # the first suffix pass reads the input gates, every later one the stack
     suffix_gates = [w.T for w in gates]
     with np.errstate(invalid="ignore"):
@@ -274,11 +277,9 @@ def sweep_optimize(
             for pad in pads:
                 pad.fill(0)
             overlap = 0.0
-            for env, slot, conjugate, product, gate in steps:
+            for env, slot, product, gate in steps:
                 overlap = _polar_into(_environment(*env), slot)
                 trace.gate_overlaps.append(overlap)
-                if conjugate is not None:
-                    np.conjugate(slot, out=conjugate)
                 if product is not None:
                     apply_gate(product, gate)
             if isometry_error(polar) > CANONICAL_ISOMETRY_TOL:
@@ -287,7 +288,7 @@ def sweep_optimize(
                     f" within {CANONICAL_ISOMETRY_TOL}"
                 )
             trace.records.append((stage, sweep, overlap))
-            suffix_gates, gates = transposed, swept
+            suffix_gates, gates = slots, swept
     return replace(circuit, gates=np.stack(gates).reshape(circuit.gates.shape)), trace
 
 

@@ -9,6 +9,7 @@ Amplitudes are sqrt(p_xy / norm) with all phases fixed to zero.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,27 +158,15 @@ def downscale(g: ImageGrid, target_L: int) -> ImageGrid:
 # ---------------------------------------------------------------------------
 # File formats: PGM (P2/P5) and CSV
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            yield data[pos:end], end
-            pos = end
+# a token is a run of bytes other than the six ASCII whitespace bytes; a "#"
+# where a token would start opens a comment, which runs to the end of its line
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def load_pgm(data: bytes) -> ImageGrid:
     """Parse an 8-bit grayscale PGM (P2 ascii or P5 binary)."""
-    tokens = _pgm_tokens(data)
+    # (token, end offset) pairs, lazily, so a P5 raster is never scanned
+    tokens = ((m[0], m.end()) for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#")
     try:
         magic, _ = next(tokens)
     except StopIteration:

@@ -464,8 +464,46 @@ class TestConfigFile:
         cfg.write_text("method = annealing\n")
         assert run_cli(*argv, "--config", str(cfg), "--image", "builtin:digit",
                        "--target-l", "4", "--out-dir", str(out)) == 3
-        assert_one_line_error(capsys, "validation error: unknown compile method 'annealing'")
-        assert not any(out.iterdir())
+        assert_one_line_error(
+            capsys, "validation error: method='annealing' is not one of ['grow', 'iterative']"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("format = xyz", "format='xyz' is not one of ['auto', 'pgm', 'csv']"),
+            ("ordering = zigzag", "ordering='zigzag' is not one of ['straight', 'snake']"),
+        ],
+        ids=["format", "ordering"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode"],
+            ["compile"],
+            ["simulate", "--circuit", "c.json"],
+            ["reconstruct", "--histogram", "h.csv"],
+            ["analyze", "--sweep", "chi"],
+        ],
+        ids=["encode", "compile", "simulate", "reconstruct", "analyze"],
+    )
+    def test_value_outside_choices_rejected(self, tmp_path, out, capsys, argv, line, message):
+        # a config-file value meets the flag's choices before anything is read or created
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(*argv, "--config", str(cfg), "--image", "builtin:digit",
+                       "--target-l", "4", "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, f"validation error: {message}")
+        assert not out.exists()
+
+    def test_flag_wins_over_a_value_outside_choices(self, tmp_path, out):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ordering = zigzag\n")
+        assert run_cli("encode", "--config", str(cfg), "--ordering", "snake",
+                       "--image", "builtin:digit", "--target-l", "4", "--out-dir", str(out)) == 0
+        state = json.loads((out / "amplitude_state.json").read_text())
+        assert state["ordering"] == "interleaved-snake"
 
     @pytest.mark.parametrize(
         "lines",
@@ -833,6 +871,43 @@ class TestExitCodes:
         assert_one_line_error(
             capsys, "validation error: an L=2048 image needs 22 qubits, above the dense cap of 20"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode"],
+            ["compile"],
+            ["compile", "--method", "iterative"],
+            ["analyze", "--sweep", "chi", "--chi-list", "2"],
+            ["analyze", "--sweep", "depth", "--depth-list", "1"],
+            ["analyze", "--sweep", "resolution", "--l-list", "4,8"],
+        ],
+    )
+    def test_dense_cap_checked_on_file_images(self, tmp_path, out, capsys, monkeypatch, argv):
+        # a 16x16 file under a cap of 6 qubits (L = 8): refused once read,
+        # before any encoding, and with nothing written
+        def encoded(*args, **kwargs):
+            raise AssertionError("from_dense ran")
+
+        monkeypatch.setattr("qimgload.cli.DENSE_SITE_CAP", 6)
+        monkeypatch.setattr("qimgload.cli.from_dense", encoded)
+        monkeypatch.setattr("qimgload.analysis.from_dense", encoded)
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+        assert run_cli(*argv, "--image", str(path), "--target-l", "16",
+                       "--out-dir", str(out)) == 3
+        assert_one_line_error(
+            capsys, "validation error: an L=16 image needs 8 qubits, above the dense cap of 6"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_dense_cap_admits_a_file_downscaled_under_it(self, tmp_path, out, monkeypatch):
+        monkeypatch.setattr("qimgload.cli.DENSE_SITE_CAP", 6)
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+        assert run_cli("encode", "--image", str(path), "--target-l", "8",
+                       "--out-dir", str(out)) == 0
+        assert json.loads((out / "amplitude_state.json").read_text())["n_qubits"] == 6
 
     @pytest.mark.parametrize(
         "argv",

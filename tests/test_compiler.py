@@ -179,10 +179,11 @@ class TestOptimalGate:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_polar_kernel_equals_np_linalg_svd_bit_for_bit(self, rng, dtype):
-        # the in-place kernel of every sweep update: u @ vt of np.linalg.svd
-        # written into the slot, and np.add.reduce of the singular values
-        # returned, over environments of rank 4, 3, 2 and 1 (sweeps meet
-        # rank 1 and 2 most) and scales from 1e-6 to 1e3
+        # the in-place kernel of every sweep update: conj(u @ vt) of
+        # np.linalg.svd, the new gate's transpose, written into the slot, and
+        # np.add.reduce of the singular values returned, over environments of
+        # rank 4, 3, 2 and 1 (sweeps meet rank 1 and 2 most) and scales from
+        # 1e-6 to 1e3
         out = np.empty((4, 4), dtype)
         for trial in range(10_000):
             rank = 4 - trial % 4
@@ -195,7 +196,7 @@ class TestOptimalGate:
             with np.errstate(invalid="ignore"):
                 value = _polar_into(f, out)
             u, s, vt = np.linalg.svd(f)
-            np.testing.assert_array_equal(out, u @ vt)
+            np.testing.assert_array_equal(out, (u @ vt).conj())
             assert value == float(np.add.reduce(s))
         w, value = _optimal_gate(f)
         np.testing.assert_array_equal(w, (u @ vt).conj().T)
@@ -453,7 +454,7 @@ class TestSweepOptimize:
             pytest.param(1, lambda w: w * (1 + 1e-8), False, id="scaled-first"),
             pytest.param(8, lambda w: w * (1 + 1e-8), False, id="scaled-last"),
             pytest.param(8, lambda w: np.full_like(w, np.nan), False, id="nan-last"),
-            # complex gates are applied through a conjugate of the stored stack
+            # complex slots are conjugated in place by the kernel
             pytest.param(8, lambda w: w * (1 + 1e-8), True, id="complex-scaled-last"),
         ],
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import assert_same_text, grid, oracle_encode
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
+    _PGM_TOKEN,
     ORDERINGS,
     ImageGrid,
     basis_permutation,
@@ -193,6 +194,30 @@ class TestDownscale:
             downscale(grid(np.zeros((2, 2)) + 0.5), 4)
 
 
+WHITESPACE = b" \t\n\r\x0b\x0c"
+# the whitespace bytes of bytes.isspace(), bytes that are whitespace only
+# elsewhere (str.isspace, Latin-1), NUL, 0xFF, and the bytes of a header
+ALPHABET = WHITESPACE + b"\x1c\x85\xa0\x00\xff#P0123456789"
+
+
+def _pgm_tokens(data: bytes):
+    """The byte-at-a-time header tokenizer load_pgm once used: the reference."""
+    pos = 0
+    while pos < len(data):
+        c = data[pos : pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        else:
+            end = pos
+            while end < len(data) and not data[end : end + 1].isspace():
+                end += 1
+            yield data[pos:end], end
+            pos = end
+
+
 class TestPgm:
     def test_p2_roundtrip(self, rng):
         g = ImageGrid(np.rint(rng.random((4, 4)) * 255) / 255)
@@ -223,6 +248,83 @@ class TestPgm:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             load_pgm(b"P2\n4 2\n255\n" + b"0 " * 8)
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (b"", InputFormatError, "empty PGM input"),
+            (b" \t# only a comment\n\r\n", InputFormatError, "empty PGM input"),
+            (b"P6 2 2 255\n" + bytes(12), InputFormatError,
+             "unsupported PGM magic b'P6' (need P2 or P5)"),
+            (b"#P2\nP2#x 2 2 255 0 0 0 0", InputFormatError,
+             "unsupported PGM magic b'P2#x' (need P2 or P5)"),
+            (b"P2 2 2", InputFormatError, "malformed PGM header"),
+            (b"P2 2 # 2 255\n", InputFormatError, "malformed PGM header"),
+            (b"P5 2 two 255\n", InputFormatError, "malformed PGM header"),
+            (b"P2 0 2 255", InputFormatError, "non-positive PGM dimensions"),
+            (b"P2 2 -2 255", InputFormatError, "non-positive PGM dimensions"),
+            (b"P2 2 2 256 0 0 0 0", InputFormatError, "PGM maxval 256 outside 8-bit range"),
+            (b"P5 2 2 0\n" + bytes(4), InputFormatError, "PGM maxval 0 outside 8-bit range"),
+            (b"P5 2 2 255\n\x00\x01\x02", InputFormatError, "P5 raster truncated"),
+            (b"P2 2 2 255 1 2 # 3\n", InputFormatError, "P2 raster truncated"),
+            (b"P2 2 2 255 1 2 x 4", InputFormatError, "non-integer sample in P2 raster"),
+            (b"P2 2 2 255 1 2 3#4 5", InputFormatError, "non-integer sample in P2 raster"),
+            (b"P2 2 2 3 1 2 3 4", InputFormatError, "sample exceeds declared maxval"),
+            (b"P5 2 2 3\n\x00\x01\x02\x04", InputFormatError, "sample exceeds declared maxval"),
+            (b"P2 2 1 255 1 2", ValidationError,
+             "non-square image 2x1; crop or pad before loading"),
+            (b"P2 3 3 255" + b" 0" * 9, ValidationError,
+             "side length 3 is not a power of two; "
+             "downscale a valid input or pre-pad before loading"),
+        ],
+    )
+    def test_error_messages(self, data, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_pgm(data)
+
+    def test_extra_p2_tokens_are_ignored(self):
+        g = load_pgm(b"P2 2 2 255 0 255 255 0 junk # and more\n")
+        np.testing.assert_array_equal(g.pixels, [[0, 1], [1, 0]])
+
+    def test_p5_raster_is_read_verbatim(self):
+        # raster bytes that would be whitespace or a comment in the header
+        raster = b"#\n \x00"
+        g = load_pgm(b"P5 # c\n2\t2\r\n# c\n255\n" + raster)
+        np.testing.assert_array_equal(g.pixels.ravel() * 255, list(raster))
+
+    def test_p2_with_random_separators(self):
+        # samples planted between runs of whitespace and comments, whose
+        # bodies hold every byte of ALPHABET but the newline
+        rng = np.random.default_rng(23)
+
+        def pick(pool, n):
+            return rng.choice(np.frombuffer(pool, dtype=np.uint8), n).tobytes()
+
+        for _ in range(300):
+            side = int(rng.choice([1, 2, 4]))
+            maxval = int(rng.integers(1, 256))
+            samples = rng.integers(0, maxval + 1, side * side)
+            tokens = [b"P2", b"%d" % side, b"%d" % side, b"%d" % maxval]
+            data = b""
+            for tok in tokens + [b"%d" % v for v in samples] + [b""]:
+                sep = pick(WHITESPACE, int(rng.integers(1, 4)))
+                if rng.random() < 0.3:
+                    sep += b"#" + pick(ALPHABET.replace(b"\n", b""), int(rng.integers(0, 6)))
+                    sep += b"\n"
+                data += sep + tok
+            g = load_pgm(data)
+            np.testing.assert_array_equal(g.pixels.ravel(), samples / maxval)
+
+    def test_token_pattern_equals_the_byte_tokenizer(self):
+        # load_pgm's token stream, (token, end offset) with comments dropped,
+        # against the reference over random byte strings; a P5 raster starts
+        # one byte after the maxval token's end offset
+        rng = np.random.default_rng(2023)
+        alphabet = np.frombuffer(ALPHABET, dtype=np.uint8)
+        for _ in range(25_000):
+            data = rng.choice(alphabet, int(rng.integers(0, 40))).tobytes()
+            got = [(m[0], m.end()) for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#"]
+            assert got == list(_pgm_tokens(data)), data
 
 
 class TestWriterGoldenBytes:
