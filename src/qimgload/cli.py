@@ -178,14 +178,8 @@ def _load_grid(cfg: PipelineConfig, side: int):
     return grid
 
 
-def _prepare_target(cfg: PipelineConfig):
-    grid = _load_grid(cfg, cfg.target_l)
-    state = encode_amplitudes(grid, cfg.ordering)
-    mps, weights = from_dense(state, chi_max=cfg.chi_max)
-    return grid, state, mps, weights
-
-
 def _out_dir(cfg: PipelineConfig) -> Path:
+    """Make the output directory: after a handler checks its input, before it computes."""
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -193,8 +187,10 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 
 def cmd_encode(args) -> int:
     cfg = _build_config(args)
+    grid = _load_grid(cfg, cfg.target_l)
+    state = encode_amplitudes(grid, cfg.ordering)
     out = _out_dir(cfg)
-    grid, state, mps, weights = _prepare_target(cfg)
+    mps, weights = from_dense(state, chi_max=cfg.chi_max)
     scheme = f"interleaved-{cfg.ordering}"
     total = float(sum(weights))
     with (out / "amplitude_state.json").open("w") as fh:
@@ -226,8 +222,9 @@ def cmd_encode(args) -> int:
 
 def cmd_compile(args) -> int:
     cfg = _build_config(args)
+    state = encode_amplitudes(_load_grid(cfg, cfg.target_l), cfg.ordering)
     out = _out_dir(cfg)
-    _, state, target, _ = _prepare_target(cfg)
+    target, _ = from_dense(state, chi_max=cfg.chi_max)
     if cfg.method == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
     else:
@@ -251,19 +248,19 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    out = _out_dir(cfg)
     circuit = deserialize(Path(args.circuit).read_bytes())
     if circuit.n_qubits % 2:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
+    if not args.exact and cfg.shots < 1:
+        raise ValidationError("shots must be >= 1 (or pass --exact)")
+    out = _out_dir(cfg)
     state = run(circuit)
     if args.exact:
         probs = np.abs(state)
         np.square(probs, out=probs)
     else:
-        if cfg.shots < 1:
-            raise ValidationError("shots must be >= 1 (or pass --exact)")
         counts = sample(state, cfg.shots, cfg.seed)
     # each 2^N array is dropped once the last artifact that needs it is written
     with _csv_file(out / "curve.csv", cfg) as fh:
@@ -284,7 +281,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
-    out = _out_dir(cfg)
     with Path(args.histogram).open() as fh:
         counts = histogram_from_csv(fh)
     if counts.sum() <= 0:  # every |count| <= 2^53, so the sum cannot overflow
@@ -292,6 +288,7 @@ def cmd_reconstruct(args) -> int:
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):
         raise ValidationError("histogram length is not a square")
+    out = _out_dir(cfg)
     grid = decode_probabilities(counts / counts.sum(), L, cfg.ordering)
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
@@ -310,7 +307,6 @@ def _int_list(option: str, text: str) -> list:
 
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
-    out = _out_dir(cfg)
     option = {"chi": "chi_list", "depth": "depth_list", "resolution": "l_list"}[args.sweep]
     values = _int_list(option, getattr(args, option))
     side = cfg.target_l
@@ -318,6 +314,7 @@ def cmd_analyze(args) -> int:
         # read the image at the largest side the sweep needs
         side = max(side, *values)
     grid = _load_grid(cfg, side)
+    out = _out_dir(cfg)
     if args.sweep == "chi":
         rows = analysis.chi_scaling_sweep(grid, values, ordering=cfg.ordering)
         method = "mps_truncation"

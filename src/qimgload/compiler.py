@@ -60,7 +60,11 @@ def check_method(name) -> str:
 
 @dataclass
 class OptimizerTrace:
-    """(stage, sweep, overlap) rows, one per sweep or unswept layer, and per-update overlaps."""
+    """(stage, sweep, overlap) rows, one per sweep or unswept layer, and per-update overlaps.
+
+    A row's overlap is |<target|C|0>| of the circuit C so far against the
+    chi_max-capped target, on its dense amplitudes (N <= 20).
+    """
 
     records: list = field(default_factory=list)
     gate_overlaps: list = field(default_factory=list)
@@ -292,14 +296,6 @@ def sweep_optimize(
     return replace(circuit, gates=np.stack(gates).reshape(circuit.gates.shape)), trace
 
 
-def _zero_amplitude(m: MPS) -> float:
-    """<0...0|m>, contracted directly from the sigma=0 slices."""
-    row = m.tensors[0][:, 0, :]
-    for t in m.tensors[1:]:
-        row = row @ t[:, 0, :]
-    return abs(complex(row[0, 0]))
-
-
 def _apply_layer_adjoint(residual: MPS, layer: np.ndarray, chi_max: int) -> MPS:
     """Undo a layer's (N-1, 4, 4) gate stack in one left-to-right sweep of adjoint gates.
 
@@ -329,16 +325,16 @@ def construction_stages(target: MPS, depth: int, sweeps: int = 0, chi_max: int =
 
     With ``sweeps`` > 0 each stage sweeps every gate that many times, and
     the next stage rebuilds the residual from the target.  With no sweeps
-    the layers never change: each layer's adjoint is folded into the
-    residual, and the trace gets the row (d, 0, <0|residual>).  Every
+    each layer's adjoint is folded into the MPS residual and into r, the
+    dense target, for the row (d, 0, |r[0]|).  So every row is |<target|C|0>|
+    against the ``chi_max``-capped target, and both methods need N <= 20.  Every
     stage yields the same trace object, which later stages extend.
     """
-    target_canonical = _check_target(target, depth, chi_max)
-    target_amplitudes = to_dense(target_canonical) if sweeps else None
+    residual = target_canonical = _check_target(target, depth, chi_max)
+    target_amplitudes = undone = to_dense(target_canonical)
     n = target.n_sites
     trace = OptimizerTrace()
     gates = np.empty((0, n - 1, 4, 4))
-    residual = target_canonical
     for stage in range(1, depth + 1):
         if sweeps and stage > 1:
             residual = target_canonical
@@ -352,8 +348,11 @@ def construction_stages(target: MPS, depth: int, sweeps: int = 0, chi_max: int =
             circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps, trace, stage)
             gates = circuit.gates
         else:
-            residual = _apply_layer_adjoint(residual, layer, chi_max)
-            trace.records.append((stage, 0, _zero_amplitude(residual)))
+            if stage < depth:
+                residual = _apply_layer_adjoint(residual, layer, chi_max)
+            for site, gate in enumerate(layer[::-1]):
+                undone = apply_gate_dense(undone, gate.conj().T, site, n)
+            trace.records.append((stage, 0, float(abs(undone[0]))))
         yield circuit, trace
 
 

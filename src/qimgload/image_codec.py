@@ -159,27 +159,29 @@ def downscale(g: ImageGrid, target_L: int) -> ImageGrid:
 # File formats: PGM (P2/P5) and CSV
 
 # a token is a run of bytes other than the six ASCII whitespace bytes; a "#"
-# where a token would start opens a comment, which runs to the end of its line
-_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+# where a token would start opens a comment, which runs to the end of its line.
+# Group 1 holds a token that is ASCII digits after an optional "-", the only
+# integers a header or P2 raster may hold (int() would also take "+7" and "1_0")
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(-?[0-9]+)(?!\S)|\S+")
 
 
 def load_pgm(data: bytes) -> ImageGrid:
     """Parse an 8-bit grayscale PGM (P2 ascii or P5 binary)."""
-    # (token, end offset) pairs, lazily, so a P5 raster is never scanned
-    tokens = ((m[0], m.end()) for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#")
+    # token matches, lazily, so a P5 raster is never scanned
+    tokens = (m for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#")
     try:
-        magic, _ = next(tokens)
+        magic = next(tokens)[0]
     except StopIteration:
         raise InputFormatError("empty PGM input") from None
     if magic not in (b"P2", b"P5"):
         raise InputFormatError(f"unsupported PGM magic {magic!r} (need P2 or P5)")
     header = []
-    end = 0
+    # int(None), of a token outside group 1, raises TypeError
     try:
         while len(header) < 3:
-            tok, end = next(tokens)
-            header.append(int(tok))
-    except (StopIteration, ValueError):
+            m = next(tokens)
+            header.append(int(m[1]))
+    except (StopIteration, TypeError):
         raise InputFormatError("malformed PGM header") from None
     width, height, maxval = header
     if width <= 0 or height <= 0:
@@ -188,16 +190,16 @@ def load_pgm(data: bytes) -> ImageGrid:
         raise InputFormatError(f"PGM maxval {maxval} outside 8-bit range")
     count = width * height
     if magic == b"P5":
-        raster = data[end + 1 : end + 1 + count]
+        raster = data[m.end() + 1 : m.end() + 1 + count]
         if len(raster) < count:
             raise InputFormatError("P5 raster truncated")
         values = np.frombuffer(raster, dtype=np.uint8).astype(float)
     else:
         try:
             values = np.array(
-                [int(tok) for tok, _ in itertools.islice(tokens, count)], dtype=float
+                [int(m[1]) for m in itertools.islice(tokens, count)], dtype=float
             )
-        except ValueError:
+        except TypeError:
             raise InputFormatError("non-integer sample in P2 raster") from None
         if values.size < count:
             raise InputFormatError("P2 raster truncated")

@@ -728,6 +728,44 @@ class TestExitCodes:
     def test_missing_file(self, out):
         assert run_cli("encode", "--image", "ghost.pgm", "--out-dir", str(out)) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--image", "{missing}.pgm"],
+            ["compile", "--image", "{missing}.pgm"],
+            ["analyze", "--sweep", "chi", "--image", "{missing}.pgm"],
+            ["simulate", "--circuit", "{missing}.json"],
+            ["reconstruct", "--histogram", "{missing}.csv"],
+        ],
+        ids=["encode", "compile", "analyze", "simulate", "reconstruct"],
+    )
+    def test_missing_input_leaves_no_out_dir(self, tmp_path, out, capsys, argv):
+        argv = [a.format(missing=tmp_path / "ghost") for a in argv]
+        assert run_cli(*argv, "--out-dir", str(out)) == 2
+        assert_one_line_error(capsys, "input format error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, computation",
+        [
+            (["compile", "--image", "builtin:digit", "--target-l", "4"], "qimgload.cli.from_dense"),
+            (["simulate", "--circuit", "{circuit}"], "qimgload.cli.run"),
+        ],
+        ids=["compile", "simulate"],
+    )
+    def test_bad_out_dir_fails_before_the_computation(self, tmp_path, capsys, monkeypatch, argv,
+                                                      computation):
+        def computed(*args, **kwargs):
+            raise AssertionError(f"{computation} ran")
+
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(4, 2)))
+        (tmp_path / "plain").write_text("x")
+        monkeypatch.setattr(computation, computed)
+        argv = [a.format(circuit=circuit) for a in argv]
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "plain" / "sub")) == 2
+        assert_one_line_error(capsys, "input format error: ")
+
     def test_validation_error(self, out):
         assert run_cli("encode", "--image", "builtin:nothere", "--out-dir", str(out)) == 3
 
@@ -899,7 +937,7 @@ class TestExitCodes:
         assert_one_line_error(
             capsys, "validation error: an L=16 image needs 8 qubits, above the dense cap of 6"
         )
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_dense_cap_admits_a_file_downscaled_under_it(self, tmp_path, out, monkeypatch):
         monkeypatch.setattr("qimgload.cli.DENSE_SITE_CAP", 6)

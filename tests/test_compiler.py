@@ -618,12 +618,27 @@ class TestIterativeConstruct:
         assert all(b >= a - 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_trace_matches_final_overlap(self, rng):
-        # the residual's vacuum amplitude after undoing all layers equals
-        # the prepared-state fidelity
+        # the last row is the depth-3 circuit's overlap with the target
         target, _ = from_dense(random_state(rng, 6), chi_max=4)
         circuit, trace = iterative_construct(target, 3)
         _, _, overlap = trace.records[-1]
         assert overlap == pytest.approx(circuit_overlap(circuit, to_dense(target)), abs=1e-8)
+
+    def test_every_row_is_its_circuits_overlap_when_the_residual_is_cut(self):
+        # a working bond cap of 4, below the target's 16, cuts the MPS residual
+        # that the layers are built from; the rows must still measure the circuits
+        target, _ = from_dense(random_state(np.random.default_rng(1234), 8), chi_max=16)
+        vec = to_dense(target)
+        rows = []
+        for circuit, trace in compiler.construction_stages(target, 3, sweeps=0, chi_max=4):
+            stage, sweep, overlap = trace.records[-1]
+            assert (stage, sweep) == (circuit.depth, 0)
+            assert overlap == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
+            rows.append(overlap)
+        assert len(trace.records) == 3
+        circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=0, chi_max=4)
+        assert [overlap for *_, overlap in trace.records] == rows
+        assert rows[-1] == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
 
     def test_depth_sets_layer_count(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)

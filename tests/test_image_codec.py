@@ -197,7 +197,7 @@ class TestDownscale:
 WHITESPACE = b" \t\n\r\x0b\x0c"
 # the whitespace bytes of bytes.isspace(), bytes that are whitespace only
 # elsewhere (str.isspace, Latin-1), NUL, 0xFF, and the bytes of a header
-ALPHABET = WHITESPACE + b"\x1c\x85\xa0\x00\xff#P0123456789"
+ALPHABET = WHITESPACE + b"\x1c\x85\xa0\x00\xff#P0123456789-+_"
 
 
 def _pgm_tokens(data: bytes):
@@ -269,6 +269,9 @@ class TestPgm:
             (b"P2 2 2 255 1 2 # 3\n", InputFormatError, "P2 raster truncated"),
             (b"P2 2 2 255 1 2 x 4", InputFormatError, "non-integer sample in P2 raster"),
             (b"P2 2 2 255 1 2 3#4 5", InputFormatError, "non-integer sample in P2 raster"),
+            (b"P2 2 2 255 1_0 +7 0 1", InputFormatError, "non-integer sample in P2 raster"),
+            (b"P2 +2 0_2 2_55 1 2 3 4", InputFormatError, "malformed PGM header"),
+            (b"P5 2 2 +255\n" + bytes(4), InputFormatError, "malformed PGM header"),
             (b"P2 2 2 3 1 2 3 4", InputFormatError, "sample exceeds declared maxval"),
             (b"P5 2 2 3\n\x00\x01\x02\x04", InputFormatError, "sample exceeds declared maxval"),
             (b"P2 2 1 255 1 2", ValidationError,
@@ -323,8 +326,11 @@ class TestPgm:
         alphabet = np.frombuffer(ALPHABET, dtype=np.uint8)
         for _ in range(25_000):
             data = rng.choice(alphabet, int(rng.integers(0, 40))).tobytes()
-            got = [(m[0], m.end()) for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#"]
-            assert got == list(_pgm_tokens(data)), data
+            matches = [m for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#"]
+            assert [(m[0], m.end()) for m in matches] == list(_pgm_tokens(data)), data
+            # group 1, the integer, is exactly the tokens of ASCII digits after an optional "-"
+            for m in matches:
+                assert m[1] == (m[0] if re.fullmatch(rb"-?[0-9]+", m[0]) else None), data
 
 
 class TestWriterGoldenBytes:
