@@ -97,11 +97,10 @@ def depth_scaling_sweep(
     depths = sorted(depth_list)
     if not depths:
         return []
-    if depths[0] < 1:
-        raise ValidationError("depth must be >= 1")
+    compiler.check_stages(depths[0], stage_sweeps)
     exact = encode_amplitudes(image, ordering)
     target, _ = from_dense(exact, chi_max=chi_max)
-    stages = compiler.construction_stages(target, depths[-1], stage_sweeps, chi_max)
+    stages = compiler.construction_stages(target, depths[-1], stage_sweeps)
     values = {}
     for depth, (circuit, _) in enumerate(stages, 1):
         if depth in depths:

@@ -33,9 +33,10 @@ from .image_codec import (
     load_image,
     write_pgm,
 )
-from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict
+from .mps import DENSE_SITE_CAP, check_chi_max, from_dense, mps_to_dict
 from .sample_images import get_image
 from .simulator import (
+    check_sampling,
     curve_to_csv,
     histogram_from_csv,
     histogram_to_csv,
@@ -189,6 +190,7 @@ def cmd_encode(args) -> int:
     cfg = _build_config(args)
     grid = _load_grid(cfg, cfg.target_l)
     state = encode_amplitudes(grid, cfg.ordering)
+    check_chi_max(cfg.chi_max)
     out = _out_dir(cfg)
     mps, weights = from_dense(state, chi_max=cfg.chi_max)
     scheme = f"interleaved-{cfg.ordering}"
@@ -223,18 +225,24 @@ def cmd_encode(args) -> int:
 def cmd_compile(args) -> int:
     cfg = _build_config(args)
     state = encode_amplitudes(_load_grid(cfg, cfg.target_l), cfg.ordering)
+    check_chi_max(cfg.chi_max)
+    grow = cfg.method == "grow"
+    compiler.check_stages(cfg.depth, cfg.sweeps if grow else 0)
     out = _out_dir(cfg)
     target, _ = from_dense(state, chi_max=cfg.chi_max)
-    if cfg.method == "grow":
-        circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps, cfg.chi_max)
+    if grow:
+        circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps)
     else:
-        circuit, trace = compiler.iterative_construct(target, cfg.depth, cfg.chi_max)
+        circuit, trace = compiler.iterative_construct(target, cfg.depth)
     prepared = run(circuit)
     final_infidelity = analysis.infidelity(state, prepared)
-    provenance = dict(circuit.provenance)
-    provenance.update(_provenance(cfg))
-    provenance["target_image"] = cfg.image
-    provenance["ordering"] = cfg.ordering
+    provenance = {
+        **circuit.provenance,
+        "chi_max": cfg.chi_max,
+        **_provenance(cfg),
+        "target_image": cfg.image,
+        "ordering": cfg.ordering,
+    }
     circuit = replace(circuit, provenance=provenance)
     (out / "circuit.json").write_bytes(serialize(circuit))
     rows = [(stage, sweep, o, max(0.0, 1.0 - o)) for stage, sweep, o in trace.records]
@@ -253,8 +261,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
-    if not args.exact and cfg.shots < 1:
-        raise ValidationError("shots must be >= 1 (or pass --exact)")
+    if not args.exact:
+        check_sampling(cfg.shots, cfg.seed)
     out = _out_dir(cfg)
     state = run(circuit)
     if args.exact:

@@ -1,8 +1,9 @@
 """Circuit compilation against a target MPS.
 
-`construction_stages` is the one construction loop.  Each stage
-truncates the residual of the current circuit to bond dimension 2 and
-puts the exact staircase layer for it first in application order.
+`construction_stages` is the one construction loop.  Each stage cuts
+the residual of the current circuit, the target with the circuit
+undone, to bond dimension 2 and puts the exact staircase layer for it
+first in application order.
 Without sweeps this is iterative disentangling (`iterative_construct`);
 with sweeps every gate is re-optimized after each stage
 (`grow_and_optimize`).  A sweep replaces each gate U_m by the unitary
@@ -10,8 +11,9 @@ factor of the SVD of its environment F_m: the circuit-target overlap,
 Tr[U_m F_m], then rises to the nuclear norm of F_m, so every update is
 monotone.
 
-Overlaps and environments use the dense statevector backend (N capped at
-20 sites); residuals are tracked as MPS with a working bond cap.  A sweep
+Residuals, overlaps and environments use the dense statevector backend
+(N capped at 20 sites); the only MPS a stage builds is the chi=2 cut of
+its residual that becomes the new layer.  A sweep
 reads and writes only the leading block of amplitudes that the gates
 applied so far have reached, and keeps its prefix and suffix blocks in
 one buffer per `sweep_optimize` call.  The reshaped views that every
@@ -37,16 +39,15 @@ from .errors import NumericError, ValidationError
 from .mps import (
     CANONICAL_ISOMETRY_TOL,
     MPS,
-    _apply_gates,
+    from_dense,
     inner,
     isometry_error,
     left_canonicalize,
     to_dense,
-    truncate,
 )
 from .simulator import apply_gate, apply_gate_dense, gate_operands
 
-DEFAULT_CHI_MAX = 32
+DEFAULT_CHI_MAX = 32  # the target's bond cap in `compile` and the depth sweep
 DEFAULT_SWEEPS = 200
 METHODS = ("grow", "iterative")
 
@@ -207,11 +208,11 @@ def sweep_optimize(
     The loop applies F-ordered views ``slot.T`` of the C-contiguous slots,
     which the suffix pass reads as they are, for real and complex gates
     alike.  The returned stack is ``np.stack`` of the applied views, which
-    keeps their layout.  The layout sets the summation order of the einsum
-    in `mps._apply_gates`, so it reaches later residuals' last bits: forcing
-    C order moved the grow compile of ``builtin:scene`` L=32 D=4, 50 sweeps,
-    from infidelity 1.361e-3 to 1.346e-3 (one BLAS thread).  Return no
-    C-ordered copy of the gates.
+    keeps their layout.  In a grow compile it reaches only the dense undo
+    that rebuilds the next stage's residual, and `run`; forcing C order
+    left every artifact byte-identical (one BLAS thread: the three benchmark
+    workloads at seeds 0-3, and grow compiles of ``builtin:scene`` L=32 D=4
+    and L=256 D=6, ``digit`` L=16 D=3 and ``sign`` L=64 D=8).
     """
     if n_sweeps < 0:
         raise ValidationError("sweep count must be >= 0")
@@ -296,88 +297,76 @@ def sweep_optimize(
     return replace(circuit, gates=np.stack(gates).reshape(circuit.gates.shape)), trace
 
 
-def _apply_layer_adjoint(residual: MPS, layer: np.ndarray, chi_max: int) -> MPS:
-    """Undo a layer's (N-1, 4, 4) gate stack in one left-to-right sweep of adjoint gates.
-
-    The layer must apply pair (N-2, N-1) first and (0, 1) last, as every
-    layer from `layer_from_chi2_mps` does.  It is not checked again: every
-    caller's layer sits in a `LayeredCircuit`, which checked it.
-    """
-    stack = layer[::-1].conj().swapaxes(-1, -2)
-    residual, _ = _apply_gates(residual, stack, 0, chi_max)
-    return residual
-
-
-def _check_target(target: MPS, depth: int, chi_max: int) -> MPS:
-    """Validate a construction's arguments; returns the target in left-canonical form."""
+def check_stages(depth: int, sweeps: int = 0) -> None:
+    """Raise ValidationError unless ``depth`` >= 1 and ``sweeps`` >= 0: construction's rules."""
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    if chi_max < 2:
-        raise ValidationError("working bond cap must be >= 2")
+    if sweeps < 0:
+        raise ValidationError("sweep count must be >= 0")
+
+
+def _undo_layer(vec: np.ndarray, layer: np.ndarray, n: int) -> np.ndarray:
+    """L^dagger vec for a fresh staircase layer's (N-1, 4, 4) stack: N-1 dense adjoint gates."""
+    for site, gate in enumerate(layer[::-1]):
+        vec = apply_gate_dense(vec, gate.conj().T, site, n)
+    return vec
+
+
+def construction_stages(target: MPS, depth: int, sweeps: int = 0):
+    """Yield (circuit, trace) after each of stages 1..depth; stage d's circuit has depth d.
+
+    Every stage cuts its new layer from r, the dense target with every
+    layer built so far undone: `from_dense` of r at bond dimension 2 gives
+    the MPS that `layer_from_chi2_mps` turns into the layer.  With
+    ``sweeps`` > 0 each stage then sweeps every gate that many times, and
+    the next stage rebuilds r from the target through the swept layers.
+    With no sweeps each new layer is folded into r, and the row is
+    (d, 0, |r[0]|).  So every row is |<target|C|0>| against the target the
+    caller compressed, and both methods need N <= 20.  Every stage yields
+    the same trace object, which later stages extend.
+    """
+    check_stages(depth, sweeps)
     norm = abs(inner(target, target))
     if not abs(norm - 1.0) <= 1e-8:
         raise ValidationError(f"target must have unit norm, got {np.sqrt(norm)}")
-    return left_canonicalize(target)
-
-
-def construction_stages(target: MPS, depth: int, sweeps: int = 0, chi_max: int = DEFAULT_CHI_MAX):
-    """Yield (circuit, trace) after each of stages 1..depth; stage d's circuit has depth d.
-
-    With ``sweeps`` > 0 each stage sweeps every gate that many times, and
-    the next stage rebuilds the residual from the target.  With no sweeps
-    each layer's adjoint is folded into the MPS residual and into r, the
-    dense target, for the row (d, 0, |r[0]|).  So every row is |<target|C|0>|
-    against the ``chi_max``-capped target, and both methods need N <= 20.  Every
-    stage yields the same trace object, which later stages extend.
-    """
-    residual = target_canonical = _check_target(target, depth, chi_max)
-    target_amplitudes = undone = to_dense(target_canonical)
+    residual = to_dense(left_canonicalize(target))
+    # sweeps read the target at every stage; without them only r is kept
+    target_amplitudes = residual if sweeps else None
     n = target.n_sites
     trace = OptimizerTrace()
     gates = np.empty((0, n - 1, 4, 4))
     for stage in range(1, depth + 1):
         if sweeps and stage > 1:
-            residual = target_canonical
+            residual = target_amplitudes
             for layer in gates[::-1]:
-                residual = _apply_layer_adjoint(residual, layer, chi_max)
-        truncated, _ = truncate(residual, 2)
-        layer = layer_from_chi2_mps(truncated)
+                residual = _undo_layer(residual, layer, n)
+        layer = layer_from_chi2_mps(from_dense(residual, chi_max=2)[0])
         gates = np.concatenate((layer[None], gates))
         circuit = LayeredCircuit(n, staircase_sites(n, stage), gates)
         if sweeps:
             circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps, trace, stage)
             gates = circuit.gates
         else:
-            if stage < depth:
-                residual = _apply_layer_adjoint(residual, layer, chi_max)
-            for site, gate in enumerate(layer[::-1]):
-                undone = apply_gate_dense(undone, gate.conj().T, site, n)
-            trace.records.append((stage, 0, float(abs(undone[0]))))
+            residual = _undo_layer(residual, layer, n)
+            trace.records.append((stage, 0, float(abs(residual[0]))))
         yield circuit, trace
 
 
-def iterative_construct(target: MPS, depth: int, chi_max: int = DEFAULT_CHI_MAX):
-    """Depth-D circuit from repeated chi=2 truncation of the residual, without sweeps.
+def iterative_construct(target: MPS, depth: int):
+    """Depth-D circuit from repeated chi=2 cuts of the residual, without sweeps.
 
     Returns (circuit, trace); the trace holds the overlap after each layer.
     """
-    *_, (circuit, trace) = construction_stages(target, depth, 0, chi_max)
-    provenance = {"method": "iterative", "depth": depth, "chi_max": chi_max}
-    return replace(circuit, provenance=provenance), trace
+    *_, (circuit, trace) = construction_stages(target, depth)
+    return replace(circuit, provenance={"method": "iterative", "depth": depth}), trace
 
 
-def grow_and_optimize(
-    target: MPS,
-    depth: int,
-    sweeps_per_stage: int = DEFAULT_SWEEPS,
-    chi_max: int = DEFAULT_CHI_MAX,
-):
+def grow_and_optimize(target: MPS, depth: int, sweeps_per_stage: int = DEFAULT_SWEEPS):
     """Grow-then-reoptimize: the depth-D circuit and full trace of the swept stages."""
-    *_, (circuit, trace) = construction_stages(target, depth, sweeps_per_stage, chi_max)
+    *_, (circuit, trace) = construction_stages(target, depth, sweeps_per_stage)
     provenance = {
         "method": "grow_and_optimize",
         "depth": depth,
-        "chi_max": chi_max,
         "sweeps_per_stage": sweeps_per_stage,
     }
     return replace(circuit, provenance=provenance), trace

@@ -106,6 +106,12 @@ def _cut(mat: np.ndarray, chi=None):
     return u[:, :keep], s[:keep], vt[:keep], float(np.add.reduce(s[keep:] ** 2))
 
 
+def check_chi_max(chi_max: int) -> None:
+    """Raise ValidationError unless the bond cap ``chi_max`` is at least 1."""
+    if chi_max < 1:
+        raise ValidationError("chi_max must be >= 1")
+
+
 def from_dense(v, chi_max=None):
     """Compress a unit vector into a left-canonical MPS by successive SVDs.
 
@@ -123,8 +129,8 @@ def from_dense(v, chi_max=None):
         raise NumericError("cannot compress the zero vector")
     if not abs(norm - 1.0) <= 1e-8:
         raise ValidationError(f"input must have unit norm, got {norm}")
-    if chi_max is not None and chi_max < 1:
-        raise ValidationError("chi_max must be >= 1")
+    if chi_max is not None:
+        check_chi_max(chi_max)
 
     tensors = []
     eps = []
@@ -252,11 +258,6 @@ def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):
     last = site + len(gates)  # rightmost site the stack touches
     if not (0 <= site and last < m.n_sites):
         raise ValidationError(f"gates on sites {site}..{last} out of range for {m.n_sites} sites")
-    return _apply_gates(m, gates, site, chi_max)
-
-
-def _apply_gates(m: MPS, gates: np.ndarray, site: int, chi_max):
-    """`apply_two_qubit_gate` of a (k, 4, 4) stack that its caller has already checked."""
     # the canonical center sits on the pair being split and is carried right
     # with each split, so every bond is cut at its true Schmidt coefficients
     tensors = list(left_canonicalize(m).tensors)
@@ -269,7 +270,7 @@ def _apply_gates(m: MPS, gates: np.ndarray, site: int, chi_max):
         u, s, vt, weights[i] = _cut(theta.reshape(left * 2, 2 * right), chi_max)
         tensors[i] = u.reshape(left, 2, len(s))
         tensors[i + 1] = (s[:, None] / math.sqrt(s.dot(s)) * vt).reshape(len(s), 2, right)
-    form = "left" if site + len(gates) == m.n_sites - 1 else "none"
+    form = "left" if last == m.n_sites - 1 else "none"
     return MPS(tuple(tensors), canonical_form=form), tuple(weights)
 
 

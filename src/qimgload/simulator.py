@@ -88,14 +88,19 @@ def run(c: LayeredCircuit) -> np.ndarray:
     return vec
 
 
-def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
-    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
+def check_sampling(shots: int, seed: int) -> None:
+    """Raise ValidationError unless `sample` can draw ``shots`` shots from ``seed``."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     if shots > np.iinfo(np.int64).max:
         raise ValidationError("shots must be at most 2^63 - 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
+
+
+def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
+    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
+    check_sampling(shots, seed)
     probs = np.abs(vec)
     np.square(probs, out=probs)
     probs /= probs.sum()

@@ -147,12 +147,12 @@ class TestScalingSweeps:
         # one build at the largest depth serves the whole depth list
         target, _ = from_dense(encode_amplitudes(scene_image(16)), chi_max=8)
         sweeps = 5 if method == "grow" else 0
-        stages = construction_stages(target, 5, sweeps, 8)
+        stages = construction_stages(target, 5, sweeps)
         for depth, (circuit, _) in enumerate(stages, 1):
             if method == "grow":
-                alone, _ = grow_and_optimize(target, depth, sweeps, 8)
+                alone, _ = grow_and_optimize(target, depth, sweeps)
             else:
-                alone, _ = iterative_construct(target, depth, 8)
+                alone, _ = iterative_construct(target, depth)
             np.testing.assert_array_equal(circuit.sites, alone.sites)
             np.testing.assert_array_equal(circuit.gates, alone.gates)
 
@@ -165,9 +165,9 @@ class TestScalingSweeps:
         assert [x for x, L, i in records] == [1, 2, 3]
         for depth, _, value in records:
             if method == "grow":
-                circuit, _ = grow_and_optimize(target, depth, 5, 8)
+                circuit, _ = grow_and_optimize(target, depth, 5)
             else:
-                circuit, _ = iterative_construct(target, depth, 8)
+                circuit, _ = iterative_construct(target, depth)
             assert value == infidelity(exact, run(circuit))
 
     def test_depth_sweep_rejects_depth_zero(self):

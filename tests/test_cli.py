@@ -20,6 +20,7 @@ from qimgload.analysis import infidelity
 from qimgload.circuit import deserialize, serialize
 from qimgload.cli import PipelineConfig, build_parser, main
 from qimgload.image_codec import ImageGrid, encode_amplitudes, load_pgm, write_pgm
+from qimgload.mps import from_dense, to_dense
 from qimgload.sample_images import get_image
 from qimgload.simulator import histogram_to_csv, run, sample
 
@@ -197,12 +198,16 @@ class TestCompileSimulate:
         assert (out / "trace.csv").read_text().splitlines()[-1] == "1,1,1.000000000001,0.0"
 
     @pytest.mark.parametrize("method", ["grow", "iterative"])
-    def test_working_bond_cap_below_two_rejected(self, out, capsys, method):
+    def test_product_state_target_compiles(self, out, method):
+        # --chi-max caps only the target; at 1 it is a product state, which
+        # the first layer prepares exactly
         assert run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
                        "--method", method, "--chi-max", "1", "--sweeps", "2",
-                       "--out-dir", str(out)) == 3
-        assert_one_line_error(capsys, "validation error: working bond cap must be >= 2")
-        assert not (out / "circuit.json").exists()
+                       "--out-dir", str(out)) == 0
+        target, _ = from_dense(encode_amplitudes(get_image("digit", 4)), chi_max=1)
+        circuit = deserialize((out / "circuit.json").read_bytes())
+        assert circuit.provenance["chi_max"] == 1
+        assert abs(np.vdot(to_dense(target), run(circuit))) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -765,6 +770,33 @@ class TestExitCodes:
         argv = [a.format(circuit=circuit) for a in argv]
         assert run_cli(*argv, "--out-dir", str(tmp_path / "plain" / "sub")) == 2
         assert_one_line_error(capsys, "input format error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--circuit", "{circuit}", "--seed", "-1"], "seed must be >= 0"),
+            (["simulate", "--circuit", "{circuit}", "--shots", "99999999999999999999"],
+             "shots must be at most 2^63 - 1"),
+            (["simulate", "--circuit", "{circuit}", "--shots", "0"], "shots must be >= 1"),
+            (["encode", "--image", "builtin:digit", "--target-l", "4", "--chi-max", "0"],
+             "chi_max must be >= 1"),
+            (["compile", "--image", "builtin:digit", "--target-l", "4", "--chi-max", "0"],
+             "chi_max must be >= 1"),
+            (["compile", "--image", "builtin:digit", "--target-l", "4", "--depth", "0"],
+             "depth must be >= 1"),
+            (["compile", "--image", "builtin:digit", "--target-l", "4", "--sweeps", "-1"],
+             "sweep count must be >= 0"),
+        ],
+        ids=["simulate-seed", "simulate-shots-above-int64", "simulate-shots-zero",
+             "encode-chi-max", "compile-chi-max", "compile-depth", "compile-sweeps"],
+    )
+    def test_out_of_range_option_leaves_no_out_dir(self, tmp_path, out, capsys, argv, message):
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(4, 1)))
+        argv = [a.format(circuit=circuit) for a in argv]
+        assert run_cli(*argv, "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, f"validation error: {message}")
+        assert not out.exists()
 
     def test_validation_error(self, out):
         assert run_cli("encode", "--image", "builtin:nothere", "--out-dir", str(out)) == 3

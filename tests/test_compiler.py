@@ -25,7 +25,7 @@ from qimgload.compiler import (
     sweep_optimize,
     update_gate,
 )
-from qimgload.circuit import LayeredCircuit
+from qimgload.circuit import LayeredCircuit, layer_from_chi2_mps
 from qimgload.errors import NumericError, ValidationError
 from qimgload.image_codec import encode_amplitudes
 from qimgload.mps import MPS, from_dense, to_dense
@@ -327,22 +327,33 @@ class TestDirectLapack:
         def build():
             target, weights = from_dense(vec, chi_max=8)
             if method == "iterative":
-                circuit, trace = iterative_construct(target, 3, chi_max=8)
+                circuit, trace = iterative_construct(target, 3)
             else:
-                circuit, trace = grow_and_optimize(target, 2, sweeps_per_stage=3, chi_max=8)
+                circuit, trace = grow_and_optimize(target, 2, sweeps_per_stage=3)
             return weights, circuit.gates, trace.records
 
         weights, gates, records = build()
+        # the bond cuts of every from_dense call, the target's and each layer's
         monkeypatch.setattr(mps, "_cut", reference_cut)
-        monkeypatch.setattr(mps, "left_canonicalize", reference_left_canonicalize)
         monkeypatch.setattr(compiler, "left_canonicalize", reference_left_canonicalize)
-        monkeypatch.setattr(mps, "_move_center_left", reference_move_center_left)
-        monkeypatch.setattr(compiler, "_apply_gates", reference_apply_gates)
         want_weights, want_gates, want_records = build()
         assert weights == want_weights
         assert gates.dtype == want_gates.dtype
         np.testing.assert_array_equal(gates, want_gates)
         assert records == want_records
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("chi_max", [None, 3])
+    def test_gate_stacks_equal_the_wrapper_based_reference(self, rng, complex_valued, chi_max):
+        # marked non-canonical, so both sides run their QR sweep first
+        m = MPS(from_dense(random_state(rng, 6, complex_valued))[0].tensors)
+        gates = np.stack([random_unitary4(rng) for _ in range(3)])
+        got, weights = mps.apply_two_qubit_gate(m, gates, 1, chi_max)
+        want, want_weights = reference_apply_gates(m, gates, 1, chi_max)
+        assert weights == want_weights and got.canonical_form == want.canonical_form
+        for g, w in zip(got.tensors, want.tensors, strict=True):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSweepOptimize:
@@ -484,8 +495,8 @@ class TestSweepOptimize:
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_gate_layout_is_pinned(self, rng, monkeypatch, complex_valued):
-        # the layout of the applied gates sets BLAS operand order and the
-        # returned stack's sets the einsum order in mps._apply_gates, so both
+        # the layout of the applied gates sets BLAS operand order, and the
+        # returned stack's reaches the next stage's dense undo, so both can
         # reach result bits: the prefix pass applies F-ordered 4x4 views, the
         # suffix pass their C-contiguous transposes (the input gates'
         # transposed views in sweep 1), and the returned np.stack of F-ordered
@@ -624,21 +635,47 @@ class TestIterativeConstruct:
         _, _, overlap = trace.records[-1]
         assert overlap == pytest.approx(circuit_overlap(circuit, to_dense(target)), abs=1e-8)
 
-    def test_every_row_is_its_circuits_overlap_when_the_residual_is_cut(self):
-        # a working bond cap of 4, below the target's 16, cuts the MPS residual
-        # that the layers are built from; the rows must still measure the circuits
+    def test_every_row_is_its_circuits_overlap(self):
+        # a target of bond dimension 16, far above the layers' 2: each row
+        # must measure its circuit against the whole target
         target, _ = from_dense(random_state(np.random.default_rng(1234), 8), chi_max=16)
         vec = to_dense(target)
         rows = []
-        for circuit, trace in compiler.construction_stages(target, 3, sweeps=0, chi_max=4):
+        for circuit, trace in compiler.construction_stages(target, 3, sweeps=0):
             stage, sweep, overlap = trace.records[-1]
             assert (stage, sweep) == (circuit.depth, 0)
             assert overlap == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
             rows.append(overlap)
         assert len(trace.records) == 3
-        circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=0, chi_max=4)
+        circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=0)
         assert [overlap for *_, overlap in trace.records] == rows
         assert rows[-1] == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
+
+    @pytest.mark.parametrize("sweeps", [0, 2], ids=["iterative", "grow"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_each_layer_is_cut_from_the_undone_target(self, rng, monkeypatch, sweeps, n):
+        # layer d is the chi=2 cut of r_d = C_{d-1}^dagger |target>, where
+        # C_{d-1} is the circuit that stage d-1 yielded (swept, for grow)
+        target, _ = from_dense(random_state(rng, n), chi_max=4)
+        vec = to_dense(target)
+        unswept = []
+        kernel = compiler.sweep_optimize
+
+        def recorded(circuit, *args):
+            unswept.append(circuit)
+            return kernel(circuit, *args)
+
+        monkeypatch.setattr(compiler, "sweep_optimize", recorded)
+        previous = []
+        for circuit, _ in compiler.construction_stages(target, 3, sweeps):
+            residual = vec
+            for site, gate in reversed(previous):
+                residual = apply_gate_dense(residual, gate.conj().T, site, n)
+            layer = (unswept[-1] if sweeps else circuit).gates[0]
+            want = layer_from_chi2_mps(from_dense(residual, chi_max=2)[0])
+            np.testing.assert_allclose(layer, want, rtol=0, atol=1e-12)
+            previous = circuit.all_gates()
+        assert len(unswept) == (3 if sweeps else 0)
 
     def test_depth_sets_layer_count(self, rng):
         target, _ = from_dense(random_state(rng, 5), chi_max=4)
