@@ -24,7 +24,6 @@ from .mps import (
     MPS,
     apply_two_qubit_gate,
     from_dense,
-    inner,
     left_canonicalize,
     to_dense,
     truncate,

@@ -54,6 +54,13 @@ def fit_power_law(points) -> dict:
     }
 
 
+def check_resolutions(L_list, side: int) -> None:
+    """Raise ValidationError unless every L is a power of two in 2..side: a side to downscale to."""
+    for L in L_list:
+        if not 2 <= L <= side or L & (L - 1):
+            raise ValidationError(f"invalid sweep resolution {L}: not a power of two in 2..{side}")
+
+
 def chi_scaling_sweep(
     image: ImageGrid,
     chi_list,
@@ -65,10 +72,9 @@ def chi_scaling_sweep(
     One (chi, L, infidelity) row per (L, chi), sorted by (L, chi).
     """
     L_list = sorted(L_list) if L_list is not None else [image.side_length]
+    check_resolutions(L_list, image.side_length)
     rows = []
     for L in L_list:
-        if L > image.side_length or L < 2:
-            raise ValidationError(f"invalid sweep resolution {L}")
         grid = downscale(image, L)
         exact = encode_amplitudes(grid, ordering)
         for chi in sorted(chi_list):
@@ -99,7 +105,7 @@ def depth_scaling_sweep(
         return []
     compiler.check_stages(depths[0], stage_sweeps)
     exact = encode_amplitudes(image, ordering)
-    target, _ = from_dense(exact, chi_max=chi_max)
+    target = to_dense(from_dense(exact, chi_max=chi_max)[0])
     stages = compiler.construction_stages(target, depths[-1], stage_sweeps)
     values = {}
     for depth, (circuit, _) in enumerate(stages, 1):

@@ -125,7 +125,9 @@ def layer_from_chi2_mps(m: MPS) -> np.ndarray:
     if m.n_sites < 2:
         raise ValidationError("need at least 2 sites to build a layer")
     if m.max_bond > 2:
-        raise ValidationError(f"max bond {m.max_bond} exceeds 2; truncate first")
+        raise ValidationError(
+            f"max bond {m.max_bond} exceeds 2; cut the state with from_dense(..., chi_max=2) first"
+        )
     if isometry_defect(m) > CANONICAL_ISOMETRY_TOL:
         raise ValidationError(f"MPS is not left-canonical within {CANONICAL_ISOMETRY_TOL}")
     dtype = np.result_type(*(t.dtype for t in m.tensors))

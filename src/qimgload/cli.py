@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, compiler
-from .circuit import cnot_count, deserialize, serialize
+from .circuit import (
+    LayeredCircuit,
+    cnot_count,
+    deserialize,
+    layer_from_chi2_mps,
+    serialize,
+    staircase_sites,
+)
 from .errors import InputFormatError, NumericError, ValidationError
 from .image_codec import (
     ORDERINGS,
@@ -33,7 +40,7 @@ from .image_codec import (
     load_image,
     write_pgm,
 )
-from .mps import DENSE_SITE_CAP, check_chi_max, from_dense, mps_to_dict
+from .mps import DENSE_SITE_CAP, check_chi_max, from_dense, mps_to_dict, to_dense
 from .sample_images import get_image
 from .simulator import (
     check_sampling,
@@ -229,7 +236,7 @@ def cmd_compile(args) -> int:
     grow = cfg.method == "grow"
     compiler.check_stages(cfg.depth, cfg.sweeps if grow else 0)
     out = _out_dir(cfg)
-    target, _ = from_dense(state, chi_max=cfg.chi_max)
+    target = to_dense(from_dense(state, chi_max=cfg.chi_max)[0])
     if grow:
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps)
     else:
@@ -322,6 +329,12 @@ def cmd_analyze(args) -> int:
         # read the image at the largest side the sweep needs
         side = max(side, *values)
     grid = _load_grid(cfg, side)
+    for chi in values if args.sweep == "chi" else [cfg.chi_max]:
+        check_chi_max(chi)
+    if args.sweep == "depth":
+        compiler.check_stages(min(values), cfg.sweeps if cfg.method == "grow" else 0)
+    elif args.sweep == "resolution":
+        analysis.check_resolutions(values, grid.side_length)
     out = _out_dir(cfg)
     if args.sweep == "chi":
         rows = analysis.chi_scaling_sweep(grid, values, ordering=cfg.ordering)
@@ -358,8 +371,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .mps import to_dense, truncate
-
     checks = []
 
     fit = analysis.fit_power_law([(x, 3.0 * x**-1.645) for x in (2, 4, 8, 16, 32)])
@@ -373,9 +384,7 @@ def cmd_selftest(args) -> int:
     m, _ = from_dense(vec)
     checks.append(("lossless dense round trip", np.max(np.abs(to_dense(m) - vec)) < 1e-10))
 
-    chi2, _ = truncate(m, 2)
-    from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
-
+    chi2, _ = from_dense(vec, chi_max=2)
     circuit = LayeredCircuit(6, staircase_sites(6), layer_from_chi2_mps(chi2)[None])
     exact = 1.0 - abs(np.vdot(to_dense(chi2), run(circuit)))
     checks.append(("chi=2 single-layer exactness", exact < 1e-9))

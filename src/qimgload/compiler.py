@@ -1,4 +1,4 @@
-"""Circuit compilation against a target MPS.
+"""Circuit compilation against dense target amplitudes.
 
 `construction_stages` is the one construction loop.  Each stage cuts
 the residual of the current circuit, the target with the circuit
@@ -36,15 +36,7 @@ from numpy.linalg._umath_linalg import svd_f as _svd_full
 
 from .circuit import LayeredCircuit, layer_from_chi2_mps, staircase_sites
 from .errors import NumericError, ValidationError
-from .mps import (
-    CANONICAL_ISOMETRY_TOL,
-    MPS,
-    from_dense,
-    inner,
-    isometry_error,
-    left_canonicalize,
-    to_dense,
-)
+from .mps import CANONICAL_ISOMETRY_TOL, from_dense, isometry_error
 from .simulator import apply_gate, apply_gate_dense, gate_operands
 
 DEFAULT_CHI_MAX = 32  # the target's bond cap in `compile` and the depth sweep
@@ -312,39 +304,33 @@ def _undo_layer(vec: np.ndarray, layer: np.ndarray, n: int) -> np.ndarray:
     return vec
 
 
-def construction_stages(target: MPS, depth: int, sweeps: int = 0):
+def construction_stages(target: np.ndarray, depth: int, sweeps: int = 0):
     """Yield (circuit, trace) after each of stages 1..depth; stage d's circuit has depth d.
 
-    Every stage cuts its new layer from r, the dense target with every
-    layer built so far undone: `from_dense` of r at bond dimension 2 gives
-    the MPS that `layer_from_chi2_mps` turns into the layer.  With
-    ``sweeps`` > 0 each stage then sweeps every gate that many times, and
-    the next stage rebuilds r from the target through the swept layers.
-    With no sweeps each new layer is folded into r, and the row is
-    (d, 0, |r[0]|).  So every row is |<target|C|0>| against the target the
-    caller compressed, and both methods need N <= 20.  Every stage yields
-    the same trace object, which later stages extend.
+    Every stage cuts its new layer from r, the dense ``target`` amplitudes
+    with every layer built so far undone: `from_dense` of r at bond
+    dimension 2, which checks the target at stage 1, gives the MPS that
+    `layer_from_chi2_mps` turns into the layer.  With ``sweeps`` > 0 each
+    stage then sweeps every gate that many times, and the next stage
+    rebuilds r from the target through the swept layers.  With no sweeps
+    each new layer is folded into r, and the row is (d, 0, |r[0]|).  So
+    every row is |<target|C|0>|, and both methods need N <= 20.  Every
+    stage yields the same trace object, which later stages extend.
     """
     check_stages(depth, sweeps)
-    norm = abs(inner(target, target))
-    if not abs(norm - 1.0) <= 1e-8:
-        raise ValidationError(f"target must have unit norm, got {np.sqrt(norm)}")
-    residual = to_dense(left_canonicalize(target))
-    # sweeps read the target at every stage; without them only r is kept
-    target_amplitudes = residual if sweeps else None
-    n = target.n_sites
+    residual = target
     trace = OptimizerTrace()
-    gates = np.empty((0, n - 1, 4, 4))
     for stage in range(1, depth + 1):
         if sweeps and stage > 1:
-            residual = target_amplitudes
+            residual = target
             for layer in gates[::-1]:
                 residual = _undo_layer(residual, layer, n)
         layer = layer_from_chi2_mps(from_dense(residual, chi_max=2)[0])
-        gates = np.concatenate((layer[None], gates))
+        n = len(layer) + 1
+        gates = np.concatenate((layer[None], gates)) if stage > 1 else layer[None]
         circuit = LayeredCircuit(n, staircase_sites(n, stage), gates)
         if sweeps:
-            circuit, trace = sweep_optimize(circuit, target_amplitudes, sweeps, trace, stage)
+            circuit, trace = sweep_optimize(circuit, target, sweeps, trace, stage)
             gates = circuit.gates
         else:
             residual = _undo_layer(residual, layer, n)
@@ -352,7 +338,7 @@ def construction_stages(target: MPS, depth: int, sweeps: int = 0):
         yield circuit, trace
 
 
-def iterative_construct(target: MPS, depth: int):
+def iterative_construct(target: np.ndarray, depth: int):
     """Depth-D circuit from repeated chi=2 cuts of the residual, without sweeps.
 
     Returns (circuit, trace); the trace holds the overlap after each layer.
@@ -361,7 +347,7 @@ def iterative_construct(target: MPS, depth: int):
     return replace(circuit, provenance={"method": "iterative", "depth": depth}), trace
 
 
-def grow_and_optimize(target: MPS, depth: int, sweeps_per_stage: int = DEFAULT_SWEEPS):
+def grow_and_optimize(target: np.ndarray, depth: int, sweeps_per_stage: int = DEFAULT_SWEEPS):
     """Grow-then-reoptimize: the depth-D circuit and full trace of the swept stages."""
     *_, (circuit, trace) = construction_stages(target, depth, sweeps_per_stage)
     provenance = {

@@ -1,5 +1,5 @@
 """Matrix product state core: sequential-SVD compression, canonical form,
-overlaps, truncation, and adjacent two-qubit gate application.
+truncation, and adjacent two-qubit gate application.
 
 Conventions: site tensors have shape (left_bond, 2, right_bond) with
 boundary bonds of dimension 1; site 0's physical index is the most
@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# the gufuncs behind np.linalg.svd(full_matrices=False) and np.linalg.qr, without
-# their per-call wrappers; tests/test_compiler.py pins them bit for bit against those
-from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, svd_s
+# the gufunc behind np.linalg.svd(full_matrices=False), without its per-call
+# wrapper; tests/test_compiler.py pins it bit for bit against that
+from numpy.linalg._umath_linalg import svd_s
 
 from .errors import NumericError, ValidationError
 
@@ -155,13 +155,6 @@ def to_dense(m: MPS) -> np.ndarray:
     return vec[:, 0]
 
 
-def _qr(mat: np.ndarray):
-    """np.linalg.qr(mat), in double precision, from its two LAPACK calls on a copy of mat."""
-    a = mat.astype(np.result_type(mat.dtype, np.float64))
-    tau = qr_r_raw(a)
-    return qr_reduced(a, tau), np.triu(a[: len(tau)])
-
-
 def left_canonicalize(m: MPS) -> MPS:
     """QR sweep into left-canonical form; state preserved up to renormalization."""
     if m.canonical_form == "left":
@@ -172,7 +165,7 @@ def left_canonicalize(m: MPS) -> MPS:
         right = t.shape[2]
         if carry is not None:
             t = np.dot(carry, t.reshape(t.shape[0], -1))
-        q, r = _qr(t.reshape(-1, right))
+        q, r = np.linalg.qr(t.reshape(-1, right))
         # fix gauge so diag(R) >= 0, making the sweep deterministic
         d = np.diagonal(r)
         if r.dtype.kind != "c":  # the phase of a real d is its sign, applied in place
@@ -222,20 +215,6 @@ def truncate(m: MPS, chi: int):
     eps = _move_center_left(tensors, 0, chi)
     out = left_canonicalize(MPS(tuple(tensors), canonical_form="none"))
     return out, tuple(eps)
-
-
-def inner(a: MPS, b: MPS):
-    """Overlap <a|b> by transfer-matrix contraction, O(N * chi^3)."""
-    if a.n_sites != b.n_sites:
-        raise ValidationError("site-count mismatch")
-    # np.tensordot's own operands and products, without its wrapper
-    ta, tb = np.conj(a.tensors[0]), b.tensors[0]
-    env = np.dot(ta.reshape(-1, ta.shape[2]).T, tb.reshape(-1, tb.shape[2]))
-    for ta, tb in zip(a.tensors[1:], b.tensors[1:]):
-        tmp = np.dot(env.T, np.conj(ta).reshape(ta.shape[0], -1))
-        env = np.dot(tmp.reshape(-1, ta.shape[2]).T, tb.reshape(-1, tb.shape[2]))
-    val = env[0, 0]
-    return float(val.real) if not np.iscomplexobj(env) else complex(val)
 
 
 def apply_two_qubit_gate(m: MPS, gate: np.ndarray, site: int, chi_max=None):

@@ -14,7 +14,7 @@ import pytest
 
 from qimgload.circuit import LayeredCircuit, staircase_sites
 from qimgload.image_codec import ImageGrid
-from qimgload.mps import from_dense
+from qimgload.mps import from_dense, to_dense
 
 
 @pytest.fixture
@@ -73,6 +73,11 @@ def random_unitary4(rng, complex_valued: bool = False) -> np.ndarray:
         a = a + 1j * rng.standard_normal((4, 4))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def capped_state(vec, chi_max=None) -> np.ndarray:
+    """The dense amplitudes of ``vec`` cut by `from_dense` to bonds <= ``chi_max``."""
+    return to_dense(from_dense(vec, chi_max=chi_max)[0])
 
 
 def random_chi2_mps(rng, n_qubits: int):

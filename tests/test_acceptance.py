@@ -8,7 +8,13 @@ pytest exit status agree.
 import numpy as np
 
 import conftest
-from conftest import identity_circuit, random_staircase_circuit, random_state, random_unitary4
+from conftest import (
+    capped_state,
+    identity_circuit,
+    random_staircase_circuit,
+    random_state,
+    random_unitary4,
+)
 from qimgload.analysis import (
     chi_scaling_sweep,
     depth_scaling_sweep,
@@ -45,9 +51,9 @@ def test_criterion_01_chi2_single_layer_exactness():
     worst = 0.0
     for n in (4, 6, 8, 10):
         for _ in range(25):
-            target, _ = from_dense(random_state(rng, n), chi_max=2)
+            target = capped_state(random_state(rng, n), 2)
             circuit, _ = iterative_construct(target, 1)
-            worst = max(worst, infidelity(to_dense(target), run(circuit)))
+            worst = max(worst, infidelity(target, run(circuit)))
     report(1, "chi=2 MPS prepared exactly by one staircase layer",
            worst <= 1e-9, f"worst infidelity {worst:.2e} over 100 states")
 
@@ -86,14 +92,14 @@ def test_criterion_04_truncation_error_bound():
 def test_criterion_05_monotone_sweeps_beat_iterative():
     image = scene_image(32)
     state = encode_amplitudes(image)
-    target, _ = from_dense(state)
+    target = capped_state(state)
     ok = True
     details = []
     for depth in (2, 4, 8):
         circuit, _ = iterative_construct(target, depth)
         start = infidelity(state, run(circuit))
         trace = OptimizerTrace()
-        optimized, _ = sweep_optimize(circuit, to_dense(target), 200, trace)
+        optimized, _ = sweep_optimize(circuit, target, 200, trace)
         final = infidelity(state, run(optimized))
         monotone = bool(np.all(np.diff(trace.gate_overlaps) >= -1e-12))
         ok = ok and monotone and final < start
@@ -178,7 +184,7 @@ def test_criterion_10_nuclear_norm_update():
 def test_criterion_11_end_to_end_sampling():
     image = digit_image(16)
     state = encode_amplitudes(image)
-    target, _ = from_dense(state)
+    target = capped_state(state)
     circuit, _ = grow_and_optimize(target, 3, sweeps_per_stage=200)
     prepared = run(circuit)
     exact_probs = np.abs(prepared) ** 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import capped_state, random_state
 from qimgload.analysis import (
     chi_scaling_sweep,
     depth_scaling_sweep,
@@ -16,7 +16,6 @@ from qimgload.analysis import (
 from qimgload.compiler import construction_stages, grow_and_optimize, iterative_construct
 from qimgload.errors import ValidationError
 from qimgload.image_codec import encode_amplitudes
-from qimgload.mps import from_dense
 from qimgload.sample_images import BUILTIN_IMAGES, digit_image, get_image, scene_image, sign_image
 from qimgload.simulator import run
 
@@ -145,7 +144,7 @@ class TestScalingSweeps:
     @pytest.mark.parametrize("method", ["iterative", "grow"])
     def test_deeper_build_ends_with_every_shallower_one(self, method):
         # one build at the largest depth serves the whole depth list
-        target, _ = from_dense(encode_amplitudes(scene_image(16)), chi_max=8)
+        target = capped_state(encode_amplitudes(scene_image(16)), 8)
         sweeps = 5 if method == "grow" else 0
         stages = construction_stages(target, 5, sweeps)
         for depth, (circuit, _) in enumerate(stages, 1):
@@ -160,7 +159,7 @@ class TestScalingSweeps:
     def test_depth_sweep_equals_separate_builds(self, method):
         image = digit_image(8)
         exact = encode_amplitudes(image)
-        target, _ = from_dense(exact, chi_max=8)
+        target = capped_state(exact, 8)
         records = depth_scaling_sweep(image, [3, 1, 2], method=method, sweeps=5, chi_max=8)
         assert [x for x, L, i in records] == [1, 2, 3]
         for depth, _, value in records:

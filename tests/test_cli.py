@@ -25,6 +25,9 @@ from qimgload.sample_images import get_image
 from qimgload.simulator import histogram_to_csv, run, sample
 
 
+DIGIT4 = ("--image", "builtin:digit", "--target-l", "4")
+
+
 @pytest.fixture
 def out(tmp_path):
     return tmp_path / "out"
@@ -786,9 +789,21 @@ class TestExitCodes:
              "depth must be >= 1"),
             (["compile", "--image", "builtin:digit", "--target-l", "4", "--sweeps", "-1"],
              "sweep count must be >= 0"),
+            (["analyze", "--sweep", "chi", *DIGIT4, "--chi-list", "0,2"], "chi_max must be >= 1"),
+            (["analyze", "--sweep", "depth", *DIGIT4, "--depth-list", "0,2"],
+             "depth must be >= 1"),
+            (["analyze", "--sweep", "depth", *DIGIT4, "--chi-max", "0"], "chi_max must be >= 1"),
+            (["analyze", "--sweep", "depth", *DIGIT4, "--sweeps", "-1"],
+             "sweep count must be >= 0"),
+            (["analyze", "--sweep", "resolution", *DIGIT4, "--l-list", "3,4"],
+             "invalid sweep resolution 3"),
+            (["analyze", "--sweep", "resolution", *DIGIT4, "--l-list", "1,4"],
+             "invalid sweep resolution 1"),
         ],
         ids=["simulate-seed", "simulate-shots-above-int64", "simulate-shots-zero",
-             "encode-chi-max", "compile-chi-max", "compile-depth", "compile-sweeps"],
+             "encode-chi-max", "compile-chi-max", "compile-depth", "compile-sweeps",
+             "analyze-chi-list", "analyze-depth-list", "analyze-depth-chi-max",
+             "analyze-depth-sweeps", "analyze-l-list-not-power-of-two", "analyze-l-list-below-two"],
     )
     def test_out_of_range_option_leaves_no_out_dir(self, tmp_path, out, capsys, argv, message):
         circuit = tmp_path / "circuit.json"
@@ -1005,6 +1020,11 @@ class TestExitCodes:
 class TestSelftest:
     def test_passes(self, capsys):
         assert run_cli("selftest") == 0
-        output = capsys.readouterr().out
-        assert "FAIL" not in output
-        assert output.count("PASS") >= 5
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  power-law exponent 1.645 recovered",
+            "PASS  power-law exponent 0.603 recovered",
+            "PASS  lossless dense round trip",
+            "PASS  chi=2 single-layer exactness",
+            "PASS  42 CNOT-equivalents at N=8 D=3",
+            "PASS  180 CNOT-equivalents at N=10 D=10",
+        ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    capped_state,
     random_staircase_circuit,
     random_state,
     random_unitary4,
@@ -129,7 +130,7 @@ class TestEnvironmentTensor:
 def test_dense_functions_reject_an_mps(rng):
     # the dense layer takes amplitude arrays; a caller holding an MPS converts it once
     target, _ = from_dense(random_state(rng, 4), chi_max=4)
-    circuit, _ = iterative_construct(target, 1)
+    circuit, _ = iterative_construct(to_dense(target), 1)
     with pytest.raises(ValidationError, match="target dimension"):
         sweep_optimize(circuit, target, 1)
     with pytest.raises(ValidationError, match="target dimension"):
@@ -138,6 +139,11 @@ def test_dense_functions_reject_an_mps(rng):
         infidelity(to_dense(target), target)
     with pytest.raises(ValidationError, match="dimension mismatch"):
         infidelity(target, target)
+    # construction cuts its target with from_dense, whose first check refuses it
+    with pytest.raises(ValidationError, match="not a power of two"):
+        iterative_construct(target, 1)
+    with pytest.raises(ValidationError, match="not a power of two"):
+        grow_and_optimize(target, 1, 1)
 
 
 class TestOptimalGate:
@@ -243,8 +249,8 @@ class TestOptimalGate:
 
 
 # Reference bond-level MPS code through numpy's public wrappers (np.linalg.svd,
-# np.linalg.qr, np.tensordot, np.linalg.norm): the direct LAPACK calls and 2-D
-# products in `mps` must give the same bits.
+# np.linalg.qr, np.tensordot, np.linalg.norm): the direct LAPACK SVD calls and
+# 2-D products in `mps` must give the same bits.
 
 def reference_cut(mat, chi=None):
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -303,18 +309,17 @@ class TestDirectLapack:
     @pytest.mark.parametrize("rank", [4, 1, 0], ids=["full-rank", "rank-1", "zero"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_thin_svd_and_qr_equal_np_linalg(self, rng, shape, rank, dtype):
+        # the QR step calls np.linalg.qr itself, so only the SVD gufunc is pinned
         a = rng.standard_normal((shape[0], rank))
         if dtype is complex:
             a = a + 1j * rng.standard_normal((shape[0], rank))
         mat = a @ rng.standard_normal((rank, shape[1]))
-        before = mat.copy()
         signature = "D->DdD" if dtype is complex else "d->ddd"
-        got = mps.svd_s(mat, signature=signature) + mps._qr(mat)
-        want = np.linalg.svd(mat, full_matrices=False) + np.linalg.qr(mat)
-        for g, w in zip(got, want):
+        got = mps.svd_s(mat, signature=signature)
+        want = np.linalg.svd(mat, full_matrices=False)
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(mat, before)  # qr_r_raw overwrote a copy
 
     @pytest.mark.parametrize("method", ["iterative", "grow"])
     @pytest.mark.parametrize("source", ["digit", "scene", "complex"])
@@ -325,7 +330,8 @@ class TestDirectLapack:
             vec = encode_amplitudes(get_image(source, 8))
 
         def build():
-            target, weights = from_dense(vec, chi_max=8)
+            m, weights = from_dense(vec, chi_max=8)
+            target = to_dense(m)
             if method == "iterative":
                 circuit, trace = iterative_construct(target, 3)
             else:
@@ -335,7 +341,6 @@ class TestDirectLapack:
         weights, gates, records = build()
         # the bond cuts of every from_dense call, the target's and each layer's
         monkeypatch.setattr(mps, "_cut", reference_cut)
-        monkeypatch.setattr(compiler, "left_canonicalize", reference_left_canonicalize)
         want_weights, want_gates, want_records = build()
         assert weights == want_weights
         assert gates.dtype == want_gates.dtype
@@ -358,27 +363,27 @@ class TestDirectLapack:
 
 class TestSweepOptimize:
     def test_overlaps_monotone_within_and_across_sweeps(self, rng):
-        target, _ = from_dense(random_state(rng, 6), chi_max=8)
+        target = capped_state(random_state(rng, 6), 8)
         circuit, _ = iterative_construct(target, 2)
         trace = OptimizerTrace()
-        sweep_optimize(circuit, to_dense(target), 10, trace)
+        sweep_optimize(circuit, target, 10, trace)
         diffs = np.diff(trace.gate_overlaps)
         assert np.all(diffs >= -1e-12)
 
     def test_improves_on_iterative_start(self, rng):
         vec = random_state(rng, 6)
-        target, _ = from_dense(vec, chi_max=8)
+        target = capped_state(vec, 8)
         circuit, _ = iterative_construct(target, 2)
         start = circuit_overlap(circuit, vec)
-        optimized, trace = sweep_optimize(circuit, to_dense(target), 50)
+        optimized, trace = sweep_optimize(circuit, target, 50)
         _, _, overlap = trace.records[-1]
         assert overlap > start
         assert circuit_overlap(optimized, vec) == pytest.approx(overlap, abs=1e-9)
 
     def test_preserves_layer_structure(self, rng):
-        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        target = capped_state(random_state(rng, 5), 4)
         circuit, _ = iterative_construct(target, 3)
-        optimized, _ = sweep_optimize(circuit, to_dense(target), 3)
+        optimized, _ = sweep_optimize(circuit, target, 3)
         assert optimized.depth == circuit.depth
         np.testing.assert_array_equal(optimized.sites, circuit.sites)
 
@@ -475,7 +480,7 @@ class TestSweepOptimize:
         # one bad update, the first or the last of the first sweep's 8,
         # written where the loop stores it: the check at the end of that
         # sweep must see it, before the second sweep applies the gate
-        target, _ = from_dense(random_state(rng, 5, complex_valued), chi_max=4)
+        target = capped_state(random_state(rng, 5, complex_valued), 4)
         circuit, _ = iterative_construct(target, 2)
         assert (circuit.gates.dtype.kind == "c") == complex_valued
         kernel = compiler._polar_into
@@ -490,7 +495,7 @@ class TestSweepOptimize:
 
         monkeypatch.setattr(compiler, "_polar_into", one_update_corrupted)
         with pytest.raises(ValidationError, match="sweep 1 produced a gate that is not unitary"):
-            sweep_optimize(circuit, to_dense(target), 2)
+            sweep_optimize(circuit, target, 2)
         assert len(calls) == len(circuit.all_gates()) == 8
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
@@ -536,7 +541,7 @@ class TestSweepOptimize:
     def test_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
         # one poisoned update in the second sweep: its SVD gives NaN
         # singular values, and the nuclear-norm check raises at that update
-        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        target = capped_state(random_state(rng, 5), 4)
         circuit, _ = iterative_construct(target, 2)
         kernel = compiler._environment
         calls = []
@@ -551,7 +556,7 @@ class TestSweepOptimize:
         monkeypatch.setattr(compiler, "_environment", one_update_poisoned)
         trace = OptimizerTrace()
         with pytest.raises(NumericError, match="not finite"):
-            sweep_optimize(circuit, to_dense(target), 3, trace)
+            sweep_optimize(circuit, target, 3, trace)
         assert len(calls) == 11 and len(trace.gate_overlaps) == 10
 
     @pytest.mark.parametrize("n", range(2, 14))
@@ -603,9 +608,9 @@ class TestSweepOptimize:
         assert abs(peaks[1] - peaks[0]) < 2**n * 8
 
     def test_zero_sweeps_is_identity(self, rng):
-        target, _ = from_dense(random_state(rng, 4), chi_max=4)
+        target = capped_state(random_state(rng, 4), 4)
         circuit, _ = iterative_construct(target, 1)
-        same, trace = sweep_optimize(circuit, to_dense(target), 0)
+        same, trace = sweep_optimize(circuit, target, 0)
         assert trace.records == []
         np.testing.assert_allclose(
             run(same), run(circuit), atol=1e-15
@@ -614,50 +619,47 @@ class TestSweepOptimize:
 
 class TestIterativeConstruct:
     def test_chi2_target_is_exact_at_depth_one(self, rng):
-        target, _ = from_dense(random_state(rng, 6), chi_max=2)
+        target = capped_state(random_state(rng, 6), 2)
         circuit, trace = iterative_construct(target, 1)
-        assert circuit_overlap(circuit, to_dense(target)) == pytest.approx(1.0, abs=1e-10)
+        assert circuit_overlap(circuit, target) == pytest.approx(1.0, abs=1e-10)
         _, _, overlap = trace.records[-1]
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_deeper_is_monotonically_better(self, rng):
-        target, _ = from_dense(random_state(rng, 7), chi_max=8)
-        vec = to_dense(target)
+        target = capped_state(random_state(rng, 7), 8)
         overlaps = [
-            circuit_overlap(iterative_construct(target, d)[0], vec) for d in (1, 2, 3, 4)
+            circuit_overlap(iterative_construct(target, d)[0], target) for d in (1, 2, 3, 4)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_trace_matches_final_overlap(self, rng):
         # the last row is the depth-3 circuit's overlap with the target
-        target, _ = from_dense(random_state(rng, 6), chi_max=4)
+        target = capped_state(random_state(rng, 6), 4)
         circuit, trace = iterative_construct(target, 3)
         _, _, overlap = trace.records[-1]
-        assert overlap == pytest.approx(circuit_overlap(circuit, to_dense(target)), abs=1e-8)
+        assert overlap == pytest.approx(circuit_overlap(circuit, target), abs=1e-8)
 
     def test_every_row_is_its_circuits_overlap(self):
         # a target of bond dimension 16, far above the layers' 2: each row
         # must measure its circuit against the whole target
-        target, _ = from_dense(random_state(np.random.default_rng(1234), 8), chi_max=16)
-        vec = to_dense(target)
+        target = capped_state(random_state(np.random.default_rng(1234), 8), 16)
         rows = []
         for circuit, trace in compiler.construction_stages(target, 3, sweeps=0):
             stage, sweep, overlap = trace.records[-1]
             assert (stage, sweep) == (circuit.depth, 0)
-            assert overlap == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
+            assert overlap == pytest.approx(circuit_overlap(circuit, target), abs=1e-12)
             rows.append(overlap)
         assert len(trace.records) == 3
         circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=0)
         assert [overlap for *_, overlap in trace.records] == rows
-        assert rows[-1] == pytest.approx(circuit_overlap(circuit, vec), abs=1e-12)
+        assert rows[-1] == pytest.approx(circuit_overlap(circuit, target), abs=1e-12)
 
     @pytest.mark.parametrize("sweeps", [0, 2], ids=["iterative", "grow"])
     @pytest.mark.parametrize("n", [4, 6])
     def test_each_layer_is_cut_from_the_undone_target(self, rng, monkeypatch, sweeps, n):
         # layer d is the chi=2 cut of r_d = C_{d-1}^dagger |target>, where
         # C_{d-1} is the circuit that stage d-1 yielded (swept, for grow)
-        target, _ = from_dense(random_state(rng, n), chi_max=4)
-        vec = to_dense(target)
+        target = capped_state(random_state(rng, n), 4)
         unswept = []
         kernel = compiler.sweep_optimize
 
@@ -668,7 +670,7 @@ class TestIterativeConstruct:
         monkeypatch.setattr(compiler, "sweep_optimize", recorded)
         previous = []
         for circuit, _ in compiler.construction_stages(target, 3, sweeps):
-            residual = vec
+            residual = target
             for site, gate in reversed(previous):
                 residual = apply_gate_dense(residual, gate.conj().T, site, n)
             layer = (unswept[-1] if sweeps else circuit).gates[0]
@@ -678,17 +680,22 @@ class TestIterativeConstruct:
         assert len(unswept) == (3 if sweeps else 0)
 
     def test_depth_sets_layer_count(self, rng):
-        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        target = capped_state(random_state(rng, 5), 4)
         assert iterative_construct(target, 4)[0].depth == 4
 
     def test_rejects_unnormalized_target(self, rng):
-        target, _ = from_dense(random_state(rng, 4), chi_max=2)
-        bad = MPS(tuple(t * 1.1 for t in target.tensors))
-        with pytest.raises(ValidationError):
-            iterative_construct(bad, 1)
+        target = capped_state(random_state(rng, 4), 2)
+        with pytest.raises(ValidationError, match="unit norm"):
+            iterative_construct(target * 1.1, 1)
+
+    @pytest.mark.parametrize("construct", [iterative_construct, grow_and_optimize])
+    def test_rejects_a_target_that_is_not_a_vector(self, rng, construct):
+        target = capped_state(random_state(rng, 4), 2)
+        with pytest.raises(ValidationError, match="not a power of two"):
+            construct(target.reshape(4, 4), 1)
 
     def test_rejects_bad_depth(self, rng):
-        target, _ = from_dense(random_state(rng, 4), chi_max=2)
+        target = capped_state(random_state(rng, 4), 2)
         with pytest.raises(ValidationError):
             iterative_construct(target, 0)
 
@@ -696,17 +703,16 @@ class TestIterativeConstruct:
 @pytest.mark.parametrize("construct", [iterative_construct, grow_and_optimize])
 def test_constructions_reject_a_nan_target(rng, construct):
     # a NaN norm must fail the unit-norm check, not reach an SVD
-    target, _ = from_dense(random_state(rng, 4), chi_max=2)
-    tensors = [t.copy() for t in target.tensors]
-    tensors[1][0, 1, 0] = np.nan
+    target = capped_state(random_state(rng, 4), 2)
+    target[5] = np.nan
     with pytest.raises(ValidationError, match="unit norm, got nan"):
-        construct(MPS(tuple(tensors)), 1)
+        construct(target, 1)
 
 
 class TestGrowAndOptimize:
     def test_beats_pure_iterative(self, rng):
         vec = random_state(rng, 6)
-        target, _ = from_dense(vec, chi_max=8)
+        target = capped_state(vec, 8)
         iterative = circuit_overlap(iterative_construct(target, 3)[0], vec)
         grown, trace = grow_and_optimize(target, 3, sweeps_per_stage=30)
         _, _, overlap = trace.records[-1]
@@ -714,20 +720,20 @@ class TestGrowAndOptimize:
         assert circuit_overlap(grown, vec) == pytest.approx(overlap, abs=1e-9)
 
     def test_stage_count_and_depth(self, rng):
-        target, _ = from_dense(random_state(rng, 5), chi_max=4)
+        target = capped_state(random_state(rng, 5), 4)
         circuit, trace = grow_and_optimize(target, 3, sweeps_per_stage=5)
         assert circuit.depth == 3
         assert {stage for stage, _, _ in trace.records} == {1, 2, 3}
 
     def test_trace_monotone_within_each_stage(self, rng):
-        target, _ = from_dense(random_state(rng, 6), chi_max=8)
+        target = capped_state(random_state(rng, 6), 8)
         _, trace = grow_and_optimize(target, 2, sweeps_per_stage=10)
         for stage in (1, 2):
             overlaps = [o for s, _, o in trace.records if s == stage]
             assert all(b >= a - 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_provenance_recorded(self, rng):
-        target, _ = from_dense(random_state(rng, 4), chi_max=2)
+        target = capped_state(random_state(rng, 4), 2)
         circuit, _ = grow_and_optimize(target, 2, sweeps_per_stage=2)
         assert circuit.provenance["method"] == "grow_and_optimize"
         assert circuit.provenance["depth"] == 2

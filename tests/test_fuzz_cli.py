@@ -10,11 +10,11 @@ from dataclasses import replace
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import capped_state
 from qimgload.circuit import serialize
 from qimgload.cli import main
 from qimgload.compiler import iterative_construct
 from qimgload.image_codec import encode_amplitudes, write_pgm
-from qimgload.mps import from_dense
 from qimgload.sample_images import get_image
 
 FUZZ = settings(
@@ -30,7 +30,7 @@ ODD_TOKENS = ["nan", "-nan", "inf", "-inf", "1e400", "1e308", "1e-320", "-1", "2
 
 
 def _seed_circuit() -> str:
-    target, _ = from_dense(encode_amplitudes(get_image("digit", 4)))
+    target = capped_state(encode_amplitudes(get_image("digit", 4)))
     circuit, _ = iterative_construct(target, 2)
     provenance = {**circuit.provenance, "ordering": "straight"}
     return serialize(replace(circuit, provenance=provenance)).decode()

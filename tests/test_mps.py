@@ -17,7 +17,6 @@ from qimgload.mps import (
     _fix_svd_signs,
     apply_two_qubit_gate,
     from_dense,
-    inner,
     isometry_defect,
     isometry_error,
     left_canonicalize,
@@ -207,17 +206,6 @@ class TestTruncate:
         np.testing.assert_allclose(to_dense(out), to_dense(m), atol=1e-12)
 
 
-class TestInner:
-    def test_matches_dense_vdot(self, rng):
-        a, _ = from_dense(random_state(rng, 6), chi_max=4)
-        b, _ = from_dense(random_state(rng, 6), chi_max=4)
-        assert inner(a, b) == pytest.approx(np.vdot(to_dense(a), to_dense(b)), abs=1e-12)
-
-    def test_self_overlap_is_norm_squared(self, rng):
-        m, _ = from_dense(random_state(rng, 5))
-        assert inner(m, m) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestApplyTwoQubitGate:
     def test_matches_dense_oracle_every_site(self, rng):
         n = 6
@@ -236,7 +224,7 @@ class TestApplyTwoQubitGate:
         gate = random_unitary4(rng, complex_valued=True)
         out, _ = apply_two_qubit_gate(m, gate, 2)
         back, _ = apply_two_qubit_gate(out, gate.conj().T, 2)
-        assert abs(abs(inner(m, back)) - 1.0) < 1e-10
+        assert abs(abs(np.vdot(to_dense(m), to_dense(back))) - 1.0) < 1e-10
 
     def test_truncated_application_is_optimal_locally(self, rng):
         # with the canonical center on the gate, the kept weights are the

@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_state
+from conftest import capped_state, random_state
 from qimgload import cli
 from qimgload.circuit import LayeredCircuit
 from qimgload.compiler import grow_and_optimize, iterative_construct, sweep_optimize
-from qimgload.mps import from_dense, to_dense
 from qimgload.simulator import apply_gate_dense
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -64,10 +63,10 @@ def test_sweep_counter_reads_all_gates():
 def test_sweep_counter_sees_one_record_per_sweep(rng):
     # the tracer counts sweeps as the growth of len(trace.records) across a
     # sweep_optimize call, reading the trace it passed in and the one returned
-    target, _ = from_dense(random_state(rng, 5), chi_max=4)
+    target = capped_state(random_state(rng, 5), 4)
     circuit, trace = iterative_construct(target, 2)
     before = len(trace.records)
-    _, returned = sweep_optimize(circuit, to_dense(target), 3, trace)
+    _, returned = sweep_optimize(circuit, target, 3, trace)
     assert returned is trace
     assert len(trace.records) == before + 3
     _, grown = grow_and_optimize(target, 2, 4)
