@@ -1,4 +1,4 @@
-"""Matrix product state core: sequential-SVD compression, canonical form,
+"""Matrix product state core: sequential compression, canonical form,
 truncation, and adjacent two-qubit gate application.
 
 Conventions: site tensors have shape (left_bond, 2, right_bond) with
@@ -7,6 +7,11 @@ significant bit of the dense basis index.  "left" canonical form means
 every tensor, reshaped ((left_bond * 2) x right_bond), has orthonormal
 columns, which is what the left-to-right SVD sweep produces and what the
 staircase circuit conversion consumes.
+
+`from_dense` is the sequential SVD (TT-SVD) of the amplitudes, but it cuts
+every wide bond unfolding A from the eigenpairs of its small Gram matrix
+A A^dagger and carries u^dagger A (= s vt) on, falling back to the SVD when
+the kept part of that spectrum is not resolved (see `GRAM_RESOLVED_TOL`).
 """
 
 from __future__ import annotations
@@ -15,15 +20,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# the gufunc behind np.linalg.svd(full_matrices=False), without its per-call
-# wrapper; tests/test_compiler.py pins it bit for bit against that
-from numpy.linalg._umath_linalg import svd_s
+# the gufuncs behind np.linalg.eigh (UPLO="L") and np.linalg.svd(full_matrices=
+# False), without their per-call wrappers; tests/test_compiler.py pins them bit
+# for bit against those
+from numpy.linalg._umath_linalg import eigh_lo, svd_s
 
 from .errors import NumericError, ValidationError
 
 DENSE_SITE_CAP = 20  # 2**20 amplitudes is the desk-scale memory ceiling
 
 CANONICAL_ISOMETRY_TOL = 1e-10
+
+# `from_dense` cuts a wide bond from its Gram matrix only when the smallest
+# kept eigenvalue exceeds this fraction of the largest.  The Gram matrix
+# squares the condition number, so eigenvalues near 1e-16 of the largest are
+# rounding noise where the SVD still finds small nonzero singular values.
+# Above 1e-8 the kept spectrum is resolved, and the SVD, which drops only
+# exact zeros, keeps the same count.
+GRAM_RESOLVED_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,28 @@ def _cut(mat: np.ndarray, chi=None):
     return u[:, :keep], s[:keep], vt[:keep], float(np.add.reduce(s[keep:] ** 2))
 
 
+def _gram_cut(mat: np.ndarray, chi=None):
+    """Cut a wide bond matrix (rows <= columns) from the eigenpairs of mat mat^dagger.
+
+    Keeps k = min(chi, rows) directions and returns (u, u^dagger mat,
+    discarded weight): u holds the k leading eigenvectors, sign-fixed like
+    `_cut`'s left singular vectors, and the weight is the sum of the dropped
+    eigenvalues, clipped at 0.  Returns None when the k-th eigenvalue is not
+    above ``GRAM_RESOLVED_TOL`` times the largest (NaN, LAPACK's failure,
+    included), so the caller cuts by SVD instead.
+    """
+    signature = "D->dD" if mat.dtype.kind == "c" else "d->dd"
+    with np.errstate(invalid="ignore"):
+        w, v = eigh_lo(mat @ mat.conj().T, signature=signature)
+    w, v = w[::-1], v[:, ::-1]  # descending
+    keep = len(w) if chi is None else min(chi, len(w))
+    if not w[keep - 1] > GRAM_RESOLVED_TOL * w[0]:
+        return None
+    u = v[:, :keep]
+    u, carry = _fix_svd_signs(u, u.conj().T @ mat)
+    return u, carry, max(float(np.add.reduce(w[keep:])), 0.0)
+
+
 def check_chi_max(chi_max: int) -> None:
     """Raise ValidationError unless the bond cap ``chi_max`` is at least 1."""
     if chi_max < 1:
@@ -113,15 +149,19 @@ def check_chi_max(chi_max: int) -> None:
 
 
 def from_dense(v, chi_max=None):
-    """Compress a unit vector into a left-canonical MPS by successive SVDs.
+    """Compress a unit vector into a left-canonical MPS by successive bond cuts.
 
     Returns (MPS, weights): ``weights`` is a tuple of per-bond discarded
     weights (sums of squares of the dropped singular values).  Each bond
     keeps at most ``chi_max`` singular values and drops those that are
-    exactly zero.
+    exactly zero.  A wide unfolding is cut by `_gram_cut` when its kept
+    spectrum is resolved, which keeps the count the SVD keeps; the others
+    are cut by `_cut`'s SVD.
     """
     vec = np.asarray(v)
-    if vec.ndim != 1 or vec.size < 2 or vec.size & (vec.size - 1):
+    if vec.ndim != 1:
+        raise ValidationError(f"amplitudes must be a 1-D array, got shape {vec.shape}")
+    if vec.size < 2 or vec.size & (vec.size - 1):
         raise ValidationError(f"length {vec.size} is not a power of two >= 2")
     n = int(np.log2(vec.size))
     norm = np.linalg.norm(vec)
@@ -136,10 +176,15 @@ def from_dense(v, chi_max=None):
     eps = []
     work = vec.reshape(1, -1)
     for _ in range(n - 1):
-        u, s, vt, discarded = _cut(work.reshape(work.shape[0] * 2, -1), chi_max)
+        mat = work.reshape(work.shape[0] * 2, -1)
+        cut = _gram_cut(mat, chi_max) if mat.shape[0] <= mat.shape[1] else None
+        if cut is None:
+            u, s, vt, discarded = _cut(mat, chi_max)
+            work = s[:, None] * vt
+        else:
+            u, work, discarded = cut
         eps.append(discarded)
-        tensors.append(u.reshape(-1, 2, len(s)))
-        work = s[:, None] * vt
+        tensors.append(u.reshape(-1, 2, u.shape[1]))
     last = work.reshape(-1, 2, 1)
     tensors.append(last / np.linalg.norm(last))
     return MPS(tuple(tensors), canonical_form="left"), tuple(eps)

@@ -140,9 +140,9 @@ def test_dense_functions_reject_an_mps(rng):
     with pytest.raises(ValidationError, match="dimension mismatch"):
         infidelity(target, target)
     # construction cuts its target with from_dense, whose first check refuses it
-    with pytest.raises(ValidationError, match="not a power of two"):
+    with pytest.raises(ValidationError, match="must be a 1-D array"):
         iterative_construct(target, 1)
-    with pytest.raises(ValidationError, match="not a power of two"):
+    with pytest.raises(ValidationError, match="must be a 1-D array"):
         grow_and_optimize(target, 1, 1)
 
 
@@ -249,19 +249,35 @@ class TestOptimalGate:
 
 
 # Reference bond-level MPS code through numpy's public wrappers (np.linalg.svd,
-# np.linalg.qr, np.tensordot, np.linalg.norm): the direct LAPACK SVD calls and
-# 2-D products in `mps` must give the same bits.
+# np.linalg.eigh, np.linalg.qr, np.tensordot, np.linalg.norm): the direct
+# LAPACK SVD and eigh calls and 2-D products in `mps` must give the same bits.
 
-def reference_cut(mat, chi=None):
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+def reference_fix_signs(u, vt):
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     phase = pivot / np.abs(pivot)
     u /= phase
     vt *= phase[:, None]
+
+
+def reference_cut(mat, chi=None):
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    reference_fix_signs(u, vt)
     keep = max(int(np.count_nonzero(s**2)), 1)
     if chi is not None:
         keep = min(keep, chi)
     return u[:, :keep], s[:keep], vt[:keep], float(np.sum(s[keep:] ** 2))
+
+
+def reference_gram_cut(mat, chi=None):
+    w, v = np.linalg.eigh(mat @ mat.conj().T)
+    w, v = w[::-1], v[:, ::-1]
+    keep = len(w) if chi is None else min(chi, len(w))
+    if not w[keep - 1] > mps.GRAM_RESOLVED_TOL * w[0]:
+        return None
+    u = v[:, :keep]
+    carry = u.conj().T @ mat
+    reference_fix_signs(u, carry)
+    return u, carry, max(float(np.sum(w[keep:])), 0.0)
 
 
 def reference_left_canonicalize(m):
@@ -321,6 +337,23 @@ class TestDirectLapack:
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("shape", [(8, 4), (4, 8), (4, 4)], ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("rank", [4, 1, 0], ids=["full-rank", "rank-1", "zero"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gram_eigh_equals_np_linalg_eigh(self, rng, shape, rank, dtype):
+        # the Gram matrix of a bond cut, of rank 4, 1 or 0
+        a = rng.standard_normal((shape[0], rank))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((shape[0], rank))
+        mat = a @ rng.standard_normal((rank, shape[1]))
+        gram = mat @ mat.conj().T
+        signature = "D->dD" if dtype is complex else "d->dd"
+        got = mps.eigh_lo(gram, signature=signature)
+        want = np.linalg.eigh(gram)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
     @pytest.mark.parametrize("method", ["iterative", "grow"])
     @pytest.mark.parametrize("source", ["digit", "scene", "complex"])
     def test_compiles_equal_the_wrapper_based_reference(self, rng, monkeypatch, method, source):
@@ -339,9 +372,17 @@ class TestDirectLapack:
             return weights, circuit.gates, trace.records
 
         weights, gates, records = build()
-        # the bond cuts of every from_dense call, the target's and each layer's
-        monkeypatch.setattr(mps, "_cut", reference_cut)
+        # the bond cuts of every from_dense call, the target's and each
+        # layer's, on both paths: Gram for resolved wide bonds, SVD otherwise
+        calls = {"_cut": 0, "_gram_cut": 0}
+        for name, reference in [("_cut", reference_cut), ("_gram_cut", reference_gram_cut)]:
+            def counted(mat, chi=None, name=name, reference=reference):
+                calls[name] += 1
+                return reference(mat, chi)
+
+            monkeypatch.setattr(mps, name, counted)
         want_weights, want_gates, want_records = build()
+        assert calls["_gram_cut"] and calls["_cut"]
         assert weights == want_weights
         assert gates.dtype == want_gates.dtype
         np.testing.assert_array_equal(gates, want_gates)
@@ -691,7 +732,7 @@ class TestIterativeConstruct:
     @pytest.mark.parametrize("construct", [iterative_construct, grow_and_optimize])
     def test_rejects_a_target_that_is_not_a_vector(self, rng, construct):
         target = capped_state(random_state(rng, 4), 2)
-        with pytest.raises(ValidationError, match="not a power of two"):
+        with pytest.raises(ValidationError, match=r"must be a 1-D array, got shape \(4, 4\)"):
             construct(target.reshape(4, 4), 1)
 
     def test_rejects_bad_depth(self, rng):

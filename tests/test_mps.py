@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import identity_circuit, oracle_apply_gate, random_state, random_unitary4
 from qimgload import mps
 from qimgload.errors import NumericError, ValidationError
+from qimgload.image_codec import encode_amplitudes
 from qimgload.mps import (
     CANONICAL_ISOMETRY_TOL,
     MPS,
@@ -24,6 +25,7 @@ from qimgload.mps import (
     to_dense,
     truncate,
 )
+from qimgload.sample_images import get_image
 from qimgload.simulator import run
 
 
@@ -79,6 +81,42 @@ class TestFromDense:
         vec[5] = np.nan
         with pytest.raises(ValidationError, match="unit norm, got nan"):
             from_dense(vec)
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("chi", [1, 2, 4, None])
+    def test_gram_cuts_agree_with_svd_cuts(self, rng, monkeypatch, complex_valued, chi):
+        states = [random_state(rng, n, complex_valued) for n in range(2, 11)]
+        got = [from_dense(vec, chi_max=chi) for vec in states]
+        monkeypatch.setattr(mps, "_gram_cut", lambda mat, chi=None: None)
+        for vec, (m, weights) in zip(states, got, strict=True):
+            want, want_weights = from_dense(vec, chi_max=chi)
+            assert m.bond_dims == want.bond_dims
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(to_dense(m), to_dense(want), rtol=0, atol=1e-12)
+
+    def test_unresolved_gram_spectrum_falls_back_to_svd(self, monkeypatch):
+        # the digit image's unfoldings have exact lower rank, so their
+        # trailing Gram eigenvalues are rounding noise: those bonds are cut
+        # by SVD, which keeps the same count, and the round trip stays exact
+        vec = encode_amplitudes(get_image("digit", 16))
+        cut = mps._cut
+        wide = []
+
+        def spy(mat, chi=None):
+            wide.append(mat.shape[0] <= mat.shape[1])
+            return cut(mat, chi)
+
+        monkeypatch.setattr(mps, "_cut", spy)
+        m, weights = from_dense(vec)
+        assert any(wide)
+        assert m.bond_dims == [1, 2, 4, 8, 16, 8, 4, 2, 1]
+        assert weights == (0.0,) * 7
+        assert np.abs(to_dense(m) - vec).max() <= 1e-13
+        # a basis state's singular values past the first are exactly zero and
+        # the SVD drops them; kept from the Gram matrix, bonds would read 2-8
+        basis = np.zeros(64)
+        basis[37] = 1.0
+        assert from_dense(basis)[0].bond_dims == [1] * 7
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=7))
     @settings(max_examples=30, deadline=None)
@@ -179,6 +217,32 @@ class TestNonFinite:
         monkeypatch.setattr(mps, "svd_s", failing)
         with pytest.raises(NumericError, match="did not converge"):
             from_dense(random_state(rng, 4))
+
+    def test_a_bond_eigh_that_did_not_converge(self, rng, monkeypatch):
+        # NaN eigenvalues fail the resolution test, so every bond is cut by
+        # SVD; when that fails too, from_dense raises
+        vec = random_state(rng, 6)
+        with monkeypatch.context() as svd_only:
+            svd_only.setattr(mps, "_gram_cut", lambda mat, chi=None: None)
+            want, want_weights = from_dense(vec)
+        eigh_lo, svd_s = mps.eigh_lo, mps.svd_s
+
+        def failing_eigh(gram, signature):
+            w, v = eigh_lo(gram, signature=signature)
+            return np.full_like(w, np.nan), v
+
+        def failing_svd(mat, signature):
+            u, s, vt = svd_s(mat, signature=signature)
+            return u, np.full_like(s, np.nan), vt
+
+        monkeypatch.setattr(mps, "eigh_lo", failing_eigh)
+        got, weights = from_dense(vec)
+        assert weights == want_weights
+        for g, w in zip(got.tensors, want.tensors, strict=True):
+            np.testing.assert_array_equal(g, w)
+        monkeypatch.setattr(mps, "svd_s", failing_svd)
+        with pytest.raises(NumericError, match="did not converge"):
+            from_dense(vec)
 
 
 class TestTruncate:
