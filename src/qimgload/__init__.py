@@ -31,7 +31,6 @@ from .mps import (
 from .circuit import (
     LayeredCircuit,
     cnot_count,
-    embed_isometry,
     layer_from_chi2_mps,
 )
 from .compiler import (

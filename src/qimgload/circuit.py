@@ -1,5 +1,6 @@
 """Layered staircase circuits of two-qubit gates, and the exact conversion
-of a bond-dimension-2 left-canonical MPS into a single circuit layer.
+of a bond-dimension-2 left-canonical MPS into a single circuit layer,
+whose gates are its isometries completed to unitaries by one stacked QR.
 
 A layer holds one gate per adjacent qubit pair, stored in application
 order.  Freshly built layers apply the gate on pair (N-2, N-1) first and
@@ -76,51 +77,16 @@ def staircase_sites(n_qubits: int, depth: int = 1) -> np.ndarray:
     return np.tile(np.arange(n_qubits - 2, -1, -1), (depth, 1))
 
 
-def embed_isometry(v: np.ndarray) -> np.ndarray:
-    """Complete an isometry (orthonormal columns, 2 or 4 rows) to a unitary.
-
-    The first m columns of the result equal v; the remaining columns are
-    canonical basis vectors orthonormalized against them in index order
-    (Gram-Schmidt with one re-orthogonalization pass).
-    """
-    v = np.asarray(v)
-    if v.ndim != 2 or v.shape[0] not in (2, 4) or v.shape[1] > v.shape[0]:
-        raise ValidationError(f"expected a tall 2- or 4-row isometry, got shape {v.shape}")
-    if isometry_error(v) > CANONICAL_ISOMETRY_TOL:
-        raise ValidationError(f"input columns are not orthonormal within {CANONICAL_ISOMETRY_TOL}")
-    return _complete_isometry(v)
-
-
-def _complete_isometry(v: np.ndarray) -> np.ndarray:
-    """`embed_isometry` of an isometry that its caller has already checked."""
-    dim, m = v.shape
-    if m == dim:
-        return np.array(v)
-    cols = [v[:, j] for j in range(m)]
-    for j in range(dim):
-        if len(cols) == dim:
-            break
-        cand = np.zeros(dim, dtype=v.dtype)
-        cand[j] = 1.0
-        for _ in range(2):
-            for c in cols:
-                cand = cand - c * (np.conj(c) @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            cols.append(cand / norm)
-    if len(cols) != dim:
-        raise ValidationError("failed to complete isometry to a unitary")
-    return np.stack(cols, axis=1)
-
-
 def layer_from_chi2_mps(m: MPS) -> np.ndarray:
     """Exact staircase layer preparing a left-canonical MPS with bonds <= 2.
 
-    The gate on pair (0, 1) fuses the first two site tensors (its leading
-    columns are the fused state-prep isometry); each later tensor embeds
-    directly as the gate on the pair ending at its site.  Returns the
-    (N-1, 4, 4) gate stack in application order, on the sites of
-    `staircase_sites`: pair (N-2, N-1) first, (0, 1) last.
+    Each gate's state columns are an isometry of the MPS: the site tensor
+    at the pair's upper site, or for pair (0, 1) the first two tensors
+    fused.  All N-1 isometries, zero-padded to 4x2, are completed to
+    unitaries by one stacked complete QR, and the state columns are then
+    written back from the MPS, so only the completion columns come from
+    the QR.  Returns the (N-1, 4, 4) gate stack in application order, on
+    the sites of `staircase_sites`: pair (N-2, N-1) first, (0, 1) last.
     """
     if m.n_sites < 2:
         raise ValidationError("need at least 2 sites to build a layer")
@@ -130,18 +96,16 @@ def layer_from_chi2_mps(m: MPS) -> np.ndarray:
         )
     if isometry_defect(m) > CANONICAL_ISOMETRY_TOL:
         raise ValidationError(f"MPS is not left-canonical within {CANONICAL_ISOMETRY_TOL}")
-    dtype = np.result_type(*(t.dtype for t in m.tensors))
-    gates = []
-    for k in range(m.n_sites - 2, 0, -1):
-        a = m.tensors[k + 1]  # (left, 2, right)
-        left, _, right = a.shape
-        v = np.zeros((4, right), dtype=dtype)
-        v[: 2 * left] = a.reshape(2 * left, right)
-        gates.append(_complete_isometry(v))
     # the fused isometry is a product of two checked ones
     fused = np.tensordot(m.tensors[0][0], m.tensors[1], axes=(1, 0))  # (2, 2, right)
-    gates.append(_complete_isometry(fused.reshape(4, -1)))
-    return np.stack(gates)
+    isometries = [a.reshape(-1, a.shape[2]) for a in m.tensors[:1:-1]] + [fused.reshape(4, -1)]
+    stack = np.zeros((m.n_sites - 1, 4, 2), dtype=np.result_type(*m.tensors))
+    for v, slot in zip(isometries, stack):
+        slot[: len(v), : v.shape[1]] = v
+    gates = np.linalg.qr(stack, mode="complete").Q
+    for slot, gate, v in zip(stack, gates, isometries):
+        gate[:, : v.shape[1]] = slot[:, : v.shape[1]]
+    return gates
 
 
 def cnot_count(c: LayeredCircuit) -> int:

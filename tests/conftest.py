@@ -14,7 +14,7 @@ import pytest
 
 from qimgload.circuit import LayeredCircuit, staircase_sites
 from qimgload.image_codec import ImageGrid
-from qimgload.mps import from_dense, to_dense
+from qimgload.mps import MPS, from_dense, to_dense
 
 
 @pytest.fixture
@@ -80,9 +80,20 @@ def capped_state(vec, chi_max=None) -> np.ndarray:
     return to_dense(from_dense(vec, chi_max=chi_max)[0])
 
 
-def random_chi2_mps(rng, n_qubits: int):
-    """Left-canonical MPS with every bond <= 2, from a chi=2 sequential SVD."""
-    m, _ = from_dense(random_state(rng, n_qubits), chi_max=2)
+CHI2_KINDS = ("real", "complex", "product")
+
+
+def random_chi2_mps(rng, n_qubits: int, kind: str = "real"):
+    """Left-canonical MPS with every bond <= 2, of a kind in CHI2_KINDS.
+
+    "real" and "complex" are the chi=2 sequential SVD of a random state;
+    "product" is a random real product state, whose bonds are all 1.
+    """
+    if kind == "product":
+        qubits = rng.standard_normal((n_qubits, 2))
+        qubits /= np.linalg.norm(qubits, axis=1, keepdims=True)
+        return MPS(tuple(q.reshape(1, 2, 1) for q in qubits), canonical_form="left")
+    m, _ = from_dense(random_state(rng, n_qubits, kind == "complex"), chi_max=2)
     return m
 
 

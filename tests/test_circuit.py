@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_circuit, random_chi2_mps, random_staircase_circuit, random_unitary4
+from conftest import (
+    CHI2_KINDS,
+    identity_circuit,
+    random_chi2_mps,
+    random_staircase_circuit,
+    random_unitary4,
+)
 from qimgload.circuit import (
     LayeredCircuit,
     circuit_from_dict,
     circuit_to_dict,
     cnot_count,
     deserialize,
-    embed_isometry,
     layer_from_chi2_mps,
     serialize,
     staircase_sites,
@@ -126,41 +131,33 @@ class TestCnotCount:
         assert cnot_count(identity_circuit(n, d)) == 2 * d * (n - 1)
 
 
-class TestEmbedIsometry:
-    def test_identity_on_square_input(self, rng):
-        u = random_unitary4(rng)
-        np.testing.assert_array_equal(embed_isometry(u), u)
-
-    def test_leading_columns_preserved(self, rng):
-        for cols in (1, 2, 3):
-            v = np.linalg.qr(rng.standard_normal((4, cols)))[0]
-            full = embed_isometry(v)
-            np.testing.assert_allclose(full[:, :cols], v, atol=1e-12)
-            np.testing.assert_allclose(full.conj().T @ full, np.eye(4), atol=1e-12)
-
-    def test_complex_input(self, rng):
-        v = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
-        full = embed_isometry(v)
-        np.testing.assert_allclose(full.conj().T @ full, np.eye(4), atol=1e-12)
-
-    def test_canonical_basis_completion(self):
-        # completing [e2 e3] must pick e0, e1 in index order
-        v = np.eye(4)[:, 2:]
-        np.testing.assert_array_equal(embed_isometry(v)[:, 2:], np.eye(4)[:, :2])
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(ValidationError):
-            embed_isometry(np.ones((4, 2)))
-
-
 class TestLayerFromChi2Mps:
     def test_single_layer_prepares_state_exactly(self, rng):
         # the core exactness guarantee: one staircase layer, zero error
         for n in (2, 3, 4, 6, 8):
-            m = random_chi2_mps(rng, n)
-            circuit = LayeredCircuit(n, staircase_sites(n), layer_from_chi2_mps(m)[None])
-            fidelity = abs(np.vdot(run(circuit), to_dense(m)))
-            assert fidelity == pytest.approx(1.0, abs=1e-12)
+            for kind in CHI2_KINDS:
+                m = random_chi2_mps(rng, n, kind)
+                circuit = LayeredCircuit(n, staircase_sites(n), layer_from_chi2_mps(m)[None])
+                fidelity = abs(np.vdot(run(circuit), to_dense(m)))
+                assert fidelity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", CHI2_KINDS)
+    def test_unitary_gates_around_the_mps_isometries(self, rng, kind):
+        # each gate's state columns are its MPS isometry, bit for bit, zero-padded to 4 rows;
+        # the pair (0, 1) gate, applied last, holds the first two tensors fused
+        for n in (2, 3, 5, 8):
+            m = random_chi2_mps(rng, n, kind)
+            assert m.max_bond == (1 if kind == "product" else 2)
+            layer = layer_from_chi2_mps(m)
+            assert layer.shape == (n - 1, 4, 4)
+            assert layer.dtype == (complex if kind == "complex" else float)
+            defect = np.abs(layer.conj().swapaxes(1, 2) @ layer - np.eye(4)).max()
+            assert defect < 1e-12
+            fused = np.tensordot(m.tensors[0][0], m.tensors[1], axes=(1, 0))
+            isometries = [a.reshape(-1, a.shape[2]) for a in m.tensors[:1:-1]]
+            for gate, v in zip(layer, isometries + [fused.reshape(4, -1)]):
+                np.testing.assert_array_equal(gate[: len(v), : v.shape[1]], v)
+                assert not gate[len(v):, : v.shape[1]].any()
 
     def test_gate_application_order(self, rng):
         # the first gate (pair (3, 4)) embeds the last site tensor
@@ -179,10 +176,11 @@ class TestLayerFromChi2Mps:
         layer_from_chi2_mps(truncated)  # and the truncated state is accepted
 
     def test_rejects_non_canonical(self, rng):
-        m = random_chi2_mps(rng, 4)
-        scaled = type(m)(tuple(t * 2 for t in m.tensors), canonical_form="none")
-        with pytest.raises(ValidationError):
-            layer_from_chi2_mps(scaled)
+        for kind in CHI2_KINDS:
+            m = random_chi2_mps(rng, 4, kind)
+            scaled = type(m)(tuple(t * 2 for t in m.tensors), canonical_form="none")
+            with pytest.raises(ValidationError, match="not left-canonical"):
+                layer_from_chi2_mps(scaled)
 
 
 class TestAdjoint:

@@ -157,13 +157,14 @@ class TestCompileSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_compile_determinism(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for d in (a, b):
-            assert run_cli("compile", "--method", "grow", "--image", "builtin:digit",
-                           "--target-l", "8", "--depth", "2", "--sweeps", "10",
-                           "--out-dir", str(d)) == 0
-        for name in ("circuit.json", "trace.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for method in ("grow", "iterative"):
+            a, b = tmp_path / method / "a", tmp_path / method / "b"
+            for d in (a, b):
+                assert run_cli("compile", "--method", method, "--image", "builtin:digit",
+                               "--target-l", "8", "--depth", "2", "--sweeps", "10",
+                               "--out-dir", str(d)) == 0
+            for name in ("circuit.json", "trace.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_grow_without_sweeps_is_iterative(self, tmp_path):
         # same gates bit for bit, and the same per-layer (stage, 0, overlap) trace rows
