@@ -131,6 +131,18 @@ class TestCnotCount:
         assert cnot_count(identity_circuit(n, d)) == 2 * d * (n - 1)
 
 
+class TestEmbedIsometry:
+    def test_rejects_non_isometry(self, rng):
+        # a site tensor whose 4x2 block has non-orthonormal columns is never
+        # completed to a gate, even when every other tensor is an isometry
+        m = random_chi2_mps(rng, 4)
+        assert m.tensors[2].shape == (2, 2, 2)
+        tensors = list(m.tensors)
+        tensors[2] = np.ones((2, 2, 2))
+        with pytest.raises(ValidationError, match="not left-canonical"):
+            layer_from_chi2_mps(type(m)(tuple(tensors), canonical_form="left"))
+
+
 class TestLayerFromChi2Mps:
     def test_single_layer_prepares_state_exactly(self, rng):
         # the core exactness guarantee: one staircase layer, zero error
