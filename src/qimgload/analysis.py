@@ -54,13 +54,6 @@ def fit_power_law(points) -> dict:
     }
 
 
-def check_resolutions(L_list, side: int) -> None:
-    """Raise ValidationError unless every L is a power of two in 2..side: a side to downscale to."""
-    for L in L_list:
-        if not 2 <= L <= side or L & (L - 1):
-            raise ValidationError(f"invalid sweep resolution {L}: not a power of two in 2..{side}")
-
-
 def chi_scaling_sweep(
     image: ImageGrid,
     chi_list,
@@ -69,10 +62,14 @@ def chi_scaling_sweep(
 ) -> list:
     """Infidelity of the chi-capped MPS encoding vs the exact encoding.
 
-    One (chi, L, infidelity) row per (L, chi), sorted by (L, chi).
+    One (chi, L, infidelity) row per (L, chi), sorted by (L, chi).  Each
+    L must be a power of two in 2..side, a side to downscale the image to.
     """
-    L_list = sorted(L_list) if L_list is not None else [image.side_length]
-    check_resolutions(L_list, image.side_length)
+    side = image.side_length
+    L_list = sorted(L_list) if L_list is not None else [side]
+    for L in L_list:
+        if not 2 <= L <= side or L & (L - 1):
+            raise ValidationError(f"invalid sweep resolution {L}: not a power of two in 2..{side}")
     rows = []
     for L in L_list:
         grid = downscale(image, L)
@@ -99,7 +96,9 @@ def depth_scaling_sweep(
     largest depth serves every depth: its stage d is the depth-d circuit
     that `compile` writes (``iterative`` runs it without sweeps).
     """
-    stage_sweeps = sweeps if compiler.check_method(method) == "grow" else 0
+    if method not in compiler.METHODS:
+        raise ValidationError(f"unknown compile method {method!r}")
+    stage_sweeps = sweeps if method == "grow" else 0
     depths = sorted(depth_list)
     if not depths:
         return []

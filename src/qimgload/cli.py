@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -40,10 +41,9 @@ from .image_codec import (
     load_image,
     write_pgm,
 )
-from .mps import DENSE_SITE_CAP, check_chi_max, from_dense, mps_to_dict, to_dense
+from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict, to_dense
 from .sample_images import get_image
 from .simulator import (
-    check_sampling,
     curve_to_csv,
     histogram_from_csv,
     histogram_to_csv,
@@ -126,6 +126,14 @@ def _build_config(args) -> PipelineConfig:
         choices = f.metadata.get("choices")
         if choices is not None and values[f.name] not in choices:
             raise ValidationError(f"{f.name}={value!r} is not one of {list(choices)}")
+    # `_out_dir` makes the directory only once a handler has computed its
+    # artifacts, so a file (or a dangling link) in its way is refused here,
+    # before any input is read
+    existing = Path(values["out_dir"])
+    while not os.path.lexists(existing):
+        existing = existing.parent
+    if not existing.is_dir():
+        raise InputFormatError(f"out_dir: {str(existing)!r} is not a directory")
     return PipelineConfig(**values)
 
 
@@ -187,7 +195,12 @@ def _load_grid(cfg: PipelineConfig, side: int):
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
-    """Make the output directory: after a handler checks its input, before it computes."""
+    """Make the output directory: after a handler's last computation, before its first write.
+
+    So a run that fails, on its input or an option out of range, leaves no
+    directory behind; `_build_config` has already refused an out_dir that
+    lies under a file.
+    """
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -197,11 +210,10 @@ def cmd_encode(args) -> int:
     cfg = _build_config(args)
     grid = _load_grid(cfg, cfg.target_l)
     state = encode_amplitudes(grid, cfg.ordering)
-    check_chi_max(cfg.chi_max)
-    out = _out_dir(cfg)
     mps, weights = from_dense(state, chi_max=cfg.chi_max)
     scheme = f"interleaved-{cfg.ordering}"
     total = float(sum(weights))
+    out = _out_dir(cfg)
     with (out / "amplitude_state.json").open("w") as fh:
         json.dump(
             {
@@ -232,12 +244,8 @@ def cmd_encode(args) -> int:
 def cmd_compile(args) -> int:
     cfg = _build_config(args)
     state = encode_amplitudes(_load_grid(cfg, cfg.target_l), cfg.ordering)
-    check_chi_max(cfg.chi_max)
-    grow = cfg.method == "grow"
-    compiler.check_stages(cfg.depth, cfg.sweeps if grow else 0)
-    out = _out_dir(cfg)
     target = to_dense(from_dense(state, chi_max=cfg.chi_max)[0])
-    if grow:
+    if cfg.method == "grow":
         circuit, trace = compiler.grow_and_optimize(target, cfg.depth, cfg.sweeps)
     else:
         circuit, trace = compiler.iterative_construct(target, cfg.depth)
@@ -251,6 +259,7 @@ def cmd_compile(args) -> int:
         "ordering": cfg.ordering,
     }
     circuit = replace(circuit, provenance=provenance)
+    out = _out_dir(cfg)
     (out / "circuit.json").write_bytes(serialize(circuit))
     rows = [(stage, sweep, o, max(0.0, 1.0 - o)) for stage, sweep, o in trace.records]
     _write_rows(out / "trace.csv", cfg, "stage,sweep,overlap,infidelity", rows)
@@ -268,15 +277,13 @@ def cmd_simulate(args) -> int:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
-    if not args.exact:
-        check_sampling(cfg.shots, cfg.seed)
-    out = _out_dir(cfg)
     state = run(circuit)
     if args.exact:
         probs = np.abs(state)
         np.square(probs, out=probs)
     else:
         counts = sample(state, cfg.shots, cfg.seed)
+    out = _out_dir(cfg)
     # each 2^N array is dropped once the last artifact that needs it is written
     with _csv_file(out / "curve.csv", cfg) as fh:
         state_to_csv(state, fh)
@@ -298,13 +305,13 @@ def cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
     with Path(args.histogram).open() as fh:
         counts = histogram_from_csv(fh)
-    if counts.sum() <= 0:  # every |count| <= 2^53, so the sum cannot overflow
-        raise NumericError("histogram holds no counts")
+    probs = histogram_to_probs(counts)  # every |count| <= 2^53, so the sum cannot overflow
     L = int(round(np.sqrt(len(counts))))
     if L * L != len(counts):
         raise ValidationError("histogram length is not a square")
+    grid = decode_probabilities(probs, L, cfg.ordering)
+    del probs  # so it is not held while write_pgm builds the image's text
     out = _out_dir(cfg)
-    grid = decode_probabilities(counts / counts.sum(), L, cfg.ordering)
     (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
     print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
     return 0
@@ -329,13 +336,6 @@ def cmd_analyze(args) -> int:
         # read the image at the largest side the sweep needs
         side = max(side, *values)
     grid = _load_grid(cfg, side)
-    for chi in values if args.sweep == "chi" else [cfg.chi_max]:
-        check_chi_max(chi)
-    if args.sweep == "depth":
-        compiler.check_stages(min(values), cfg.sweeps if cfg.method == "grow" else 0)
-    elif args.sweep == "resolution":
-        analysis.check_resolutions(values, grid.side_length)
-    out = _out_dir(cfg)
     if args.sweep == "chi":
         rows = analysis.chi_scaling_sweep(grid, values, ordering=cfg.ordering)
         method = "mps_truncation"
@@ -352,15 +352,16 @@ def cmd_analyze(args) -> int:
     else:  # resolution; argparse bounds --sweep
         rows = analysis.chi_scaling_sweep(grid, [cfg.chi_max], L_list=values, ordering=cfg.ordering)
         method = "mps_truncation"
-    name = f"{args.sweep}_sweep"
-    labelled = [(*row, method, cfg.image) for row in rows]
-    _write_rows(out / f"{name}.csv", cfg, "x,L,infidelity,method,image_id", labelled)
     # a resolution sweep's x is the one chi_max on every row, so it fits against L
     by_l = args.sweep == "resolution"
     points = [(L if by_l else x, i) for x, L, i in rows]
     above = [p for p in points if p[1] > FIT_FLOOR]
-    if len(above) >= 3:
-        fit = analysis.fit_power_law(above)
+    fit = analysis.fit_power_law(above) if len(above) >= 3 else None
+    name = f"{args.sweep}_sweep"
+    labelled = [(*row, method, cfg.image) for row in rows]
+    out = _out_dir(cfg)
+    _write_rows(out / f"{name}.csv", cfg, "x,L,infidelity,method,image_id", labelled)
+    if fit is not None:
         excluded = [[float(x), i] for x, i in points if i <= FIT_FLOOR]
         record = {**fit, "floor": FIT_FLOOR, "excluded": excluded, "provenance": _provenance(cfg)}
         (out / f"{name}_fit.json").write_text(json.dumps(record, indent=1))

@@ -44,13 +44,6 @@ DEFAULT_SWEEPS = 200
 METHODS = ("grow", "iterative")
 
 
-def check_method(name) -> str:
-    """Return ``name`` if it is one of METHODS; raise ValidationError otherwise."""
-    if name not in METHODS:
-        raise ValidationError(f"unknown compile method {name!r}")
-    return name
-
-
 @dataclass
 class OptimizerTrace:
     """(stage, sweep, overlap) rows, one per sweep or unswept layer, and per-update overlaps.

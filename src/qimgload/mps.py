@@ -142,12 +142,6 @@ def _gram_cut(mat: np.ndarray, chi=None):
     return u, carry, max(float(np.add.reduce(w[keep:])), 0.0)
 
 
-def check_chi_max(chi_max: int) -> None:
-    """Raise ValidationError unless the bond cap ``chi_max`` is at least 1."""
-    if chi_max < 1:
-        raise ValidationError("chi_max must be >= 1")
-
-
 def from_dense(v, chi_max=None):
     """Compress a unit vector into a left-canonical MPS by successive bond cuts.
 
@@ -169,8 +163,8 @@ def from_dense(v, chi_max=None):
         raise NumericError("cannot compress the zero vector")
     if not abs(norm - 1.0) <= 1e-8:
         raise ValidationError(f"input must have unit norm, got {norm}")
-    if chi_max is not None:
-        check_chi_max(chi_max)
+    if chi_max is not None and chi_max < 1:
+        raise ValidationError("chi_max must be >= 1")
 
     tensors = []
     eps = []

@@ -16,7 +16,7 @@ from array import array
 import numpy as np
 
 from .circuit import LayeredCircuit
-from .errors import InputFormatError, ValidationError
+from .errors import InputFormatError, NumericError, ValidationError
 from .mps import DENSE_SITE_CAP
 
 # the CSV writers and the histogram reader handle this many rows at a time:
@@ -88,19 +88,14 @@ def run(c: LayeredCircuit) -> np.ndarray:
     return vec
 
 
-def check_sampling(shots: int, seed: int) -> None:
-    """Raise ValidationError unless `sample` can draw ``shots`` shots from ``seed``."""
+def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
+    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     if shots > np.iinfo(np.int64).max:
         raise ValidationError("shots must be at most 2^63 - 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-
-
-def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
-    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
-    check_sampling(shots, seed)
     probs = np.abs(vec)
     np.square(probs, out=probs)
     probs /= probs.sum()
@@ -111,7 +106,7 @@ def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
 def _shots(counts: np.ndarray):
     shots = counts.sum()
     if shots <= 0:
-        raise ValidationError("histogram has no shots")
+        raise NumericError("histogram holds no counts")
     return shots
 
 

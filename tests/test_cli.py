@@ -294,6 +294,14 @@ class TestReconstruct:
         assert_one_line_error(capsys, "input format error: histogram row out of index order")
         assert not (out / "reconstructed.pgm").exists()
 
+    def test_histogram_without_counts_is_numeric_error(self, tmp_path, out, capsys):
+        hist = tmp_path / "histogram.csv"
+        rows = "".join(f"{i},{i:04b},0,0.0\n" for i in range(16))
+        hist.write_text("index,bitstring,count,probability\n" + rows)
+        assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == "numeric error: histogram holds no counts\n"
+        assert not out.exists()
+
     def test_reconstruct_peak_memory(self, tmp_path, out, rng):
         # the counts are one 2^N-entry array, read chunk by chunk
         n = 16
@@ -728,6 +736,7 @@ class TestExitCodes:
         expected = f"numeric error: out of memory: {message}" if message else (
             "numeric error: out of memory")
         assert capsys.readouterr().err == expected + "\n"
+        assert not out.exists()
 
     def test_input_format_error(self, tmp_path, out):
         bad = tmp_path / "bad.pgm"
@@ -759,8 +768,11 @@ class TestExitCodes:
         [
             (["compile", "--image", "builtin:digit", "--target-l", "4"], "qimgload.cli.from_dense"),
             (["simulate", "--circuit", "{circuit}"], "qimgload.cli.run"),
+            (["encode", *DIGIT4], "qimgload.cli.get_image"),
+            (["analyze", "--sweep", "chi", *DIGIT4], "qimgload.cli.get_image"),
+            (["reconstruct", "--histogram", "{histogram}"], "qimgload.cli.histogram_from_csv"),
         ],
-        ids=["compile", "simulate"],
+        ids=["compile", "simulate", "encode", "analyze", "reconstruct"],
     )
     def test_bad_out_dir_fails_before_the_computation(self, tmp_path, capsys, monkeypatch, argv,
                                                       computation):
@@ -769,11 +781,26 @@ class TestExitCodes:
 
         circuit = tmp_path / "circuit.json"
         circuit.write_bytes(serialize(identity_circuit(4, 2)))
+        histogram = tmp_path / "histogram.csv"
+        with histogram.open("w") as fh:
+            histogram_to_csv(np.arange(16), fh)
         (tmp_path / "plain").write_text("x")
         monkeypatch.setattr(computation, computed)
-        argv = [a.format(circuit=circuit) for a in argv]
+        argv = [a.format(circuit=circuit, histogram=histogram) for a in argv]
         assert run_cli(*argv, "--out-dir", str(tmp_path / "plain" / "sub")) == 2
         assert_one_line_error(capsys, "input format error: ")
+
+    def test_dangling_link_out_dir_fails_before_the_computation(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("the image was rendered")
+
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        monkeypatch.setattr("qimgload.cli.get_image", computed)
+        assert run_cli("encode", *DIGIT4, "--out-dir", str(link)) == 2
+        assert_one_line_error(capsys, "input format error: ")
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -886,6 +913,7 @@ class TestExitCodes:
         assert caught == []
         assert_one_line_error(capsys, "numeric error: environment tensor is not finite")
         assert not (out / "circuit.json").exists()
+        assert not out.exists()
 
     def test_corrupt_circuit_json(self, tmp_path, out, capsys):
         bad = tmp_path / "circuit.json"

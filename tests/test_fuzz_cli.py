@@ -1,11 +1,13 @@
 """Hypothesis fuzzing of `cli.main()` over mutated image, histogram and
 circuit inputs: every run ends with exit code 0, 2, 3 or 4 and at most one
-line on stderr, never a traceback."""
+line on stderr, never a traceback, and a run that fails leaves no --out-dir."""
 
 import json
 import re
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -118,14 +120,17 @@ def json_mutations(draw, seed: str) -> bytes:
     return json.dumps(doc).encode()
 
 
-def assert_clean_exit(capsys, argv):
+def assert_clean_exit(capsys, tmp_path, argv):
+    # tmp_path is shared by every example of a test, so each run gets its own --out-dir
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:  # a warning would print to stderr too
         warnings.simplefilter("always")
-        code = main(argv)
+        code = main([*argv, "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), (code, err)
     assert err.count("\n") <= 1 and not caught, (err, [str(w.message) for w in caught])
+    assert code == 0 or not out.exists(), (code, err)
 
 
 @FUZZ
@@ -140,8 +145,7 @@ def test_encode_survives_mutated_images(tmp_path, capsys, suffix_and_data):
     suffix, data = suffix_and_data
     path = tmp_path / f"img{suffix}"
     path.write_bytes(data)
-    assert_clean_exit(capsys, ["encode", "--image", str(path), "--target-l", "8",
-                               "--out-dir", str(tmp_path / "out")])
+    assert_clean_exit(capsys, tmp_path, ["encode", "--image", str(path), "--target-l", "8"])
 
 
 @FUZZ
@@ -151,8 +155,7 @@ def test_encode_survives_mutated_images(tmp_path, capsys, suffix_and_data):
 def test_reconstruct_survives_mutated_histograms(tmp_path, capsys, data):
     path = tmp_path / "histogram.csv"
     path.write_bytes(data)
-    assert_clean_exit(capsys, ["reconstruct", "--histogram", str(path),
-                               "--out-dir", str(tmp_path / "out")])
+    assert_clean_exit(capsys, tmp_path, ["reconstruct", "--histogram", str(path)])
 
 
 @FUZZ
@@ -172,8 +175,8 @@ def test_reconstruct_survives_mutated_histograms(tmp_path, capsys, data):
 def test_simulate_survives_mutated_circuits(tmp_path, capsys, data, exact):
     path = tmp_path / "circuit.json"
     path.write_bytes(data)
-    argv = ["simulate", "--circuit", str(path), "--shots", "100", "--out-dir", str(tmp_path / "out")]
-    assert_clean_exit(capsys, argv + ["--exact"] if exact else argv)
+    argv = ["simulate", "--circuit", str(path), "--shots", "100"]
+    assert_clean_exit(capsys, tmp_path, argv + ["--exact"] if exact else argv)
 
 
 def test_seeds_are_valid(tmp_path, capsys):

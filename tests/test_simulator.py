@@ -22,7 +22,7 @@ from conftest import (
     written,
 )
 from qimgload import simulator
-from qimgload.errors import InputFormatError, ValidationError
+from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import encode_amplitudes
 from qimgload.simulator import (
     apply_gate,
@@ -193,7 +193,7 @@ class TestHistogram:
         assert lines[3].startswith("2,10,1,")
 
     def test_csv_rejects_a_histogram_without_shots(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(NumericError, match="histogram holds no counts"):
             written(histogram_to_csv, np.zeros(4, dtype=np.int64))
 
     @pytest.mark.parametrize(
