@@ -10,11 +10,13 @@ rung is touched last.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import dumps
 from .errors import InputFormatError, ValidationError
 from .mps import CANONICAL_ISOMETRY_TOL, MPS, isometry_defect, isometry_error
 
@@ -37,8 +39,10 @@ class LayeredCircuit:
 
     def __post_init__(self):
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValidationError(f"qubit count {n!r} is not an integer")
+        n = int(n)  # a numpy integer is not JSON-serializable
+        object.__setattr__(self, "n_qubits", n)
         try:
             sites, gates = np.asarray(self.sites), np.asarray(self.gates)
         except ValueError:  # ragged nesting
@@ -116,27 +120,22 @@ def cnot_count(c: LayeredCircuit) -> int:
 # ---------------------------------------------------------------------------
 # Serialization: versioned JSON, floats at full round-trip precision
 
-def _matrix_to_json(m: np.ndarray) -> dict:
-    entry = {"real": np.real(m).tolist()}
-    if np.iscomplexobj(m) and np.any(np.imag(m) != 0):
-        entry["imag"] = np.imag(m).tolist()
-    return entry
-
 
 def _gate_stack(matrices: list) -> np.ndarray:
-    """The matrices of `_matrix_to_json` entries, stacked: one conversion for all real parts,
+    """The gate matrices of circuit.json entries, stacked: one conversion for all real parts,
     and one for all imaginary parts when any entry has one.
 
     Bit for bit the stack of each entry's ``real + 1j * imag`` (just ``real``
     without ``imag``): a real-only entry of a complex stack is upcast, which
-    keeps a -0.0 that adding 0j would turn into 0.0.
+    keeps a -0.0 that adding 0j would turn into 0.0.  Every entry must be a
+    JSON number: numpy would read a string, a bool or a null as a float.
     """
     try:
-        real = np.array([m["real"] for m in matrices], dtype=float)
+        real = _numbers([m["real"] for m in matrices])
         complex_rows = np.array(["imag" in m for m in matrices], dtype=bool)
         if not complex_rows.any():
             return real
-        imag = np.array([m["imag"] for m in matrices if "imag" in m], dtype=float)
+        imag = _numbers([m["imag"] for m in matrices if "imag" in m])
     except ValueError as exc:  # ragged or non-numeric entries
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
     if imag.shape != real[complex_rows].shape:
@@ -146,16 +145,21 @@ def _gate_stack(matrices: list) -> np.ndarray:
     return gates
 
 
+def _numbers(nested: list) -> np.ndarray:
+    """The float array of a regular nested list whose every entry is a JSON int or float."""
+    array = np.array(nested, dtype=float)
+    entries = nested
+    for _ in range(array.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    other = set(map(type, entries)) - {int, float}
+    if other:
+        raise ValueError(f"gate entries must be numbers, not {sorted(t.__name__ for t in other)}")
+    return array
+
+
 def circuit_to_dict(c: LayeredCircuit) -> dict:
-    return {
-        "version": CIRCUIT_FORMAT_VERSION,
-        "n_qubits": c.n_qubits,
-        "layers": [
-            [{"site": s, "matrix": _matrix_to_json(m)} for s, m in zip(sites, gates)]
-            for sites, gates in zip(c.sites.tolist(), c.gates)
-        ],
-        "provenance": dict(c.provenance),
-    }
+    """The object circuit.json holds: `serialize`'s text, parsed."""
+    return json.loads(serialize(c))
 
 
 def circuit_from_dict(d: dict) -> LayeredCircuit:
@@ -178,7 +182,23 @@ def circuit_from_dict(d: dict) -> LayeredCircuit:
 
 
 def serialize(c: LayeredCircuit) -> bytes:
-    return json.dumps(circuit_to_dict(c), indent=1).encode()
+    """circuit.json: each gate's real part, and its imaginary part when any is nonzero."""
+    real, imag = np.real(c.gates), np.imag(c.gates)
+    nonzero = (imag != 0).any(axis=(2, 3)).tolist()
+    layers = [
+        [
+            {"site": s, "matrix": {"real": r, "imag": i} if z else {"real": r}}
+            for s, r, i, z in zip(sites, reals, imags, nonzeros)
+        ]
+        for sites, reals, imags, nonzeros in zip(c.sites.tolist(), real, imag, nonzero)
+    ]
+    d = {
+        "version": CIRCUIT_FORMAT_VERSION,
+        "n_qubits": c.n_qubits,
+        "layers": layers,
+        "provenance": dict(c.provenance),
+    }
+    return dumps(d).encode()
 
 
 def deserialize(data: bytes) -> LayeredCircuit:

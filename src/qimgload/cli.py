@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, compiler
+from . import __version__, analysis, artifacts, compiler
 from .circuit import (
     LayeredCircuit,
     cnot_count,
@@ -215,15 +215,14 @@ def cmd_encode(args) -> int:
     total = float(sum(weights))
     out = _out_dir(cfg)
     with (out / "amplitude_state.json").open("w") as fh:
-        json.dump(
+        artifacts.dump(
             {
                 "n_qubits": mps.n_sites,
                 "ordering": scheme,
-                "amplitudes": state.tolist(),
+                "amplitudes": state,
                 "provenance": _provenance(cfg),
             },
             fh,
-            indent=1,
         )
     meta = {
         "ordering": scheme,
@@ -231,7 +230,7 @@ def cmd_encode(args) -> int:
         "truncation": {"per_bond": list(weights), "total": total},
     }
     with (out / "mps.json").open("w") as fh:
-        json.dump(mps_to_dict(mps, meta), fh, indent=1)
+        artifacts.dump(mps_to_dict(mps, meta), fh)
     with _csv_file(out / "amplitudes.csv", cfg) as fh:
         curve_to_csv(state, fh)
     print(
@@ -364,7 +363,7 @@ def cmd_analyze(args) -> int:
     if fit is not None:
         excluded = [[float(x), i] for x, i in points if i <= FIT_FLOOR]
         record = {**fit, "floor": FIT_FLOOR, "excluded": excluded, "provenance": _provenance(cfg)}
-        (out / f"{name}_fit.json").write_text(json.dumps(record, indent=1))
+        (out / f"{name}_fit.json").write_text(artifacts.dumps(record))
         print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
     else:
         print(f"{name}: {len(rows)} records (too few points above {FIT_FLOOR:g} to fit)")

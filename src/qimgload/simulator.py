@@ -15,14 +15,10 @@ from array import array
 
 import numpy as np
 
+from .artifacts import CSV_CHUNK_ROWS
 from .circuit import LayeredCircuit
 from .errors import InputFormatError, NumericError, ValidationError
 from .mps import DENSE_SITE_CAP
-
-# the CSV writers and the histogram reader handle this many rows at a time:
-# tolist() converts a chunk in C, far faster than iterating numpy scalars, and
-# no more than one chunk's Python objects and text is alive at once
-CSV_CHUNK_ROWS = 4096
 
 # histogram_to_csv formats the low bits of each bitstring from a table of
 # 2^_LOW_BITS strings; a run of that many rows must not cross a chunk

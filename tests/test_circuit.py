@@ -228,6 +228,13 @@ class TestSerialization:
         again = deserialize(serialize(c))
         np.testing.assert_array_equal(again.gates[0, 0], g)
 
+    def test_numpy_integer_qubit_count(self):
+        c = LayeredCircuit(np.int64(4), staircase_sites(4), identity_circuit(4).gates)
+        assert type(c.n_qubits) is int
+        again = deserialize(serialize(c))
+        assert again.n_qubits == 4
+        np.testing.assert_array_equal(again.gates, c.gates)
+
     def test_provenance_roundtrip(self, rng):
         c = LayeredCircuit(2, [[0]], [[np.eye(4)]], provenance={"method": "iterative", "depth": 1})
         assert circuit_from_dict(circuit_to_dict(c)).provenance["method"] == "iterative"

@@ -945,6 +945,42 @@ class TestExitCodes:
         assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
         assert_one_line_error(capsys, "input format error: corrupt circuit payload: ")
 
+    @pytest.mark.parametrize(
+        "part, entry, kind",
+        [
+            ("real", "1.0", "str"),
+            ("real", True, "bool"),
+            ("real", None, "NoneType"),
+            ("imag", "0.0", "str"),
+            ("imag", False, "bool"),
+            ("imag", None, "NoneType"),
+        ],
+        ids=["real-string", "real-bool", "real-null", "imag-string", "imag-bool", "imag-null"],
+    )
+    def test_non_numeric_gate_entry_rejected(self, tmp_path, out, capsys, part, entry, kind):
+        # numpy reads "1.0" and true as 1.0, so without the type check the string and
+        # bool entries below would leave an identity gate and run as if they were numbers
+        payload = json.loads(serialize(identity_circuit(4, 2)))
+        matrix = payload["layers"][1][2]["matrix"]
+        matrix["imag"] = [[0.0] * 4 for _ in range(4)]
+        matrix[part][0][0] = entry
+        bad = tmp_path / "circuit.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 2
+        assert_one_line_error(
+            capsys, f"input format error: corrupt circuit payload: gate entries must be "
+            f"numbers, not ['{kind}']")
+        assert not out.exists()
+
+    def test_bool_qubit_count_rejected(self, tmp_path, out, capsys):
+        payload = json.loads(serialize(identity_circuit(2)))
+        payload["n_qubits"] = True
+        bad = tmp_path / "circuit.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("simulate", "--circuit", str(bad), "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: qubit count True is not an integer")
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_pixel_rejected(self, tmp_path, out, capsys, entry):
         path = tmp_path / "img.csv"
