@@ -2,7 +2,8 @@
 
 Pixels live on an L x L grid (L a power of two) and are mapped onto a
 chain of N = 2*log2(L) qubits by interleaving the bits of the x and y
-coordinates, most significant rung first (the 2-leg-ladder ordering).
+coordinates, most significant rung first (the 2-leg-ladder ordering),
+which is a transpose of the image reshaped into its N bit axes.
 Amplitudes are sqrt(p_xy / norm) with all phases fixed to zero.
 """
 
@@ -81,24 +82,16 @@ def pixel_to_basis_index(x: int, y: int, L: int, ordering: str = "straight") -> 
     return index
 
 
-def basis_permutation(L: int, ordering: str = "straight") -> np.ndarray:
-    """(L, L) array with ``perm[x, y] = pixel_to_basis_index(x, y, L)``."""
-    if not _is_power_of_two(L) or L < 2:
-        raise ValidationError(f"L must be a power of two >= 2, got {L}")
+def _ladder_axes(n: int, ordering: str) -> list:
+    """Axis order that puts an image reshaped to (2,) * 2n on the qubits.
+
+    Axis k is x bit k and axis n+k is y bit k, most significant first; rung k
+    holds qubits 2k and 2k+1, the pair swapped on odd rungs under "snake"."""
     snake = check_ordering(ordering) == "snake"
-    n = L.bit_length() - 1
-    x = np.arange(L)[:, None]
-    y = np.arange(L)[None, :]
-    index = np.zeros((L, L), dtype=np.int64)
+    axes = []
     for k in range(n):
-        xk = (x >> (n - 1 - k)) & 1
-        yk = (y >> (n - 1 - k)) & 1
-        if snake and k % 2 == 1:
-            xk, yk = yk, xk
-        index <<= 2
-        index |= xk << 1
-        index |= yk
-    return index
+        axes += (n + k, k) if snake and k % 2 == 1 else (k, n + k)
+    return axes
 
 
 def encode_amplitudes(g: ImageGrid, ordering: str = "straight") -> np.ndarray:
@@ -112,9 +105,9 @@ def encode_amplitudes(g: ImageGrid, ordering: str = "straight") -> np.ndarray:
     norm = float(g.pixels.sum())
     if norm <= 0.0:
         raise NumericError("all-zero image cannot be normalized")
-    perm = basis_permutation(L, ordering)
-    flat = np.zeros(L * L)
-    flat[perm.ravel()] = np.sqrt(g.pixels.ravel() / norm)
+    n = L.bit_length() - 1
+    amplitudes = np.sqrt(g.pixels / norm).reshape((2,) * (2 * n))
+    flat = amplitudes.transpose(_ladder_axes(n, ordering)).ravel()
     flat /= np.linalg.norm(flat)
     return flat
 
@@ -133,9 +126,14 @@ def decode_probabilities(probs: np.ndarray, L: int, ordering: str = "straight") 
     total = p.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise ValidationError(f"probabilities must sum to 1 within 1e-6, got {total}")
-    p = np.clip(p, 0.0, None)
-    p /= total
-    grid = p[basis_permutation(L, ordering)]
+    if not _is_power_of_two(L) or L < 2:
+        raise ValidationError(f"L must be a power of two >= 2, got {L}")
+    n = L.bit_length() - 1
+    # one permuting copy; the elementwise steps give the same bits after it
+    inverse = np.argsort(_ladder_axes(n, ordering))
+    grid = p.reshape((2,) * (2 * n)).transpose(inverse).copy().reshape(L, L)
+    np.clip(grid, 0.0, None, out=grid)
+    grid /= total
     peak = grid.max()
     if peak <= 0.0:
         raise NumericError("degenerate all-zero probability vector")

@@ -18,9 +18,9 @@ EDGE_WIDTH = 0.012  # edge blur in image units
 
 
 def _coords(L: int):
-    # pixel centers in [0, 1)^2; u = row (vertical), v = column
+    # pixel centers in [0, 1)^2, broadcast: u = row (vertical) as a column, v = column as a row
     c = (np.arange(L) + 0.5) / L
-    return c[:, None] * np.ones((1, L)), np.ones((L, 1)) * c[None, :]
+    return c[:, None], c[None, :]
 
 
 def _soft(signed_distance, w: float = EDGE_WIDTH):

@@ -8,12 +8,13 @@ explicit per-pixel bit loop, so agreement is meaningful.
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qimgload.circuit import LayeredCircuit, staircase_sites
-from qimgload.image_codec import ImageGrid
+from qimgload.image_codec import ImageGrid, pixel_to_basis_index
 from qimgload.mps import MPS, from_dense, to_dense
 
 
@@ -130,6 +131,23 @@ def oracle_run(circuit: LayeredCircuit) -> np.ndarray:
     for site, matrix in circuit.all_gates():
         vec = oracle_apply_gate(vec, matrix, site, circuit.n_qubits)
     return vec
+
+
+def ladder_index(L: int, ordering: str = "straight") -> np.ndarray:
+    """(L, L) table of pixel_to_basis_index, the scalar oracle of the ladder order."""
+    return np.array(
+        [[pixel_to_basis_index(x, y, L, ordering) for y in range(L)] for x in range(L)]
+    )
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_encode(pixels: np.ndarray, snake: bool = False) -> np.ndarray:

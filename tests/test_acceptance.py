@@ -11,6 +11,7 @@ import conftest
 from conftest import (
     capped_state,
     identity_circuit,
+    ladder_index,
     random_staircase_circuit,
     random_state,
     random_unitary4,
@@ -32,7 +33,7 @@ from qimgload.compiler import (
     sweep_optimize,
     update_gate,
 )
-from qimgload.image_codec import basis_permutation, decode_probabilities, encode_amplitudes
+from qimgload.image_codec import decode_probabilities, encode_amplitudes
 from qimgload.mps import from_dense, to_dense
 from qimgload.sample_images import digit_image, scene_image
 from qimgload.simulator import apply_gate_dense, histogram_to_probs, run, sample
@@ -193,7 +194,7 @@ def test_criterion_11_end_to_end_sampling():
 
     recon_exact = decode_probabilities(exact_probs, 16)
     normalized = np.clip(exact_probs, 0.0, None) / exact_probs.sum()
-    grid = normalized[basis_permutation(16)]
+    grid = normalized[ladder_index(16)]
     exact_match = np.array_equal(recon_exact.pixels, grid / grid.max())
     report(11, "16x16 / D=3 / 10000 shots: TV <= 0.1 and exact infinite-shot decode",
            tv <= 0.1 and exact_match, f"TV = {tv:.4f}, exact decode match = {exact_match}")

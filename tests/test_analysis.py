@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import capped_state, random_state
+from conftest import capped_state, random_state, traced_peak
+from qimgload import sample_images
 from qimgload.analysis import (
     chi_scaling_sweep,
     depth_scaling_sweep,
@@ -117,6 +118,29 @@ class TestBuiltinImages:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             get_image("nope", 16)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_IMAGES))
+    def test_same_pixels_as_full_coordinate_grids(self, name, monkeypatch):
+        # broadcast coordinates only skip multiplications by 1.0, which are
+        # exact; compared with a render, not a hash, since the last bits of
+        # np.sin and np.exp may differ between CPUs
+        sides = [2**n for n in range(1, 9)]
+        renders = [get_image(name, L).pixels for L in sides]
+
+        def full_grids(L):
+            c = (np.arange(L) + 0.5) / L
+            return c[:, None] * np.ones((1, L)), np.ones((L, 1)) * c[None, :]
+
+        monkeypatch.setattr(sample_images, "_coords", full_grids)
+        for L, pixels in zip(sides, renders):
+            assert pixels.tobytes() == get_image(name, L).pixels.tobytes(), L
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_IMAGES))
+    def test_peak_memory(self, name):
+        # only the masks where a row factor meets a column factor are L x L
+        image_bytes = 256 * 256 * 8
+        peak = traced_peak(lambda: get_image(name, 256))
+        assert peak <= 11 * image_bytes, f"peak {peak / image_bytes:.2f} images"
 
 
 class TestScalingSweeps:

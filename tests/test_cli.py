@@ -95,6 +95,13 @@ class TestEncode:
         assert run_cli("encode", "--image", str(path), "--target-l", "8",
                        "--out-dir", str(out)) == 0
 
+    def test_one_by_one_csv_rejected(self, tmp_path, out, capsys):
+        path = tmp_path / "img.csv"
+        path.write_text("0.5\n")
+        assert run_cli("encode", "--image", str(path), "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: cannot encode a 1x1 image")
+        assert not out.exists()
+
 
 class TestCompileSimulate:
     def test_full_pipeline(self, out):
@@ -300,6 +307,18 @@ class TestReconstruct:
         hist.write_text("index,bitstring,count,probability\n" + rows)
         assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 4
         assert capsys.readouterr().err == "numeric error: histogram holds no counts\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_side_not_a_power_of_two(self, tmp_path, out, capsys, rows):
+        hist = tmp_path / "histogram.csv"
+        lines = "".join(f"{i},{i:b},1,{1 / rows!r}\n" for i in range(rows))
+        hist.write_text("index,bitstring,count,probability\n" + lines)
+        assert run_cli("reconstruct", "--histogram", str(hist), "--out-dir", str(out)) == 3
+        side = round(rows**0.5)
+        assert capsys.readouterr().err == (
+            f"validation error: L must be a power of two >= 2, got {side}\n"
+        )
         assert not out.exists()
 
     def test_reconstruct_peak_memory(self, tmp_path, out, rng):

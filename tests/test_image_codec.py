@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, grid, oracle_encode
+from conftest import assert_same_text, grid, ladder_index, oracle_encode, traced_peak
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import (
     _PGM_TOKEN,
     ORDERINGS,
     ImageGrid,
-    basis_permutation,
     check_ordering,
     decode_probabilities,
     downscale,
@@ -40,7 +39,8 @@ class TestCheckOrdering:
         for call in (
             lambda: check_ordering(name),
             lambda: pixel_to_basis_index(0, 0, 4, name),
-            lambda: basis_permutation(4, name),
+            lambda: encode_amplitudes(grid(np.full((4, 4), 0.5)), name),
+            lambda: decode_probabilities(np.full(16, 1 / 16), 4, name),
         ):
             with pytest.raises(ValidationError, match=re.escape(f"unknown ordering {name!r}")):
                 call()
@@ -104,17 +104,24 @@ class TestPixelToBasisIndex:
 
 class TestBasisPermutation:
     @given(st.integers(min_value=1, max_value=5), st.sampled_from(ORDERINGS))
+    @settings(max_examples=10)
     def test_matches_scalar_map(self, n, ordering):
+        # the bit-axis transpose of encode and decode against the scalar oracle
         L = 2**n
-        perm = basis_permutation(L, ordering)
-        for x in range(0, L, max(L // 4, 1)):
-            for y in range(0, L, max(L // 4, 1)):
-                assert perm[x, y] == pixel_to_basis_index(x, y, L, ordering)
+        index = ladder_index(L, ordering)
+        for k in range(L * L):
+            basis = np.zeros(L * L)
+            basis[k] = 1.0
+            lit = decode_probabilities(basis, L, ordering).pixels
+            assert np.array_equal(lit, index == k)
+        pixels = (np.arange(L * L).reshape(L, L) + 1.0) / (L * L)
+        state = encode_amplitudes(ImageGrid(pixels), ordering)
+        np.testing.assert_allclose(state[index], np.sqrt(pixels / pixels.sum()), rtol=1e-14)
 
     def test_adjacent_pixels_are_bit_neighbors(self):
         # [DERIVED] flipping the least significant y bit flips exactly qubit N-1
-        perm = basis_permutation(8, "straight")
-        assert np.all((perm[:, 1::2] ^ perm[:, 0::2]) == 1)
+        index = ladder_index(8, "straight")
+        assert np.all((index[:, 1::2] ^ index[:, 0::2]) == 1)
 
 
 class TestEncodeAmplitudes:
@@ -140,8 +147,16 @@ class TestEncodeAmplitudes:
         g = grid([[0.1, 0.2], [0.3, 0.4]])
         state = encode_amplitudes(g)
         probs = state**2
-        perm = basis_permutation(2)
-        np.testing.assert_allclose(probs[perm], g.pixels / g.pixels.sum(), atol=1e-14)
+        np.testing.assert_allclose(
+            probs[ladder_index(2)], g.pixels / g.pixels.sum(), atol=1e-14
+        )
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_peak_memory(self, rng, ordering):
+        # one L x L array of amplitudes and the transposed copy of it
+        g = ImageGrid(rng.random((256, 256)))
+        peak = traced_peak(lambda: encode_amplitudes(g, ordering))
+        assert peak <= 2.5 * g.pixels.nbytes, f"peak {peak / g.pixels.nbytes:.2f} arrays"
 
     def test_all_zero_image_rejected(self):
         with pytest.raises(NumericError):
@@ -176,6 +191,20 @@ class TestDecodeProbabilities:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
             decode_probabilities(np.full(8, 0.125), 2)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_rejects_side_not_a_power_of_two(self, L):
+        # a square length that is no 2^N: a 1-row or 9-row histogram
+        with pytest.raises(ValidationError, match=f"L must be a power of two >= 2, got {L}"):
+            decode_probabilities(np.full(L * L, 1 / (L * L)), L)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_peak_memory(self, rng, ordering):
+        # the permuted copy and ImageGrid's clipped copy of it
+        probs = rng.random(256 * 256)
+        probs /= probs.sum()
+        peak = traced_peak(lambda: decode_probabilities(probs, 256, ordering))
+        assert peak <= 2.5 * probs.nbytes, f"peak {peak / probs.nbytes:.2f} arrays"
 
 
 class TestDownscale:
