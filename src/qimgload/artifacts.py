@@ -16,10 +16,10 @@ import json
 
 import numpy as np
 
-# the CSV writers, the histogram reader and `dump` handle this many rows or
-# values at a time: tolist() converts a chunk in C, far faster than iterating
-# numpy scalars, and no more than one chunk's Python objects and text is alive
-# at once
+# the CSV writers, the histogram reader, `dump` and `write_pgm` handle this
+# many rows or values at a time: tolist() converts a chunk in C, far faster
+# than iterating numpy scalars, and no more than one chunk's Python objects
+# and text is alive at once
 CSV_CHUNK_ROWS = 4096
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import CSV_CHUNK_ROWS
 from .errors import InputFormatError, NumericError, ValidationError
 
 # Both orderings put the most significant x/y bits on the leftmost rung
@@ -242,14 +243,17 @@ def load_image(path, fmt: str) -> ImageGrid:
     raise InputFormatError(f"unknown image format {fmt!r}")
 
 
-# the decimal text of every 8-bit sample; indexing it formats a whole raster in C
+# the decimal text of every 8-bit sample; indexing it formats a block of rows in C
 _SAMPLE_TEXT = np.array([str(v) for v in range(256)], dtype=object)
 
 
 def write_pgm(g: ImageGrid) -> bytes:
     """Serialize a grid as ascii P2 PGM with maxval 255."""
     L = g.side_length
-    samples = np.rint(g.pixels * 255).astype(int)  # in 0..255: ImageGrid clips to [0, 1]
     lines = ["P2", f"{L} {L}", "255"]
-    lines += [" ".join(row) for row in _SAMPLE_TEXT[samples].tolist()]
+    # one block of rows at a time; the samples are in 0..255: ImageGrid clips to [0, 1]
+    block = max(1, CSV_CHUNK_ROWS // L)
+    for start in range(0, L, block):
+        samples = np.rint(g.pixels[start : start + block] * 255).astype(int)
+        lines += [" ".join(row) for row in _SAMPLE_TEXT[samples].tolist()]
     return ("\n".join(lines) + "\n").encode()

@@ -41,7 +41,7 @@ def sign_image(L: int = 256) -> ImageGrid:
     octagon = np.maximum(np.maximum(np.abs(du), np.abs(dv)), (np.abs(du) + np.abs(dv)) / np.sqrt(2))
     img = _paint(img, _soft(0.34 - octagon), 0.85)
     img = _paint(img, _soft(0.07 - np.abs(du)) * _soft(0.26 - np.abs(dv)), 0.25)
-    return ImageGrid(np.clip(img, 0.0, 1.0))
+    return ImageGrid(img)
 
 
 def scene_image(L: int = 256) -> ImageGrid:
@@ -50,7 +50,7 @@ def scene_image(L: int = 256) -> ImageGrid:
     sky = 0.75 - 0.35 * u / 0.45
     ground = 0.35 + 0.08 * np.sin(7 * np.pi * v) * np.sin(3 * np.pi * u)
     m_ground = _soft(u - 0.45)
-    img = sky * (1 - m_ground) + ground * m_ground
+    img = _paint(sky, m_ground, ground)
     # road: trapezoid widening toward the bottom
     half_width = 0.05 + 0.45 * np.clip(u - 0.45, 0.0, None)
     m_road = _soft(half_width - np.abs(v - 0.5)) * m_ground
@@ -63,7 +63,7 @@ def scene_image(L: int = 256) -> ImageGrid:
     # sun disk in the sky
     m_sun = _soft(0.06 - np.sqrt((u - 0.15) ** 2 + (v - 0.8) ** 2))
     img = _paint(img, m_sun, 1.0)
-    return ImageGrid(np.clip(img, 0.0, 1.0))
+    return ImageGrid(img)
 
 
 def digit_image(L: int = 16) -> ImageGrid:

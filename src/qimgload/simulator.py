@@ -216,10 +216,12 @@ def _checked_counts(rows: list[str], start: int) -> array:
 
 
 def _fast_counts(rows: list[str], start: int) -> array | None:
-    """The counts of ``rows``, at positions from ``start``, when every row keeps
-    the rules of `histogram_from_csv`, else None.
+    """The counts of ``rows``, at positions from ``start``, when every row is
+    in the writer's form and keeps the rules of `histogram_from_csv`, else None.
 
-    The same rules as `_checked_counts`, checked a column at a time.
+    Checked a column at a time.  The bitstrings must be the writer's text, as
+    wide as the first and at least _LOW_BITS digits; `_checked_counts` reads
+    any other chunk.
     """
     n = len(rows)
     if list(map(str.count, rows, itertools.repeat(","))) != [3] * n:
@@ -227,27 +229,20 @@ def _fast_counts(rows: list[str], start: int) -> array | None:
     # four fields a row: a row's last field ends where its line does
     fields = "".join(rows).replace("\n", ",").split(",")
     bits = fields[1::4]
-    # the writer's bitstrings, as wide as the first; comma-free lists match as
-    # their joins do.  Below _LOW_BITS digits they hold only below 2^_LOW_BITS
-    width = len(bits[0]) if n else _LOW_BITS
-    low = _low_bits(min(width, _LOW_BITS))
+    if not n or len(bits[0]) < _LOW_BITS:
+        return None
+    # comma-free lists match as their joins do
+    low = _low_bits(_LOW_BITS)
     written = ",".join([
         high + ("," + high).join(low[i.start % len(low) :][: len(i)])
-        for i, high in _bit_runs(start, start + n, width)
+        for i, high in _bit_runs(start, start + n, len(bits[0]))
     ])
+    if not (
+        all(map(operator.eq, fields[0 : 4 * n : 4], map(str, itertools.count(start))))
+        and ",".join(bits) == written
+    ):
+        return None
     try:
-        # int(b, 2) alone also takes '0b1', ' 1' and '1_0'; encode raises
-        # ValueError on a lone surrogate, and int on an empty bitstring
-        if not (
-            all(map(operator.eq, fields[0 : 4 * n : 4], map(str, itertools.count(start))))
-            and (
-                (width >= _LOW_BITS and ",".join(bits) == written)
-                or (not "".join(bits).encode().translate(None, b"01")
-                    and all(map(operator.eq, map(int, bits, itertools.repeat(2)),
-                                itertools.count(start))))
-            )
-        ):
-            return None
         counts = array("d", map(float, fields[2::4]))
         array("d", map(float, fields[3::4]))
     except ValueError:
@@ -267,8 +262,8 @@ def histogram_from_csv(fh) -> np.ndarray:
     counts = array("d")
     while lines := list(itertools.islice(fh, CSV_CHUNK_ROWS)):
         # a chunk whose lines all read as rows holds no line to skip; a chunk
-        # that still breaks a rule without them is read row by row, which
-        # names the first bad row
+        # that without them still breaks a rule, or is not in the writer's
+        # form, is read row by row, which names the first bad row
         start = len(counts)
         chunk = _fast_counts(lines, start)
         if chunk is None:

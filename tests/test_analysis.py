@@ -16,7 +16,7 @@ from qimgload.analysis import (
 )
 from qimgload.compiler import construction_stages, grow_and_optimize, iterative_construct
 from qimgload.errors import ValidationError
-from qimgload.image_codec import encode_amplitudes
+from qimgload.image_codec import ImageGrid, encode_amplitudes
 from qimgload.sample_images import BUILTIN_IMAGES, digit_image, get_image, scene_image, sign_image
 from qimgload.simulator import run
 
@@ -134,6 +134,21 @@ class TestBuiltinImages:
         monkeypatch.setattr(sample_images, "_coords", full_grids)
         for L, pixels in zip(sides, renders):
             assert pixels.tobytes() == get_image(name, L).pixels.tobytes(), L
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_IMAGES))
+    def test_renders_in_the_unit_interval_before_the_grid_clips(self, name, monkeypatch):
+        # ImageGrid refuses values more than 1e-12 outside [0, 1] and clips the
+        # rest, so a render that strays is caught here, not clipped away
+        rendered = []
+
+        def spy(pixels):
+            rendered.append(pixels)
+            return ImageGrid(pixels)
+
+        monkeypatch.setattr(sample_images, "ImageGrid", spy)
+        for L in (2**n for n in range(1, 11)):
+            get_image(name, L)
+            assert 0.0 <= rendered[-1].min() and rendered[-1].max() <= 1.0, L
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_IMAGES))
     def test_peak_memory(self, name):

@@ -253,6 +253,13 @@ class TestPgm:
         again = load_pgm(write_pgm(g))
         np.testing.assert_allclose(again.pixels, g.pixels, atol=1e-12)
 
+    def test_write_peak_memory(self, rng):
+        # one block of rows' samples and text at a time, then the file's text
+        # and its bytes
+        g = ImageGrid(rng.random((256, 256)))
+        peak = traced_peak(lambda: write_pgm(g))
+        assert peak <= 2.0 * g.pixels.nbytes, f"peak {peak / g.pixels.nbytes:.2f} arrays"
+
     def test_p5_binary(self):
         raster = bytes(range(16))
         g = load_pgm(b"P5\n# comment\n4 4\n255\n" + raster)

@@ -21,7 +21,7 @@ from conftest import (
     random_unitary4,
     written,
 )
-from qimgload import simulator
+from qimgload import cli, simulator
 from qimgload.errors import InputFormatError, NumericError, ValidationError
 from qimgload.image_codec import encode_amplitudes
 from qimgload.simulator import (
@@ -342,7 +342,8 @@ class TestHistogramFromCsv:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, counts)
 
-    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    # and every writer file narrower than the bit table, which is read row by row
+    @pytest.mark.parametrize("length", sorted({*EDGE_LENGTHS, *(2**n for n in range(1, 8))}))
     def test_round_trip_at_every_edge_length(self, rng, length):
         h = rng.integers(0, 4, length)
         h[-1] += 1
@@ -352,6 +353,36 @@ class TestHistogramFromCsv:
         # 2^13 outcomes span two reader chunks
         h = sample(random_state(rng, 13, complex_valued=True), shots=10**6, seed=5)
         np.testing.assert_array_equal(read_histogram(written(histogram_to_csv, h)), h)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_writer_files_are_read_a_column_at_a_time(self, rng, tmp_path, monkeypatch, n):
+        # reconstruct's speed on real files rests on this: no chunk of a
+        # written histogram.csv, provenance header and all, is read row by row
+        counts = sample(random_state(rng, n), shots=10**5, seed=0)
+        path = tmp_path / "histogram.csv"
+        with cli._csv_file(path, cli.PipelineConfig()) as fh:
+            histogram_to_csv(counts, fh)
+        checked = []
+        row_by_row = simulator._checked_counts
+
+        def spy(rows, start):
+            checked.append(start)
+            return row_by_row(rows, start)
+
+        monkeypatch.setattr(simulator, "_checked_counts", spy)
+        with path.open() as fh:
+            np.testing.assert_array_equal(histogram_from_csv(fh), counts)
+        assert checked == []
+
+    @pytest.mark.parametrize("padded", [[300], range(512)], ids=["one-row", "every-row"])
+    def test_a_writer_file_with_padded_bitstrings_is_read(self, rng, padded):
+        # one padded row sends its chunk row by row; padding every row keeps
+        # the writer's form, one digit wider
+        h = rng.integers(0, 4, 2**9)
+        rows = written(histogram_to_csv, h).splitlines(keepends=True)
+        for i in padded:
+            rows[1 + i] = rows[1 + i].replace(",", ",0", 1)
+        np.testing.assert_array_equal(read_histogram("".join(rows)), h)
 
     def test_skips_empty_comment_and_column_lines(self):
         text = "# tool: x\n\nindex,bitstring,count,probability\n0,0,3,0.75\n\n# c\n1,1,1,0.25"
