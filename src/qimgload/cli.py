@@ -15,7 +15,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -49,7 +51,7 @@ from .simulator import (
     histogram_to_csv,
     histogram_to_probs,
     run,
-    sample,
+    shot_draw,
     state_to_csv,
 )
 
@@ -61,6 +63,11 @@ EXIT_SELFTEST = 1
 EXIT_INPUT_FORMAT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
+
+# simulate draws the shots of a state of at least this many amplitudes on a
+# second thread while curve.csv is written; below it, starting the thread
+# costs more than the overlap saves
+THREADED_DRAW_MIN = 2**14
 
 @dataclass
 class PipelineConfig:
@@ -126,8 +133,8 @@ def _build_config(args) -> PipelineConfig:
         choices = f.metadata.get("choices")
         if choices is not None and values[f.name] not in choices:
             raise ValidationError(f"{f.name}={value!r} is not one of {list(choices)}")
-    # `_out_dir` makes the directory only once a handler has computed its
-    # artifacts, so a file (or a dangling link) in its way is refused here,
+    # `_out_dir` makes the directory only once a handler has checked its
+    # input, so a file (or a dangling link) in its way is refused here,
     # before any input is read
     existing = Path(values["out_dir"])
     while not os.path.lexists(existing):
@@ -194,16 +201,56 @@ def _load_grid(cfg: PipelineConfig, side: int):
     return grid
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
-    """Make the output directory: after a handler's last computation, before its first write.
+@contextmanager
+def _out_dir(cfg: PipelineConfig):
+    """The output directory, made for the block's writes once a handler has checked its input.
 
-    So a run that fails, on its input or an option out of range, leaves no
-    directory behind; `_build_config` has already refused an out_dir that
-    lies under a file.
+    So a run that fails on its input or an option out of range makes no
+    directory; `_build_config` has already refused an out_dir that lies
+    under a file.  If the block raises, the topmost directory made here is
+    removed with all it holds; a directory that existed before is kept,
+    with the files already written into it.
     """
     path = Path(cfg.out_dir)
+    missing = [p for p in (path, *path.parents) if not os.path.lexists(p)]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        if missing:
+            shutil.rmtree(missing[-1], ignore_errors=True)
+        raise
+
+
+def _draw_while(draw, write, threaded: bool) -> np.ndarray:
+    """draw()'s counts, with write() called on this thread meanwhile.
+
+    If threaded, draw runs on a second thread: its `multinomial` call
+    releases the GIL while write's text building holds it.  Only draw runs
+    there, so no traced function does.  The thread is joined even if write
+    raises, and an exception that draw raised is raised here.
+    """
+    if not threaded:
+        write()
+        return draw()
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(draw())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, name="shot-draw")
+    thread.start()
+    try:
+        write()
+    finally:
+        thread.join()
+    [counts] = outcome
+    if isinstance(counts, BaseException):
+        raise counts
+    return counts
 
 
 def cmd_encode(args) -> int:
@@ -213,30 +260,30 @@ def cmd_encode(args) -> int:
     mps, weights = from_dense(state, chi_max=cfg.chi_max)
     scheme = f"interleaved-{cfg.ordering}"
     total = float(sum(weights))
-    out = _out_dir(cfg)
-    with (out / "amplitude_state.json").open("w") as fh:
-        artifacts.dump(
-            {
-                "n_qubits": mps.n_sites,
-                "ordering": scheme,
-                "amplitudes": state,
-                "provenance": _provenance(cfg),
-            },
-            fh,
+    with _out_dir(cfg) as out:
+        with (out / "amplitude_state.json").open("w") as fh:
+            artifacts.dump(
+                {
+                    "n_qubits": mps.n_sites,
+                    "ordering": scheme,
+                    "amplitudes": state,
+                    "provenance": _provenance(cfg),
+                },
+                fh,
+            )
+        meta = {
+            "ordering": scheme,
+            "provenance": _provenance(cfg),
+            "truncation": {"per_bond": list(weights), "total": total},
+        }
+        with (out / "mps.json").open("w") as fh:
+            artifacts.dump(mps_to_dict(mps, meta), fh)
+        with _csv_file(out / "amplitudes.csv", cfg) as fh:
+            curve_to_csv(state, fh)
+        print(
+            f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
+            f"max bond {mps.max_bond}, truncation weight {total:.3e}"
         )
-    meta = {
-        "ordering": scheme,
-        "provenance": _provenance(cfg),
-        "truncation": {"per_bond": list(weights), "total": total},
-    }
-    with (out / "mps.json").open("w") as fh:
-        artifacts.dump(mps_to_dict(mps, meta), fh)
-    with _csv_file(out / "amplitudes.csv", cfg) as fh:
-        curve_to_csv(state, fh)
-    print(
-        f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
-        f"max bond {mps.max_bond}, truncation weight {total:.3e}"
-    )
     return 0
 
 
@@ -258,14 +305,14 @@ def cmd_compile(args) -> int:
         "ordering": cfg.ordering,
     }
     circuit = replace(circuit, provenance=provenance)
-    out = _out_dir(cfg)
-    (out / "circuit.json").write_bytes(serialize(circuit))
-    rows = [(stage, sweep, o, max(0.0, 1.0 - o)) for stage, sweep, o in trace.records]
-    _write_rows(out / "trace.csv", cfg, "stage,sweep,overlap,infidelity", rows)
-    print(
-        f"compiled depth-{circuit.depth} circuit on {circuit.n_qubits} qubits: "
-        f"{cnot_count(circuit)} CNOT-equivalents, infidelity {final_infidelity:.3e}"
-    )
+    with _out_dir(cfg) as out:
+        (out / "circuit.json").write_bytes(serialize(circuit))
+        rows = [(stage, sweep, o, max(0.0, 1.0 - o)) for stage, sweep, o in trace.records]
+        _write_rows(out / "trace.csv", cfg, "stage,sweep,overlap,infidelity", rows)
+        print(
+            f"compiled depth-{circuit.depth} circuit on {circuit.n_qubits} qubits: "
+            f"{cnot_count(circuit)} CNOT-equivalents, infidelity {final_infidelity:.3e}"
+        )
     return 0
 
 
@@ -281,22 +328,29 @@ def cmd_simulate(args) -> int:
         probs = np.abs(state)
         np.square(probs, out=probs)
     else:
-        counts = sample(state, cfg.shots, cfg.seed)
-    out = _out_dir(cfg)
-    # each 2^N array is dropped once the last artifact that needs it is written
-    with _csv_file(out / "curve.csv", cfg) as fh:
-        state_to_csv(state, fh)
-    del state
-    if not args.exact:
-        with _csv_file(out / "histogram.csv", cfg) as fh:
-            histogram_to_csv(counts, fh)
-        probs = histogram_to_probs(counts)
-        del counts
-    grid = decode_probabilities(probs, L, ordering)
-    del probs
-    (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
-    label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
-    print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
+        draw = shot_draw(state, cfg.shots, cfg.seed)
+    with _out_dir(cfg) as out:
+
+        def write_curve():
+            with _csv_file(out / "curve.csv", cfg) as fh:
+                state_to_csv(state, fh)
+
+        # each 2^N array is dropped once the last artifact that needs it is written
+        if args.exact:
+            write_curve()
+            del state
+        else:
+            counts = _draw_while(draw, write_curve, state.size >= THREADED_DRAW_MIN)
+            del state, draw  # the draw holds the probabilities
+            with _csv_file(out / "histogram.csv", cfg) as fh:
+                histogram_to_csv(counts, fh)
+            probs = histogram_to_probs(counts)
+            del counts
+        grid = decode_probabilities(probs, L, ordering)
+        del probs
+        (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
+        label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
+        print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
     return 0
 
 
@@ -310,9 +364,9 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError("histogram length is not a square")
     grid = decode_probabilities(probs, L, cfg.ordering)
     del probs  # so it is not held while write_pgm builds the image's text
-    out = _out_dir(cfg)
-    (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
-    print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
+    with _out_dir(cfg) as out:
+        (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
+        print(f"decoded {len(counts)}-outcome histogram into {L}x{L} image")
     return 0
 
 
@@ -358,15 +412,16 @@ def cmd_analyze(args) -> int:
     fit = analysis.fit_power_law(above) if len(above) >= 3 else None
     name = f"{args.sweep}_sweep"
     labelled = [(*row, method, cfg.image) for row in rows]
-    out = _out_dir(cfg)
-    _write_rows(out / f"{name}.csv", cfg, "x,L,infidelity,method,image_id", labelled)
-    if fit is not None:
-        excluded = [[float(x), i] for x, i in points if i <= FIT_FLOOR]
-        record = {**fit, "floor": FIT_FLOOR, "excluded": excluded, "provenance": _provenance(cfg)}
-        (out / f"{name}_fit.json").write_text(artifacts.dumps(record))
-        print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
-    else:
-        print(f"{name}: {len(rows)} records (too few points above {FIT_FLOOR:g} to fit)")
+    with _out_dir(cfg) as out:
+        _write_rows(out / f"{name}.csv", cfg, "x,L,infidelity,method,image_id", labelled)
+        if fit is not None:
+            excluded = [[float(x), i] for x, i in points if i <= FIT_FLOOR]
+            record = {**fit, "floor": FIT_FLOOR, "excluded": excluded,
+                      "provenance": _provenance(cfg)}
+            (out / f"{name}_fit.json").write_text(artifacts.dumps(record))
+            print(f"{name}: fitted I = {fit['a']:.4g} / x^{fit['b']:.4g}")
+        else:
+            print(f"{name}: {len(rows)} records (too few points above {FIT_FLOOR:g} to fit)")
     return 0
 
 

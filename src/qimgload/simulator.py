@@ -84,8 +84,13 @@ def run(c: LayeredCircuit) -> np.ndarray:
     return vec
 
 
-def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
-    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
+def shot_draw(vec: np.ndarray, shots: int, seed: int = 0):
+    """A zero-argument callable that returns `sample(vec, shots, seed)`.
+
+    The options are checked and |vec|^2 is normalised here; the callable
+    makes the one `multinomial` call, which releases the GIL, so it can run
+    on another thread.  It holds the 2^N probabilities until it is dropped.
+    """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     if shots > np.iinfo(np.int64).max:
@@ -96,7 +101,12 @@ def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
     np.square(probs, out=probs)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    return functools.partial(rng.multinomial, shots, probs)
+
+
+def sample(vec: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
+    """int64 counts of a multinomial draw from |vec|^2 with a seeded PCG64 generator."""
+    return shot_draw(vec, shots, seed)()
 
 
 def _shots(counts: np.ndarray):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -14,15 +15,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_text, drifting_circuit, identity_circuit, oracle_encode
+from conftest import (
+    assert_same_text,
+    drifting_circuit,
+    identity_circuit,
+    oracle_encode,
+    random_staircase_circuit,
+    written,
+)
 from qimgload import __version__, cli, compiler
 from qimgload.analysis import infidelity
 from qimgload.circuit import deserialize, serialize
 from qimgload.cli import PipelineConfig, build_parser, main
-from qimgload.image_codec import ImageGrid, encode_amplitudes, load_pgm, write_pgm
+from qimgload.image_codec import (
+    ImageGrid,
+    decode_probabilities,
+    encode_amplitudes,
+    load_pgm,
+    write_pgm,
+)
 from qimgload.mps import from_dense, to_dense
 from qimgload.sample_images import get_image
-from qimgload.simulator import histogram_to_csv, run, sample
+from qimgload.simulator import histogram_to_csv, histogram_to_probs, run, sample, state_to_csv
 
 
 DIGIT4 = ("--image", "builtin:digit", "--target-l", "4")
@@ -152,6 +166,36 @@ class TestCompileSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_threaded_draw_writes_the_serial_artifacts(self, tmp_path, out, monkeypatch, n):
+        # the draw runs on a second thread from 2^14 amplitudes on, inline below
+        c = random_staircase_circuit(np.random.default_rng(n), n, 1)
+        path = tmp_path / "circuit.json"
+        path.write_bytes(serialize(c))
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        before = threading.active_count()
+        assert run_cli("simulate", "--circuit", str(path), "--shots", "100000", "--seed", "3",
+                       "--out-dir", str(out)) == 0
+        assert threading.active_count() == before
+        assert len(started) == (1 if 2**n >= cli.THREADED_DRAW_MIN else 0)
+
+        cfg = PipelineConfig(shots=100000, seed=3)
+        header = f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
+        state = run(c)
+        counts = sample(state, 100000, seed=3)
+        assert_same_text((out / "curve.csv").read_text(), header + written(state_to_csv, state))
+        assert_same_text((out / "histogram.csv").read_text(),
+                         header + written(histogram_to_csv, counts))
+        grid = decode_probabilities(histogram_to_probs(counts), 2 ** (n // 2), "straight")
+        assert (out / "reconstructed.pgm").read_bytes() == write_pgm(grid)
 
     def test_simulation_seed_determinism(self, out, tmp_path):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
@@ -733,7 +777,7 @@ class TestExitCodes:
             ("encode", "qimgload.cli.from_dense", NUMPY_OUT_OF_MEMORY),
             ("compile", "qimgload.compiler.sweep_optimize", NUMPY_OUT_OF_MEMORY),
             ("simulate", "qimgload.cli.run", NUMPY_OUT_OF_MEMORY),
-            ("simulate", "qimgload.cli.sample", ""),
+            ("simulate", "qimgload.cli.shot_draw", ""),
         ],
         ids=["encode", "compile", "simulate", "simulate-without-message"],
     )
@@ -756,6 +800,76 @@ class TestExitCodes:
             "numeric error: out of memory")
         assert capsys.readouterr().err == expected + "\n"
         assert not out.exists()
+
+    def test_out_of_memory_in_the_threaded_draw(self, tmp_path, capsys, monkeypatch):
+        # at 2^14 amplitudes the draw runs on a second thread while curve.csv
+        # is written; its MemoryError is raised on the main thread
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(14, 1)))
+        threads = []
+
+        def refused():
+            threads.append(threading.current_thread())
+            raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+        monkeypatch.setattr("qimgload.cli.shot_draw", lambda *args: refused)
+        out = tmp_path / "new" / "deeper"
+        assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == f"numeric error: out of memory: {NUMPY_OUT_OF_MEMORY}\n"
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv, writer",
+        [
+            (["encode", *DIGIT4], "qimgload.cli.curve_to_csv"),
+            (["compile", *DIGIT4, "--depth", "1"], "qimgload.cli._write_rows"),
+            (["simulate", "--circuit", "{circuit}"], "qimgload.cli.histogram_to_csv"),
+            (["simulate", "--circuit", "{circuit}", "--exact"], "qimgload.cli.write_pgm"),
+            (["reconstruct", "--histogram", "{histogram}"], "qimgload.cli.write_pgm"),
+            (["analyze", "--sweep", "chi", "--image", "builtin:scene", "--chi-list", "1,2,3"],
+             "qimgload.artifacts.dumps"),
+        ],
+        ids=["encode", "compile", "simulate", "simulate-exact", "reconstruct", "analyze"],
+    )
+    def test_failed_write_removes_the_out_dir_it_made(self, tmp_path, capsys, monkeypatch, argv,
+                                                      writer):
+        # each writer raises after the files before it are written
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(4, 2)))
+        histogram = tmp_path / "histogram.csv"
+        with histogram.open("w") as fh:
+            histogram_to_csv(np.arange(16), fh)
+
+        def refused(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(writer, refused)
+        argv = [a.format(circuit=circuit, histogram=histogram) for a in argv]
+        out = tmp_path / "new" / "deeper"
+        assert run_cli(*argv, "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == "numeric error: out of memory\n"
+        assert not (tmp_path / "new").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["circuit.json", "histogram.csv"]
+
+    def test_failed_write_keeps_a_directory_that_existed(self, tmp_path, out, capsys,
+                                                         monkeypatch):
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(4, 2)))
+        (out / "sub").mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+        (out / "sub" / "keep.txt").write_text("kept too")
+
+        def refused(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("qimgload.cli.histogram_to_csv", refused)
+        assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
+        assert_one_line_error(capsys, "numeric error: out of memory")
+        assert (out / "keep.txt").read_text() == "kept"
+        assert (out / "sub" / "keep.txt").read_text() == "kept too"
+        # the files written before the failure stay
+        assert (out / "curve.csv").read_text().startswith("# tool: qimgload")
 
     def test_input_format_error(self, tmp_path, out):
         bad = tmp_path / "bad.pgm"
