@@ -1,4 +1,4 @@
-"""The text of the JSON artifacts, and the chunk size of every 2^N-value writer.
+"""The text of the JSON artifacts.
 
 `dump` and `dumps` write byte for byte what ``json.dump(obj, fh, indent=1)``
 writes, where `obj` may also hold float ndarrays, written as their
@@ -16,11 +16,7 @@ import json
 
 import numpy as np
 
-# the CSV writers, the histogram reader, `dump` and `write_pgm` handle this
-# many rows or values at a time: tolist() converts a chunk in C, far faster
-# than iterating numpy scalars, and no more than one chunk's Python objects
-# and text is alive at once
-CSV_CHUNK_ROWS = 4096
+from .state_rows import CSV_CHUNK_ROWS
 
 
 def dump(obj, fh) -> None:

@@ -17,14 +17,13 @@ import math
 import os
 import shutil
 import sys
-import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, artifacts, compiler
+from . import __version__, analysis, artifacts, compiler, state_rows
 from .circuit import (
     LayeredCircuit,
     cnot_count,
@@ -64,10 +63,10 @@ EXIT_INPUT_FORMAT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-# simulate draws the shots of a state of at least this many amplitudes on a
-# second thread while curve.csv is written; below it, starting the thread
-# costs more than the overlap saves
-THREADED_DRAW_MIN = 2**14
+# simulate writes the curve.csv rows of a state of at least this many
+# amplitudes from a second interpreter while it draws the shots; below it,
+# starting that interpreter costs more than the overlap saves
+CURVE_CHILD_MIN = 2**16
 
 @dataclass
 class PipelineConfig:
@@ -207,50 +206,76 @@ def _out_dir(cfg: PipelineConfig):
 
     So a run that fails on its input or an option out of range makes no
     directory; `_build_config` has already refused an out_dir that lies
-    under a file.  If the block raises, the topmost directory made here is
-    removed with all it holds; a directory that existed before is kept,
-    with the files already written into it.
+    under a file.  If the block raises, each directory made here is removed
+    with all it holds, deepest first; a directory that existed before is
+    kept, with the files already written into it.
     """
     path = Path(cfg.out_dir)
-    missing = [p for p in (path, *path.parents) if not os.path.lexists(p)]
-    path.mkdir(parents=True, exist_ok=True)
+    made = []
     try:
+        # one level at a time, so that every directory made is known, also
+        # one off the lexical chain of a path holding ".."
+        for level in reversed((path, *path.parents)):
+            if not level.is_dir():
+                level.mkdir()
+                made.append(level)
         yield path
     except BaseException:
-        if missing:
-            shutil.rmtree(missing[-1], ignore_errors=True)
+        for level in reversed(made):
+            shutil.rmtree(level, ignore_errors=True)
         raise
 
 
-def _draw_while(draw, write, threaded: bool) -> np.ndarray:
-    """draw()'s counts, with write() called on this thread meanwhile.
+@contextmanager
+def _curve_child(n_amplitudes: int):
+    """The child process that will write curve.csv's rows, or None below CURVE_CHILD_MIN.
 
-    If threaded, draw runs on a second thread: its `multinomial` call
-    releases the GIL while write's text building holds it.  Only draw runs
-    there, so no traced function does.  The thread is joined even if write
-    raises, and an exception that draw raised is raised here.
+    The child runs `state_rows` as a script in a new interpreter, with no
+    fork and no site imports, so it starts in a few milliseconds; `_send_curve`
+    hands it the rows to write.  If the block raises, the child is killed;
+    it is always reaped before this returns.
     """
-    if not threaded:
-        write()
-        return draw()
-    outcome = []
+    if n_amplitudes < CURVE_CHILD_MIN:
+        yield None
+        return
+    import subprocess  # a few ms to import, paid only by a run that starts a child
 
-    def target():
-        try:
-            outcome.append(draw())
-        except BaseException as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=target, name="shot-draw")
-    thread.start()
+    child = subprocess.Popen(
+        [sys.executable, "-I", "-S", state_rows.__file__],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
     try:
-        write()
+        yield child
+    except BaseException:
+        child.kill()
+        raise
     finally:
-        thread.join()
-    [counts] = outcome
-    if isinstance(counts, BaseException):
-        raise counts
-    return counts
+        for pipe in (child.stdin, child.stderr):
+            with suppress(OSError):  # a pipe to a child that has exited
+                pipe.close()
+        child.wait()
+
+
+def _send_curve(child, path: Path, state: np.ndarray) -> None:
+    """Hand the child the path of curve.csv, its provenance written, and the amplitudes."""
+    amplitudes = state.astype(np.result_type(state.dtype, float), copy=False)
+    name = os.fsencode(path.absolute())
+    try:
+        child.stdin.write(state_rows.input_header(amplitudes.dtype.kind, amplitudes.size, name))
+        child.stdin.write(amplitudes)
+        child.stdin.close()
+    except BrokenPipeError:
+        pass  # the child has exited; `_wait_curve` says why
+
+
+def _wait_curve(child) -> None:
+    """Wait for the child to write the rows; if it fails, raise with its last stderr line."""
+    lines = child.stderr.read().decode(errors="replace").splitlines()
+    if child.wait():
+        detail = f": {lines[-1]}" if lines else ""
+        raise NumericError(f"the curve.csv writer exited with code {child.returncode}{detail}")
 
 
 def cmd_encode(args) -> int:
@@ -323,34 +348,36 @@ def cmd_simulate(args) -> int:
         raise ValidationError("circuit qubit count must be even to reshape into an image")
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
-    state = run(circuit)
-    if args.exact:
-        probs = np.abs(state)
-        np.square(probs, out=probs)
-    else:
-        draw = shot_draw(state, cfg.shots, cfg.seed)
-    with _out_dir(cfg) as out:
-
-        def write_curve():
-            with _csv_file(out / "curve.csv", cfg) as fh:
-                state_to_csv(state, fh)
-
-        # each 2^N array is dropped once the last artifact that needs it is written
+    # the child starts here, so that its start-up overlaps the statevector run
+    with _curve_child(2**circuit.n_qubits) as child:
+        state = run(circuit)
         if args.exact:
-            write_curve()
-            del state
+            probs = np.abs(state)
+            np.square(probs, out=probs)
         else:
-            counts = _draw_while(draw, write_curve, state.size >= THREADED_DRAW_MIN)
-            del state, draw  # the draw holds the probabilities
-            with _csv_file(out / "histogram.csv", cfg) as fh:
-                histogram_to_csv(counts, fh)
-            probs = histogram_to_probs(counts)
-            del counts
-        grid = decode_probabilities(probs, L, ordering)
-        del probs
-        (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
-        label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
-        print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
+            draw = shot_draw(state, cfg.shots, cfg.seed)  # checks the options
+        with _out_dir(cfg) as out:
+            with _csv_file(out / "curve.csv", cfg) as fh:
+                if child is None:
+                    state_to_csv(state, fh)
+            if child is not None:
+                _send_curve(child, out / "curve.csv", state)
+            # each 2^N array is dropped once the last artifact that needs it is written
+            del state
+            if not args.exact:
+                counts = draw()
+                del draw  # it holds the probabilities
+                with _csv_file(out / "histogram.csv", cfg) as fh:
+                    histogram_to_csv(counts, fh)
+                probs = histogram_to_probs(counts)
+                del counts
+            grid = decode_probabilities(probs, L, ordering)
+            del probs
+            (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
+            if child is not None:
+                _wait_curve(child)
+            label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
+            print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
     return 0
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import CSV_CHUNK_ROWS
 from .errors import InputFormatError, NumericError, ValidationError
+from .state_rows import CSV_CHUNK_ROWS
 
 # Both orderings put the most significant x/y bits on the leftmost rung
 # (qubit 0 is the most significant bit of the basis index).  "straight"

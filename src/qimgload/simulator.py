@@ -3,7 +3,7 @@
 Qubit 0 is the most significant bit of the basis index, matching the
 MSB-first ladder ordering of the image codec.  This module also owns the
 2^N-row CSV artifacts: it writes the state, histogram and curve files and
-reads the histogram back.
+reads the histogram back.  The state rows' text comes from `state_rows`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from array import array
 
 import numpy as np
 
-from .artifacts import CSV_CHUNK_ROWS
+from . import state_rows
 from .circuit import LayeredCircuit
 from .errors import InputFormatError, NumericError, ValidationError
 from .mps import DENSE_SITE_CAP
+from .state_rows import CSV_CHUNK_ROWS
 
 # histogram_to_csv formats the low bits of each bitstring from a table of
 # 2^_LOW_BITS strings; a run of that many rows must not cross a chunk
@@ -171,10 +172,10 @@ def state_to_csv(vec: np.ndarray, fh) -> None:
     # tolist() of a float64/complex128 array yields Python floats or complexes,
     # whose repr is the CSV text
     amplitudes = vec.astype(np.result_type(vec.dtype, float), copy=False)
-    fh.write("index,amplitude\n")
+    fh.write(state_rows.COLUMNS)
     for start in range(0, amplitudes.size, CSV_CHUNK_ROWS):
         chunk = amplitudes[start : start + CSV_CHUNK_ROWS].tolist()
-        fh.write("".join([f"{i},{a!r}\n" for i, a in enumerate(chunk, start)]))
+        fh.write(state_rows.rows_text(chunk, start))
 
 
 def curve_to_csv(seq: np.ndarray, fh) -> None:

@@ -98,8 +98,10 @@ def random_chi2_mps(rng, n_qubits: int, kind: str = "real"):
     return m
 
 
-def random_staircase_circuit(rng, n_qubits: int, depth: int) -> LayeredCircuit:
-    gates = [[random_unitary4(rng) for _ in range(n_qubits - 1)] for _ in range(depth)]
+def random_staircase_circuit(rng, n_qubits: int, depth: int,
+                             complex_valued: bool = False) -> LayeredCircuit:
+    gates = [[random_unitary4(rng, complex_valued) for _ in range(n_qubits - 1)]
+             for _ in range(depth)]
     return LayeredCircuit(n_qubits, staircase_sites(n_qubits, depth), np.array(gates))
 
 

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -45,6 +44,20 @@ DIGIT4 = ("--image", "builtin:digit", "--target-l", "4")
 @pytest.fixture
 def out(tmp_path):
     return tmp_path / "out"
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every child process that `subprocess.Popen` starts, in order."""
+    started = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return started
 
 
 def run_cli(*argv):
@@ -168,24 +181,18 @@ class TestCompileSimulate:
         assert peak < 10 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
 
     @pytest.mark.parametrize("n", [12, 14, 16])
-    def test_threaded_draw_writes_the_serial_artifacts(self, tmp_path, out, monkeypatch, n):
-        # the draw runs on a second thread from 2^14 amplitudes on, inline below
-        c = random_staircase_circuit(np.random.default_rng(n), n, 1)
+    def test_curve_child_writes_the_in_process_artifacts(self, tmp_path, children, n):
+        # from 2^16 amplitudes on, a child interpreter writes curve.csv's rows;
+        # a complex circuit takes its complex path, and a path holding a
+        # newline and a non-ASCII name its path framing
+        c = random_staircase_circuit(np.random.default_rng(n), n, 1, complex_valued=True)
         path = tmp_path / "circuit.json"
         path.write_bytes(serialize(c))
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
-        before = threading.active_count()
+        out = tmp_path / "new\nline é" / "out"
         assert run_cli("simulate", "--circuit", str(path), "--shots", "100000", "--seed", "3",
                        "--out-dir", str(out)) == 0
-        assert threading.active_count() == before
-        assert len(started) == (1 if 2**n >= cli.THREADED_DRAW_MIN else 0)
+        assert len(children) == (1 if 2**n >= cli.CURVE_CHILD_MIN else 0)
+        assert all(child.returncode == 0 for child in children)
 
         cfg = PipelineConfig(shots=100000, seed=3)
         header = f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
@@ -801,23 +808,51 @@ class TestExitCodes:
         assert capsys.readouterr().err == expected + "\n"
         assert not out.exists()
 
-    def test_out_of_memory_in_the_threaded_draw(self, tmp_path, capsys, monkeypatch):
-        # at 2^14 amplitudes the draw runs on a second thread while curve.csv
-        # is written; its MemoryError is raised on the main thread
+    def test_failed_curve_child_is_numeric_error(self, tmp_path, capsys, monkeypatch, children):
+        # a child that exits nonzero, here before it reads its input: one
+        # stderr line with the child's last one, and no --out-dir
         circuit = tmp_path / "circuit.json"
-        circuit.write_bytes(serialize(identity_circuit(14, 1)))
-        threads = []
+        circuit.write_bytes(serialize(identity_circuit(16, 1)))
+        failing = tmp_path / "failing.py"
+        failing.write_text("raise OSError(28, 'No space left on device')\n")
+        monkeypatch.setattr(cli.state_rows, "__file__", str(failing))
+        out = tmp_path / "new" / "deeper"
+        assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "numeric error: the curve.csv writer exited with code 1: "
+            "OSError: [Errno 28] No space left on device\n")
+        assert len(children) == 1 and children[0].returncode == 1
+        assert not (tmp_path / "new").exists()
 
-        def refused():
-            threads.append(threading.current_thread())
+    def test_out_of_memory_after_the_curve_handoff(self, tmp_path, capsys, monkeypatch,
+                                                   children):
+        # the child has the amplitudes when the histogram writer fails: it is
+        # killed and reaped, and the directory the run made is removed
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(16, 1)))
+
+        def refused(*args):
+            assert children[0].stdin.closed  # handed off
             raise MemoryError(NUMPY_OUT_OF_MEMORY)
 
-        monkeypatch.setattr("qimgload.cli.shot_draw", lambda *args: refused)
+        monkeypatch.setattr("qimgload.cli.histogram_to_csv", refused)
         out = tmp_path / "new" / "deeper"
         assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
         assert capsys.readouterr().err == f"numeric error: out of memory: {NUMPY_OUT_OF_MEMORY}\n"
-        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+        assert len(children) == 1 and children[0].returncode is not None
         assert not (tmp_path / "new").exists()
+
+    def test_failure_before_the_handoff_leaves_no_child(self, tmp_path, capsys, children):
+        # the child starts before the statevector run; an option error after
+        # it exits 3, kills the child and makes no --out-dir
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(16, 1)))
+        out = tmp_path / "new"
+        assert run_cli("simulate", "--circuit", str(circuit), "--shots", "0",
+                       "--out-dir", str(out)) == 3
+        assert_one_line_error(capsys, "validation error: shots must be >= 1")
+        assert len(children) == 1 and children[0].returncode is not None
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, writer",
@@ -851,6 +886,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numeric error: out of memory\n"
         assert not (tmp_path / "new").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["circuit.json", "histogram.csv"]
+
+    def test_failed_write_removes_every_directory_it_made(self, tmp_path, capsys, monkeypatch):
+        # new/../x makes new and then x, which lies off the lexical chain
+        # new/../x -> new/.. -> new
+        def refused(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("qimgload.cli.curve_to_csv", refused)
+        out = tmp_path / "new" / ".." / "x"
+        assert run_cli("encode", *DIGIT4, "--out-dir", str(out)) == 4
+        assert_one_line_error(capsys, "numeric error: out of memory")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_a_directory_that_existed(self, tmp_path, out, capsys,
                                                          monkeypatch):
