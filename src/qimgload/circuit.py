@@ -136,7 +136,7 @@ def _gate_stack(matrices: list) -> np.ndarray:
         if not complex_rows.any():
             return real
         imag = _numbers([m["imag"] for m in matrices if "imag" in m])
-    except ValueError as exc:  # ragged or non-numeric entries
+    except (ValueError, OverflowError) as exc:  # ragged, non-numeric or beyond float entries
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
     if imag.shape != real[complex_rows].shape:
         raise InputFormatError("corrupt circuit payload: a gate's imag and real differ in shape")
@@ -202,9 +202,11 @@ def serialize(c: LayeredCircuit) -> bytes:
 
 
 def deserialize(data: bytes) -> LayeredCircuit:
+    # ValueError covers bad UTF-8, bad JSON and an int past Python's digit limit;
+    # RecursionError, nesting deeper than the parser recurses
     try:
         d = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"corrupt circuit payload: {exc}") from None
     return circuit_from_dict(d)
 

@@ -105,6 +105,8 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise InputFormatError(f"config line without '=': {line!r}")
+        if "\0" in line:  # no path or option holds one; open() and mkdir() would raise ValueError
+            raise InputFormatError(f"config line with a NUL byte: {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key in values:

@@ -46,14 +46,13 @@ METHODS = ("grow", "iterative")
 
 @dataclass
 class OptimizerTrace:
-    """(stage, sweep, overlap) rows, one per sweep or unswept layer, and per-update overlaps.
+    """(stage, sweep, overlap) rows, one per sweep or unswept layer.
 
     A row's overlap is |<target|C|0>| of the circuit C so far against the
     chi_max-capped target, on its dense amplitudes (N <= 20).
     """
 
     records: list = field(default_factory=list)
-    gate_overlaps: list = field(default_factory=list)
 
 
 def _environment_operands(
@@ -170,9 +169,9 @@ def sweep_optimize(
     suffix and replacing the gate's matrix by its polar factor.  Update m
     writes the new gate's transpose into slot m of one (M, 4, 4) stack per
     call, which `isometry_error` checks in place at the end of each sweep,
-    before the next sweep applies any of it.  Per-update overlaps land in
-    ``trace.gate_overlaps``; each sweep appends the row (stage, sweep,
-    overlap) to ``trace.records``.
+    before the next sweep applies any of it.  Each sweep appends the row
+    (stage, sweep, overlap) to ``trace.records``, with the overlap that its
+    last update reaches.
 
     Only the leading block that the prefix has reached is read or written.
     With low[m] the lowest site among gates 1..m, the prefix that gate m
@@ -266,10 +265,8 @@ def sweep_optimize(
             prefixes[0][0] = 1.0
             for pad in pads:
                 pad.fill(0)
-            overlap = 0.0
             for env, slot, product, gate in steps:
                 overlap = _polar_into(_environment(*env), slot)
-                trace.gate_overlaps.append(overlap)
                 if product is not None:
                     apply_gate(product, gate)
             if isometry_error(polar) > CANONICAL_ISOMETRY_TOL:

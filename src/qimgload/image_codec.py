@@ -175,12 +175,13 @@ def load_pgm(data: bytes) -> ImageGrid:
     if magic not in (b"P2", b"P5"):
         raise InputFormatError(f"unsupported PGM magic {magic!r} (need P2 or P5)")
     header = []
-    # int(None), of a token outside group 1, raises TypeError
+    # int(None), of a token outside group 1, raises TypeError; int() of more
+    # digits than Python's limit for int-string conversion, ValueError
     try:
         while len(header) < 3:
             m = next(tokens)
             header.append(int(m[1]))
-    except (StopIteration, TypeError):
+    except (StopIteration, TypeError, ValueError):
         raise InputFormatError("malformed PGM header") from None
     width, height, maxval = header
     if width <= 0 or height <= 0:
@@ -188,6 +189,9 @@ def load_pgm(data: bytes) -> ImageGrid:
     if not (1 <= maxval <= 255):
         raise InputFormatError(f"PGM maxval {maxval} outside 8-bit range")
     count = width * height
+    # every sample takes at least one byte; this also keeps count within islice's range
+    if count > len(data):
+        raise InputFormatError(f"{magic.decode()} raster truncated")
     if magic == b"P5":
         raster = data[m.end() + 1 : m.end() + 1 + count]
         if len(raster) < count:
@@ -200,6 +204,8 @@ def load_pgm(data: bytes) -> ImageGrid:
             )
         except TypeError:
             raise InputFormatError("non-integer sample in P2 raster") from None
+        except ValueError:
+            raise InputFormatError("P2 raster sample with too many digits") from None
         if values.size < count:
             raise InputFormatError("P2 raster truncated")
     if np.any(values > maxval):

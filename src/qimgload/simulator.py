@@ -88,9 +88,11 @@ def run(c: LayeredCircuit) -> np.ndarray:
 def shot_draw(vec: np.ndarray, shots: int, seed: int = 0):
     """A zero-argument callable that returns `sample(vec, shots, seed)`.
 
-    The options are checked and |vec|^2 is normalised here; the callable
-    makes the one `multinomial` call, which releases the GIL, so it can run
-    on another thread.  It holds the 2^N probabilities until it is dropped.
+    The options are checked and |vec|^2 is normalised here, and the callable
+    makes the one `multinomial` call.  So `simulate` refuses bad options
+    before it makes ``--out-dir``, and draws the shots only after it has
+    handed curve.csv's rows to their writer.  The callable holds the 2^N
+    probabilities until it is dropped.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
@@ -132,6 +134,7 @@ def _bit_runs(start: int, stop: int, n_bits: int) -> list:
 
     high + _low_bits(min(n_bits, _LOW_BITS))[i % 2^_LOW_BITS] is f"{i:0{n_bits}b}" for
     each index i of a run: for every i if n_bits >= _LOW_BITS, else while i < 2^_LOW_BITS.
+    `histogram_to_csv` of 257 to 511 counts needs n_bits == _LOW_BITS past 2^_LOW_BITS.
     """
     run = 2**_LOW_BITS
     high_width = max(n_bits - _LOW_BITS, 0)
@@ -227,8 +230,8 @@ def _checked_counts(rows: list[str], start: int) -> array:
 
 
 def _fast_counts(rows: list[str], start: int) -> array | None:
-    """The counts of ``rows``, at positions from ``start``, when every row is
-    in the writer's form and keeps the rules of `histogram_from_csv`, else None.
+    """The counts of the non-empty ``rows``, at positions from ``start``, when every
+    row is in the writer's form and keeps the rules of `histogram_from_csv`, else None.
 
     Checked a column at a time.  The bitstrings must be the writer's text, as
     wide as the first and at least _LOW_BITS digits; `_checked_counts` reads
@@ -240,7 +243,7 @@ def _fast_counts(rows: list[str], start: int) -> array | None:
     # four fields a row: a row's last field ends where its line does
     fields = "".join(rows).replace("\n", ",").split(",")
     bits = fields[1::4]
-    if not n or len(bits[0]) < _LOW_BITS:
+    if len(bits[0]) < _LOW_BITS:
         return None
     # comma-free lists match as their joins do
     low = _low_bits(_LOW_BITS)
@@ -271,16 +274,13 @@ def histogram_from_csv(fh) -> np.ndarray:
     magnitude, and field 3 a probability that parses as a float.
     """
     counts = array("d")
-    while lines := list(itertools.islice(fh, CSV_CHUNK_ROWS)):
-        # a chunk whose lines all read as rows holds no line to skip; a chunk
-        # that without them still breaks a rule, or is not in the writer's
-        # form, is read row by row, which names the first bad row
+    lines = itertools.dropwhile(_SKIPPED, fh)
+    while chunk_lines := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
+        # a chunk that holds a line to skip, breaks a rule or is not in the
+        # writer's form is read row by row, which names the first bad row
         start = len(counts)
-        chunk = _fast_counts(lines, start)
+        chunk = _fast_counts(chunk_lines, start)
         if chunk is None:
-            rows = list(itertools.filterfalse(_SKIPPED, lines))
-            chunk = _fast_counts(rows, start)
-            if chunk is None:
-                chunk = _checked_counts(rows, start)
+            chunk = _checked_counts(list(itertools.filterfalse(_SKIPPED, chunk_lines)), start)
         counts += chunk
     return np.frombuffer(counts)

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qimgload import compiler
 from qimgload.circuit import LayeredCircuit, staircase_sites
 from qimgload.image_codec import ImageGrid, pixel_to_basis_index
 from qimgload.mps import MPS, from_dense, to_dense
@@ -21,6 +22,26 @@ from qimgload.mps import MPS, from_dense, to_dense
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def update_overlaps(monkeypatch):
+    """The overlap of every gate update, in order: each `compiler._polar_into` result.
+
+    A sweep makes one call per update, and so does `_optimal_gate`, which
+    `update_gate` and the tests' reference loops call; clear the list
+    between the calls to compare.  A call that raises appends nothing.
+    """
+    overlaps = []
+    kernel = compiler._polar_into
+
+    def recorded(f, out):
+        overlap = kernel(f, out)
+        overlaps.append(overlap)
+        return overlap
+
+    monkeypatch.setattr(compiler, "_polar_into", recorded)
+    return overlaps
 
 
 # one PASS/FAIL line per acceptance criterion, echoed after the run so the

@@ -245,6 +245,20 @@ class TestSerialization:
         with pytest.raises(InputFormatError):
             circuit_from_dict({"version": 0})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[" * 100_000,
+            # past Python's int-string limit where a build sets one, else beyond float
+            b'{"version": 1, "n_qubits": 2, "layers": [[{"site": 0, "matrix": {"real": [['
+            + b"1" * 5000 + b", 0, 0, 0]" + b", [0, 0, 0, 0]" * 3 + b"]}}]]}",
+        ],
+        ids=["nested-100000-deep", "5000-digit-entry"],
+    )
+    def test_json_that_python_cannot_hold_is_input_format_error(self, data):
+        with pytest.raises(InputFormatError, match="^corrupt circuit payload: "):
+            deserialize(data)
+
 
 def per_gate_matrices(layers: list) -> np.ndarray:
     """The decode as one conversion per gate: the reference for `circuit_from_dict`."""
@@ -303,8 +317,10 @@ class TestGateDecode:
             ({"imag": np.eye(4).tolist()}, "'real'"),
             ({"real": np.eye(4).tolist(), "imag": [[0.0] * 4] * 3}, "imag and real differ"),
             ({"real": np.eye(4).tolist(), "imag": [[0.0, "y"]] * 4}, "could not convert"),
+            ({"real": [[10**400, 0, 0, 0]] + [[0] * 4] * 3}, "int too large to convert to float"),
         ],
-        ids=["ragged-matrix", "non-numeric", "missing-real", "imag-shape", "non-numeric-imag"],
+        ids=["ragged-matrix", "non-numeric", "missing-real", "imag-shape", "non-numeric-imag",
+             "401-digit-int"],
     )
     def test_corrupt_gate_is_input_format_error(self, matrix, message):
         layers = [[_gate(1), {"site": 0, "matrix": matrix}]]

@@ -607,6 +607,18 @@ class TestConfigFile:
         assert_one_line_error(capsys, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line", ["image = a\0b.pgm", "out_dir = o\0x"], ids=["image", "out_dir"]
+    )
+    def test_value_with_a_nul_byte_rejected(self, tmp_path, monkeypatch, capsys, line):
+        # open() and mkdir() raise ValueError on a path holding NUL; the
+        # out_dir one would raise only once the compile had run
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(line + "\n")
+        assert run_cli("compile", "--config", "run.cfg", "--target-l", "4", "--depth", "1") == 2
+        assert_one_line_error(capsys, "input format error: config line with a NUL byte: ")
+        assert os.listdir() == ["run.cfg"]
+
     def test_unparseable_value_rejected(self, tmp_path, out, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("depth = three\n")

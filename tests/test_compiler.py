@@ -15,7 +15,6 @@ from conftest import (
 from qimgload import compiler, mps
 from qimgload.analysis import infidelity
 from qimgload.compiler import (
-    OptimizerTrace,
     _environment,
     _environment_operands,
     _optimal_gate,
@@ -403,12 +402,12 @@ class TestDirectLapack:
 
 
 class TestSweepOptimize:
-    def test_overlaps_monotone_within_and_across_sweeps(self, rng):
+    def test_overlaps_monotone_within_and_across_sweeps(self, rng, update_overlaps):
         target = capped_state(random_state(rng, 6), 8)
         circuit, _ = iterative_construct(target, 2)
-        trace = OptimizerTrace()
-        sweep_optimize(circuit, target, 10, trace)
-        diffs = np.diff(trace.gate_overlaps)
+        sweep_optimize(circuit, target, 10)
+        assert len(update_overlaps) == 10 * len(circuit.all_gates())
+        diffs = np.diff(update_overlaps)
         assert np.all(diffs >= -1e-12)
 
     def test_improves_on_iterative_start(self, rng):
@@ -444,7 +443,9 @@ class TestSweepOptimize:
             pytest.param(12, None, False, id="real-12"),
         ],
     )
-    def test_one_sweep_equals_successive_oracle_updates(self, rng, n, order, complex_valued):
+    def test_one_sweep_equals_successive_oracle_updates(
+        self, rng, update_overlaps, n, order, complex_valued
+    ):
         # each update must equal update_gate on the dense oracle's environment
         # of the partly updated circuit.  For a descending staircase against a
         # random complex target the environments of gates n+1..M are full
@@ -458,6 +459,7 @@ class TestSweepOptimize:
             circuit = LayeredCircuit(n, np.array([order, order]), circuit.gates)
         target = random_state(rng, n, complex_valued)
         swept, trace = sweep_optimize(circuit, target, 1)
+        last_update = update_overlaps[-1]  # before update_gate below adds its own
         gates = list(circuit.gates.reshape(-1, 4, 4))
         for m in range(1, len(gates) + 1):
             partly = LayeredCircuit(n, circuit.sites, np.reshape(gates, circuit.gates.shape))
@@ -474,7 +476,7 @@ class TestSweepOptimize:
         nuclear = np.sum(np.linalg.svd(f, compute_uv=False))
         _, _, overlap = trace.records[-1]
         assert overlap == pytest.approx(nuclear, abs=1e-10)
-        assert trace.gate_overlaps[-1] == overlap
+        assert last_update == overlap
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_inputs_untouched_and_calls_repeatable(self, rng, complex_valued):
@@ -579,7 +581,7 @@ class TestSweepOptimize:
         assert not gates.flags.c_contiguous and not gates.flags.f_contiguous
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_a_non_finite_environment(self, rng, monkeypatch, bad):
+    def test_rejects_a_non_finite_environment(self, rng, monkeypatch, update_overlaps, bad):
         # one poisoned update in the second sweep: its SVD gives NaN
         # singular values, and the nuclear-norm check raises at that update
         target = capped_state(random_state(rng, 5), 4)
@@ -595,24 +597,25 @@ class TestSweepOptimize:
             return f
 
         monkeypatch.setattr(compiler, "_environment", one_update_poisoned)
-        trace = OptimizerTrace()
         with pytest.raises(NumericError, match="not finite"):
-            sweep_optimize(circuit, target, 3, trace)
-        assert len(calls) == 11 and len(trace.gate_overlaps) == 10
+            sweep_optimize(circuit, target, 3)
+        assert len(calls) == 11 and len(update_overlaps) == 10
 
     @pytest.mark.parametrize("n", range(2, 14))
-    def test_real_target_equals_the_reference_loop_bit_for_bit(self, rng, n):
+    def test_real_target_equals_the_reference_loop_bit_for_bit(self, rng, update_overlaps, n):
         # the leading blocks, the shared buffer and the prebuilt operands
         # change no bit of any gate or overlap against a real target
         for circuit in reference_circuits(rng, n):
             target = random_state(rng, n)
-            swept, trace = sweep_optimize(circuit, target, 3)
+            update_overlaps.clear()
+            swept, _ = sweep_optimize(circuit, target, 3)
+            got = update_overlaps.copy()
             gates, overlaps = reference_sweeps(circuit, target, 3)
             np.testing.assert_array_equal(swept.gates, gates)
-            assert trace.gate_overlaps == overlaps
+            assert got == overlaps
 
     @pytest.mark.parametrize("n", range(2, 14))
-    def test_complex_target_against_the_reference_loop(self, rng, n):
+    def test_complex_target_against_the_reference_loop(self, rng, update_overlaps, n):
         # below N = 10 the bits agree as for real targets.  From N = 10 a
         # block can take the batched product where the full vector takes the
         # Kronecker GEMM (pre >= 128), and complex sums then differ in the
@@ -623,18 +626,20 @@ class TestSweepOptimize:
         for circuit in reference_circuits(rng, n):
             target = random_state(rng, n, complex_valued=True)
             n_sweeps = 3 if n < 10 else 1
-            swept, trace = sweep_optimize(circuit, target, n_sweeps)
+            update_overlaps.clear()
+            swept, _ = sweep_optimize(circuit, target, n_sweeps)
+            got = update_overlaps.copy()
             gates, overlaps = reference_sweeps(circuit, target, n_sweeps)
             if n < 10:
                 np.testing.assert_array_equal(swept.gates, gates)
-                assert trace.gate_overlaps == overlaps
+                assert got == overlaps
             else:
-                np.testing.assert_allclose(trace.gate_overlaps, overlaps, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, overlaps, rtol=0, atol=1e-12)
 
     def test_peak_memory_does_not_grow_with_the_sweep_count(self, rng):
         # the blocks live in one buffer per call and no update keeps an
         # array, so twenty sweeps peak within one 2^N float64 block of one
-        # sweep; what grows is the trace's per-update overlaps
+        # sweep; what grows is the trace's one row per sweep
         n = 14
         circuit = random_staircase_circuit(rng, n, 2)
         target = random_state(rng, n)

@@ -141,6 +141,11 @@ def assert_clean_exit(capsys, tmp_path, argv):
     )
 )
 @example(suffix_and_data=(".csv", b"nan,0.5\n0.5,0.5\n"))
+# more digits than int() converts, in the header and in a P2 sample
+@example(suffix_and_data=(".pgm", b"P2\n" + b"9" * 5000 + b" 4\n255\n0\n"))
+@example(suffix_and_data=(".pgm", b"P2\n2 2\n255\n" + b"1" * 5000 + b" 0 0 0\n"))
+# width * height above sys.maxsize
+@example(suffix_and_data=(".pgm", b"P2\n4294967296 4294967296\n255\n0 0\n"))
 def test_encode_survives_mutated_images(tmp_path, capsys, suffix_and_data):
     suffix, data = suffix_and_data
     path = tmp_path / f"img{suffix}"
@@ -172,6 +177,13 @@ def test_reconstruct_survives_mutated_histograms(tmp_path, capsys, data):
 @example(data=_seed_with("layers", value=[]), exact=True)
 @example(data=_seed_with("provenance", value="ab"), exact=True)
 @example(data=_seed_with("provenance", "ordering", value=[1]), exact=True)
+@example(data=b"[" * 100_000, exact=True)
+# an int beyond float, and one past Python's int-string limit where a build sets one
+@example(data=_seed_with("layers", 0, 0, "matrix", "real", 0, 0, value=10**400), exact=True)
+@example(
+    data=_seed_with("layers", 0, 0, "matrix", "real", 0, 0, value="@").replace(b'"@"', b"1" * 5000),
+    exact=True,
+)
 def test_simulate_survives_mutated_circuits(tmp_path, capsys, data, exact):
     path = tmp_path / "circuit.json"
     path.write_bytes(data)

@@ -302,6 +302,9 @@ class TestPgm:
             (b"P2 2 2 256 0 0 0 0", InputFormatError, "PGM maxval 256 outside 8-bit range"),
             (b"P5 2 2 0\n" + bytes(4), InputFormatError, "PGM maxval 0 outside 8-bit range"),
             (b"P5 2 2 255\n\x00\x01\x02", InputFormatError, "P5 raster truncated"),
+            # width * height above sys.maxsize, past islice's range
+            (b"P5 4294967296 4294967296 255\n\x00", InputFormatError, "P5 raster truncated"),
+            (b"P2 4294967296 4294967296 255 0 0", InputFormatError, "P2 raster truncated"),
             (b"P2 2 2 255 1 2 # 3\n", InputFormatError, "P2 raster truncated"),
             (b"P2 2 2 255 1 2 x 4", InputFormatError, "non-integer sample in P2 raster"),
             (b"P2 2 2 255 1 2 3#4 5", InputFormatError, "non-integer sample in P2 raster"),
@@ -319,6 +322,17 @@ class TestPgm:
     )
     def test_error_messages(self, data, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_pgm(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2 " + b"9" * 5000 + b" 4 255 0", b"P2 2 2 255 " + b"1" * 5000 + b" 0 0 0"],
+        ids=["header", "p2-sample"],
+    )
+    def test_integers_past_the_int_digit_limit_are_refused(self, data):
+        # int() refuses more than 4300 digits with ValueError; a Python without
+        # that limit reads a value that is out of range instead
+        with pytest.raises(InputFormatError):
             load_pgm(data)
 
     def test_extra_p2_tokens_are_ignored(self):

@@ -374,6 +374,28 @@ class TestHistogramFromCsv:
             np.testing.assert_array_equal(histogram_from_csv(fh), counts)
         assert checked == []
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_writer_files_take_one_column_pass_per_chunk(self, rng, tmp_path, monkeypatch, n):
+        # the provenance header and the column row are skipped before the
+        # first chunk, so every chunk is a run of rows that one column pass reads
+        counts = sample(random_state(rng, n), shots=10**5, seed=0)
+        path = tmp_path / "histogram.csv"
+        with cli._csv_file(path, cli.PipelineConfig()) as fh:
+            histogram_to_csv(counts, fh)
+        calls = []
+        for name in ("_fast_counts", "_checked_counts"):
+            def counted(rows, start, name=name, kernel=getattr(simulator, name)):
+                calls.append((name, start, len(rows)))
+                return kernel(rows, start)
+
+            monkeypatch.setattr(simulator, name, counted)
+        with path.open() as fh:
+            np.testing.assert_array_equal(histogram_from_csv(fh), counts)
+        chunk = simulator.CSV_CHUNK_ROWS
+        assert calls == [
+            ("_fast_counts", start, min(chunk, 2**n - start)) for start in range(0, 2**n, chunk)
+        ]
+
     @pytest.mark.parametrize("padded", [[300], range(512)], ids=["one-row", "every-row"])
     def test_a_writer_file_with_padded_bitstrings_is_read(self, rng, padded):
         # one padded row sends its chunk row by row; padding every row keeps
@@ -416,13 +438,17 @@ class TestHistogramFromCsv:
             ("0,0,3,0.5\n1,1,1,0.5\n2,1_0,1,0.5\n", "bitstring is not 2 in binary"),
             ("0,0,3,0.5\n1,1,1,0.5\n2,2,1,0.5\n", "bitstring is not 2 in binary"),
             ("0,,3,0.5\n", "bitstring is not 0 in binary"),
+            # 8 digits pass the column check's width rule, but not as 256 in binary
+            ("".join(f"{i},{i % 256:08b},1,0\n" for i in range(300)),
+             "bitstring is not 256 in binary: '256,00000000,1,0'"),
             ("0,0,3,x\n", r"^histogram row without a numeric probability: '0,0,3,x'$"),
             ("0,0,3,\n", "without a numeric probability"),
         ],
         ids=["reversed", "skipped", "repeated", "padded", "zero-padded", "count", "short",
              "inf", "nan", "above-2^53", "five-fields", "three-fields", "wrong-bitstring",
              "0b-bitstring", "space-bitstring", "signed-bitstring", "underscore-bitstring",
-             "decimal-bitstring", "empty-bitstring", "probability", "empty-probability"],
+             "decimal-bitstring", "empty-bitstring", "eight-digits-past-255", "probability",
+             "empty-probability"],
     )
     def test_rejects(self, text, message):
         with pytest.raises(InputFormatError, match=message):
@@ -460,11 +486,18 @@ class TestHistogramFromCsv:
 
     @pytest.mark.parametrize("width", [0, 13, 20], ids=["unpadded", "writer-padded", "over-padded"])
     def test_any_padding_is_read_across_chunks(self, width):
-        # the leading comment and column lines put the second chunk's first row
-        # at index 4094, off the 2^_LOW_BITS runs of the writer's bit table
+        # the leading comment and column lines are skipped before the first chunk
         rows = [f"{i},{i:0{width}b},{i % 7},0\n" for i in range(9000)]
         text = "# tool: x\nindex,bitstring,count,probability\n" + "".join(rows)
         np.testing.assert_array_equal(read_histogram(text), [i % 7 for i in range(9000)])
+
+    @pytest.mark.parametrize("width", [0, 13, 20], ids=["unpadded", "writer-padded", "over-padded"])
+    def test_lines_to_skip_among_the_rows_are_read_across_chunks(self, width):
+        # two lines to skip among the first chunk's rows put the second chunk's
+        # first row at index 4094, off the 2^_LOW_BITS runs of the writer's bit table
+        rows = [f"{i},{i:0{width}b},{i % 7},0\n" for i in range(9000)]
+        rows[100:100] = ["# c\n", "\n"]
+        np.testing.assert_array_equal(read_histogram("".join(rows)), [i % 7 for i in range(9000)])
 
     def test_a_narrow_bit_table_vouches_for_no_row_past_it(self):
         # unpadded bitstrings start one digit wide; a table of one-digit low
