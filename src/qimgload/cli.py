@@ -17,7 +17,7 @@ import math
 import os
 import shutil
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -45,7 +45,6 @@ from .image_codec import (
 from .mps import DENSE_SITE_CAP, from_dense, mps_to_dict, to_dense
 from .sample_images import get_image
 from .simulator import (
-    curve_to_csv,
     histogram_from_csv,
     histogram_to_csv,
     histogram_to_probs,
@@ -67,6 +66,10 @@ EXIT_NUMERIC = 4
 # amplitudes from a second interpreter while it draws the shots; below it,
 # starting that interpreter costs more than the overlap saves
 CURVE_CHILD_MIN = 2**16
+# the child writes this leading share of those rows, and simulate the rest
+# while the child works: simulate's own work (run, draw, histogram.csv,
+# reconstructed.pgm) ends before the child's rows would
+CURVE_CHILD_SHARE = 3 / 4
 
 @dataclass
 class PipelineConfig:
@@ -230,12 +233,12 @@ def _out_dir(cfg: PipelineConfig):
 
 @contextmanager
 def _curve_child(n_amplitudes: int):
-    """The child process that will write curve.csv's rows, or None below CURVE_CHILD_MIN.
+    """The child that will write curve.csv's leading rows, or None below CURVE_CHILD_MIN.
 
     The child runs `state_rows` as a script in a new interpreter, with no
-    fork and no site imports, so it starts in a few milliseconds; `_send_curve`
-    hands it the rows to write.  If the block raises, the child is killed;
-    it is always reaped before this returns.
+    fork and no site imports, so it starts in a few milliseconds;
+    `_send_curve` hands it the amplitudes of its rows.  If the block raises,
+    the child is killed; it is always reaped before this returns.
     """
     if n_amplitudes < CURVE_CHILD_MIN:
         yield None
@@ -260,24 +263,49 @@ def _curve_child(n_amplitudes: int):
         child.wait()
 
 
-def _send_curve(child, path: Path, state: np.ndarray) -> None:
-    """Hand the child the path of curve.csv, its provenance written, and the amplitudes."""
+@contextmanager
+def _send_curve(child, path: Path, state: np.ndarray):
+    """Hand the child curve.csv's leading rows; yield a file of the other rows, formatted here.
+
+    The child gets the path of curve.csv, its provenance written, and the
+    leading `CURVE_CHILD_SHARE` of the amplitudes.  Meanwhile the rows of
+    the rest go into an unnamed temporary file beside curve.csv, so no row
+    text is held in memory and no file is left behind; it is closed when
+    the block ends.
+    """
+    import tempfile  # like subprocess, needed only with a child
+
     amplitudes = state.astype(np.result_type(state.dtype, float), copy=False)
+    split = int(amplitudes.size * CURVE_CHILD_SHARE)
     name = os.fsencode(path.absolute())
     try:
-        child.stdin.write(state_rows.input_header(amplitudes.dtype.kind, amplitudes.size, name))
-        child.stdin.write(amplitudes)
+        child.stdin.write(state_rows.input_header(amplitudes.dtype.kind, split, name))
+        child.stdin.write(amplitudes[:split])
         child.stdin.close()
     except BrokenPipeError:
         pass  # the child has exited; `_wait_curve` says why
+    with tempfile.TemporaryFile(dir=path.parent) as rest:
+        # 256 rows at a time, as fast as 4096: with 4096 (a 130 kB text per
+        # write) the N=20 peak was 0.14 MB above that of a child writing all rows
+        for start in range(split, amplitudes.size, 256):
+            chunk = amplitudes[start : start + 256].tolist()
+            rest.write(state_rows.rows_text(chunk, start).encode())
+        del state, amplitudes  # so that this frame does not hold them while the caller runs
+        yield rest
 
 
-def _wait_curve(child) -> None:
-    """Wait for the child to write the rows; if it fails, raise with its last stderr line."""
+def _wait_curve(child, path: Path, rest) -> None:
+    """Wait for the child to write its rows, then append those of `rest` to curve.csv.
+
+    A child that fails raises `NumericError` with its last stderr line.
+    """
     lines = child.stderr.read().decode(errors="replace").splitlines()
     if child.wait():
         detail = f": {lines[-1]}" if lines else ""
         raise NumericError(f"the curve.csv writer exited with code {child.returncode}{detail}")
+    rest.seek(0)
+    with path.open("ab") as fh:
+        shutil.copyfileobj(rest, fh)
 
 
 def cmd_encode(args) -> int:
@@ -288,16 +316,17 @@ def cmd_encode(args) -> int:
     scheme = f"interleaved-{cfg.ordering}"
     total = float(sum(weights))
     with _out_dir(cfg) as out:
+        record = {
+            "n_qubits": mps.n_sites,
+            "ordering": scheme,
+            "amplitudes": state,
+            "provenance": _provenance(cfg),
+        }
         with (out / "amplitude_state.json").open("w") as fh:
-            artifacts.dump(
-                {
-                    "n_qubits": mps.n_sites,
-                    "ordering": scheme,
-                    "amplitudes": state,
-                    "provenance": _provenance(cfg),
-                },
-                fh,
-            )
+            with _csv_file(out / "amplitudes.csv", cfg) as curve:
+                # amplitudes.csv holds the same texts, one per line, so each
+                # amplitude is formatted once for both files
+                artifacts.dump(record, fh, echo=lambda texts: curve.write("\n".join(texts) + "\n"))
         meta = {
             "ordering": scheme,
             "provenance": _provenance(cfg),
@@ -305,8 +334,6 @@ def cmd_encode(args) -> int:
         }
         with (out / "mps.json").open("w") as fh:
             artifacts.dump(mps_to_dict(mps, meta), fh)
-        with _csv_file(out / "amplitudes.csv", cfg) as fh:
-            curve_to_csv(state, fh)
         print(
             f"encoded {grid.side_length}x{grid.side_length} image on {mps.n_sites} qubits, "
             f"max bond {mps.max_bond}, truncation weight {total:.3e}"
@@ -358,12 +385,13 @@ def cmd_simulate(args) -> int:
             np.square(probs, out=probs)
         else:
             draw = shot_draw(state, cfg.shots, cfg.seed)  # checks the options
-        with _out_dir(cfg) as out:
-            with _csv_file(out / "curve.csv", cfg) as fh:
+        with _out_dir(cfg) as out, ExitStack() as files:
+            curve = out / "curve.csv"
+            with _csv_file(curve, cfg) as fh:
                 if child is None:
                     state_to_csv(state, fh)
             if child is not None:
-                _send_curve(child, out / "curve.csv", state)
+                rest = files.enter_context(_send_curve(child, curve, state))
             # each 2^N array is dropped once the last artifact that needs it is written
             del state
             if not args.exact:
@@ -377,7 +405,7 @@ def cmd_simulate(args) -> int:
             del probs
             (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
             if child is not None:
-                _wait_curve(child)
+                _wait_curve(child, curve, rest)
             label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
             print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
     return 0

@@ -2,14 +2,15 @@
 
 `simulator.state_to_csv` writes them in this process.  For a large state,
 `qimgload simulate` also runs this file as a script in a second
-interpreter, ``python -I -S state_rows.py``, which writes them while the
-first one draws the shots; so this module imports nothing else, and both
-call the one row formatter, `rows_text`.
+interpreter, ``python -I -S state_rows.py``, which writes the leading rows
+while the first one formats the rest and draws the shots; so this module
+imports nothing else, and both call the one row formatter, `rows_text`.
 
 The script reads from standard input `input_header`'s bytes, then the raw
 native-endian amplitudes.  It appends the column row and one row per
-amplitude to the file that the header names, `CSV_CHUNK_ROWS` rows at a
-time.
+amplitude it was sent to the file that the header names, `CSV_CHUNK_ROWS`
+rows at a time; the first process appends the rows of the amplitudes it
+kept once the script has exited.
 """
 
 import os

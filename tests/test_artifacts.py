@@ -111,6 +111,19 @@ class TestWriter:
         assert values.size > CSV_CHUNK_ROWS
         assert_json_text({"amplitudes": values, "as_list": values[:CSV_CHUNK_ROWS + 1].tolist()})
 
+    def test_echo_gets_each_chunk_of_reprs(self):
+        # encode writes amplitudes.csv from these texts: Python's reprs, also
+        # of the non-finite values that the JSON text spells NaN and Infinity
+        values = random_state(np.random.default_rng(6), 13)[: CSV_CHUNK_ROWS + 3]
+        values[[1, CSV_CHUNK_ROWS + 1]] = NON_FINITE[:2]
+        chunks = []
+        doc = {"amplitudes": values, "grid": values[:4].reshape(2, 2)}
+        text = written(lambda obj, fh: dump(obj, fh, echo=chunks.append), doc)
+        assert text == dumps(doc)
+        assert_json_text(doc)
+        assert [len(c) for c in chunks] == [CSV_CHUNK_ROWS, 3]
+        assert [t for c in chunks for t in c] == [repr(v) for v in values.tolist()]
+
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_mps_container(self, rng, complex_valued):
         m, weights = from_dense(random_state(rng, 6, complex_valued), chi_max=4)

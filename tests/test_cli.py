@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -180,29 +181,88 @@ class TestCompileSimulate:
             tracemalloc.stop()
         assert peak < 10 * 2**n * 8, f"peak {peak / (2**n * 8):.2f} arrays of 2^N float64"
 
-    @pytest.mark.parametrize("n", [12, 14, 16])
-    def test_curve_child_writes_the_in_process_artifacts(self, tmp_path, children, n):
-        # from 2^16 amplitudes on, a child interpreter writes curve.csv's rows;
-        # a complex circuit takes its complex path, and a path holding a
-        # newline and a non-ASCII name its path framing
-        c = random_staircase_circuit(np.random.default_rng(n), n, 1, complex_valued=True)
-        path = tmp_path / "circuit.json"
-        path.write_bytes(serialize(c))
-        out = tmp_path / "new\nline é" / "out"
-        assert run_cli("simulate", "--circuit", str(path), "--shots", "100000", "--seed", "3",
-                       "--out-dir", str(out)) == 0
-        assert len(children) == (1 if 2**n >= cli.CURVE_CHILD_MIN else 0)
-        assert all(child.returncode == 0 for child in children)
+    @pytest.mark.parametrize("n", [12, 14, 16, 18])
+    def test_curve_child_writes_the_in_process_artifacts(self, tmp_path, monkeypatch, children,
+                                                         n):
+        # from 2^16 amplitudes on, a child interpreter writes the leading
+        # rows of curve.csv and simulate the rest: a complex circuit with
+        # shots and a real one with --exact take the child's two input
+        # kinds and the two orders of the parent's own work, and a path
+        # holding a newline and a non-ASCII name the path framing; N = 18
+        # takes only the real one, since its complex rows, formatted here
+        # and in the child, would take over a second more
+        modes = ((True, False), (False, True)) if n < 18 else ((False, True),)
+        headers = []
+        input_header = cli.state_rows.input_header
 
-        cfg = PipelineConfig(shots=100000, seed=3)
-        header = f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
-        state = run(c)
-        counts = sample(state, 100000, seed=3)
-        assert_same_text((out / "curve.csv").read_text(), header + written(state_to_csv, state))
-        assert_same_text((out / "histogram.csv").read_text(),
-                         header + written(histogram_to_csv, counts))
-        grid = decode_probabilities(histogram_to_probs(counts), 2 ** (n // 2), "straight")
-        assert (out / "reconstructed.pgm").read_bytes() == write_pgm(grid)
+        def spied(*args):
+            headers.append(input_header(*args))
+            return headers[-1]
+
+        monkeypatch.setattr(cli.state_rows, "input_header", spied)
+        for complex_valued, exact in modes:
+            c = random_staircase_circuit(np.random.default_rng(n), n, 1, complex_valued)
+            path = tmp_path / "circuit.json"
+            path.write_bytes(serialize(c))
+            out = tmp_path / f"new\nline é {exact}" / "out"
+            mode = ("--exact",) if exact else ("--shots", "100000", "--seed", "3")
+            children.clear()
+            headers.clear()
+            assert run_cli("simulate", "--circuit", str(path), *mode, "--out-dir", str(out)) == 0
+            assert len(children) == (1 if 2**n >= cli.CURVE_CHILD_MIN else 0)
+            assert all(child.returncode == 0 for child in children)
+            # the child is handed the leading three quarters of the amplitudes
+            kind = b"c" if complex_valued else b"f"
+            assert [h.split()[:2] for h in headers] == [[kind, b"%d" % (3 * 2**n // 4)]] * len(
+                children)
+
+            cfg = PipelineConfig() if exact else PipelineConfig(shots=100000, seed=3)
+            header = f"# tool: qimgload {__version__}\n# config_hash: {cfg.hash()}\n"
+            state = run(c)
+            assert_same_text((out / "curve.csv").read_text(), header + written(state_to_csv, state))
+            probs = np.abs(state) ** 2
+            if not exact:
+                counts = sample(state, 100000, seed=3)
+                assert_same_text((out / "histogram.csv").read_text(),
+                                 header + written(histogram_to_csv, counts))
+                probs = histogram_to_probs(counts)
+            grid = decode_probabilities(probs, 2 ** (n // 2), "straight")
+            assert (out / "reconstructed.pgm").read_bytes() == write_pgm(grid)
+            assert sorted(p.name for p in out.iterdir()) == (
+                ["curve.csv", "reconstructed.pgm"] if exact else
+                ["curve.csv", "histogram.csv", "reconstructed.pgm"])
+
+    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize("exact", [False, True], ids=["shots", "exact"])
+    def test_simulate_drops_the_state_before_its_other_files(self, tmp_path, monkeypatch, n,
+                                                             exact):
+        # once curve.csv's rows are written or handed off, no frame holds the
+        # statevector while the histogram and the image are made
+        path = tmp_path / "circuit.json"
+        path.write_bytes(serialize(identity_circuit(n, 1)))
+        states, alive = [], []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def spied(*args):
+                result = original(*args)
+                if name == "run":
+                    states.append(weakref.ref(result))
+                else:
+                    alive.append((name, states[0]() is not None))
+                return result
+
+            monkeypatch.setattr(cli, name, spied)
+
+        for name in ("run", "histogram_to_csv", "decode_probabilities"):
+            spy(name)
+        mode = ("--exact",) if exact else ()
+        assert run_cli("simulate", "--circuit", str(path), *mode,
+                       "--out-dir", str(tmp_path / "out")) == 0
+        written_after = ["decode_probabilities"] if exact else [
+            "histogram_to_csv", "decode_probabilities"]
+        assert alive == [(name, False) for name in written_after]
 
     def test_simulation_seed_determinism(self, out, tmp_path):
         run_cli("compile", "--image", "builtin:digit", "--target-l", "4",
@@ -854,6 +914,36 @@ class TestExitCodes:
         assert len(children) == 1 and children[0].returncode is not None
         assert not (tmp_path / "new").exists()
 
+    def test_out_of_memory_in_the_parents_rows(self, tmp_path, capsys, monkeypatch, children):
+        # the parent formats curve.csv's last quarter while the child writes
+        # the rest: a failure there kills and reaps the child, removes the
+        # directory the run made and leaves no temporary file beside it
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(16, 1)))
+        rows_text = cli.state_rows.rows_text
+
+        def refused(values, start):
+            if start < 3 * 2**16 // 4:
+                return rows_text(values, start)
+            assert children[0].stdin.closed  # handed off
+            raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+        killed = []
+        kill = subprocess.Popen.kill  # the spy's, which is Popen's
+
+        def spied(child):
+            killed.append(child)
+            kill(child)
+
+        monkeypatch.setattr(cli.state_rows, "rows_text", refused)
+        monkeypatch.setattr(subprocess.Popen, "kill", spied)
+        out = tmp_path / "new" / "deeper"
+        assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == f"numeric error: out of memory: {NUMPY_OUT_OF_MEMORY}\n"
+        assert killed == children and len(children) == 1
+        assert children[0].returncode is not None
+        assert list(tmp_path.iterdir()) == [circuit]
+
     def test_failure_before_the_handoff_leaves_no_child(self, tmp_path, capsys, children):
         # the child starts before the statevector run; an option error after
         # it exits 3, kills the child and makes no --out-dir
@@ -869,7 +959,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, writer",
         [
-            (["encode", *DIGIT4], "qimgload.cli.curve_to_csv"),
+            (["encode", *DIGIT4], "qimgload.cli.mps_to_dict"),
             (["compile", *DIGIT4, "--depth", "1"], "qimgload.cli._write_rows"),
             (["simulate", "--circuit", "{circuit}"], "qimgload.cli.histogram_to_csv"),
             (["simulate", "--circuit", "{circuit}", "--exact"], "qimgload.cli.write_pgm"),
@@ -905,7 +995,7 @@ class TestExitCodes:
         def refused(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr("qimgload.cli.curve_to_csv", refused)
+        monkeypatch.setattr("qimgload.cli.mps_to_dict", refused)
         out = tmp_path / "new" / ".." / "x"
         assert run_cli("encode", *DIGIT4, "--out-dir", str(out)) == 4
         assert_one_line_error(capsys, "numeric error: out of memory")
