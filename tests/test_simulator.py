@@ -355,11 +355,29 @@ class TestHistogramFromCsv:
         np.testing.assert_array_equal(read_histogram(written(histogram_to_csv, h)), h)
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_writer_files_take_one_column_pass_per_chunk(self, rng, tmp_path, monkeypatch, n):
+    def test_writer_files_are_read_a_column_at_a_time(self, rng, tmp_path, monkeypatch, n):
         # reconstruct's speed on real files rests on this: no chunk of a
-        # written histogram.csv, provenance header and all, is read row by
-        # row; the header and the column row are skipped before the first
-        # chunk, so every chunk is a run of rows that one column pass reads
+        # written histogram.csv, provenance header and all, is read row by row
+        counts = sample(random_state(rng, n), shots=10**5, seed=0)
+        path = tmp_path / "histogram.csv"
+        with cli._csv_file(path, cli.PipelineConfig()) as fh:
+            histogram_to_csv(counts, fh)
+        checked = []
+        row_by_row = simulator._checked_counts
+
+        def spy(rows, start):
+            checked.append(start)
+            return row_by_row(rows, start)
+
+        monkeypatch.setattr(simulator, "_checked_counts", spy)
+        with path.open() as fh:
+            np.testing.assert_array_equal(histogram_from_csv(fh), counts)
+        assert checked == []
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_writer_files_take_one_column_pass_per_chunk(self, rng, tmp_path, monkeypatch, n):
+        # the provenance header and the column row are skipped before the
+        # first chunk, so every chunk is a run of rows that one column pass reads
         counts = sample(random_state(rng, n), shots=10**5, seed=0)
         path = tmp_path / "histogram.csv"
         with cli._csv_file(path, cli.PipelineConfig()) as fh:
