@@ -17,7 +17,7 @@ import math
 import os
 import shutil
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -185,10 +185,11 @@ def _load_grid(cfg: PipelineConfig, side: int):
     An image whose encoding passes the dense cap is refused before anything
     is encoded: a built-in one before it is rendered, since the renderer
     would allocate the whole 2^N-amplitude target, and a file once it is
-    read and downscaled.
+    read and downscaled.  A target_l that is not a power of two >= 2 is
+    refused first, before any input is read.
     """
-    if cfg.target_l < 2:
-        raise ValidationError(f"target_l={cfg.target_l} must be >= 2")
+    if cfg.target_l < 2 or cfg.target_l & (cfg.target_l - 1):
+        raise ValidationError(f"target_l={cfg.target_l} must be >= 2 and a power of two")
     if cfg.image.startswith("builtin:"):
         _check_dense_cap(side)
         return get_image(cfg.image.split(":", 1)[1], side)
@@ -231,81 +232,85 @@ def _out_dir(cfg: PipelineConfig):
         raise
 
 
-@contextmanager
-def _curve_child(n_amplitudes: int):
-    """The child that will write curve.csv's leading rows, or None below CURVE_CHILD_MIN.
+class _CurveRows(AbstractContextManager):
+    """curve.csv's writer: made before the statevector run, used as a context manager.
 
-    The child runs `state_rows` as a script in a new interpreter, with no
-    fork and no site imports, so it starts in a few milliseconds;
-    `_send_curve` hands it the amplitudes of its rows.  If the block raises,
-    the child is killed; it is always reaped before this returns.
+    From CURVE_CHILD_MIN amplitudes on, it starts at once the child that
+    will write the leading rows: `state_rows` run as a script in a new
+    interpreter, with no fork and no site imports, so it starts in a few
+    milliseconds.  Leaving the block reaps the child, killed first if the
+    block raised, and closes the file of the other rows.
     """
-    if n_amplitudes < CURVE_CHILD_MIN:
-        yield None
-        return
-    import subprocess  # a few ms to import, paid only by a run that starts a child
 
-    child = subprocess.Popen(
-        [sys.executable, "-I", "-S", state_rows.__file__],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
-    try:
-        yield child
-    except BaseException:
-        child.kill()
-        raise
-    finally:
-        for pipe in (child.stdin, child.stderr):
-            with suppress(OSError):  # a pipe to a child that has exited
-                pipe.close()
-        child.wait()
+    def __init__(self, n_amplitudes: int):
+        self.child = self.rest = None
+        if n_amplitudes >= CURVE_CHILD_MIN:
+            import subprocess  # a few ms to import, paid only by a run that starts a child
 
+            self.child = subprocess.Popen(
+                [sys.executable, "-I", "-S", state_rows.__file__],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+            )
 
-@contextmanager
-def _send_curve(child, path: Path, state: np.ndarray):
-    """Hand the child curve.csv's leading rows; yield a file of the other rows, formatted here.
+    def __exit__(self, kind, *_):
+        if self.rest is not None:
+            self.rest.close()
+        if self.child is not None:
+            if kind is not None:
+                self.child.kill()
+            for pipe in (self.child.stdin, self.child.stderr):
+                with suppress(OSError):  # a pipe to a child that has exited
+                    pipe.close()
+            self.child.wait()
 
-    The child gets the path of curve.csv, its provenance written, and the
-    leading `CURVE_CHILD_SHARE` of the amplitudes.  Meanwhile the rows of
-    the rest go into an unnamed temporary file beside curve.csv, so no row
-    text is held in memory and no file is left behind; it is closed when
-    the block ends.
-    """
-    import tempfile  # like subprocess, needed only with a child
+    def write(self, path: Path, cfg: PipelineConfig, state: np.ndarray) -> None:
+        """Write curve.csv's provenance header, then its rows or their hand-off.
 
-    amplitudes = state.astype(np.result_type(state.dtype, float), copy=False)
-    split = int(amplitudes.size * CURVE_CHILD_SHARE)
-    name = os.fsencode(path.absolute())
-    try:
-        child.stdin.write(state_rows.input_header(amplitudes.dtype.kind, split, name))
-        child.stdin.write(amplitudes[:split])
-        child.stdin.close()
-    except BrokenPipeError:
-        pass  # the child has exited; `_wait_curve` says why
-    with tempfile.TemporaryFile(dir=path.parent) as rest:
+        Without a child, every row goes through `state_to_csv`.  With one,
+        the child gets the path and the leading `CURVE_CHILD_SHARE` of the
+        amplitudes, and the rows of the rest go into an unnamed temporary
+        file beside curve.csv, so no row text is held in memory and no file
+        is left behind; `finish` appends them.
+        """
+        self.path = path
+        with _csv_file(path, cfg) as fh:
+            if self.child is None:
+                state_to_csv(state, fh)
+                return
+        import tempfile  # like subprocess, needed only with a child
+
+        amplitudes = state.astype(np.result_type(state.dtype, float), copy=False)
+        split = int(amplitudes.size * CURVE_CHILD_SHARE)
+        name = os.fsencode(path.absolute())
+        try:
+            self.child.stdin.write(state_rows.input_header(amplitudes.dtype.kind, split, name))
+            self.child.stdin.write(amplitudes[:split])
+            self.child.stdin.close()
+        except BrokenPipeError:
+            pass  # the child has exited; `finish` says why
+        self.rest = tempfile.TemporaryFile(dir=path.parent)
         # 256 rows at a time, as fast as 4096: with 4096 (a 130 kB text per
         # write) the N=20 peak was 0.14 MB above that of a child writing all rows
         for start in range(split, amplitudes.size, 256):
             chunk = amplitudes[start : start + 256].tolist()
-            rest.write(state_rows.rows_text(chunk, start).encode())
-        del state, amplitudes  # so that this frame does not hold them while the caller runs
-        yield rest
+            self.rest.write(state_rows.rows_text(chunk, start).encode())
 
+    def finish(self) -> None:
+        """Wait for the child to write its rows, then append the other rows to curve.csv.
 
-def _wait_curve(child, path: Path, rest) -> None:
-    """Wait for the child to write its rows, then append those of `rest` to curve.csv.
-
-    A child that fails raises `NumericError` with its last stderr line.
-    """
-    lines = child.stderr.read().decode(errors="replace").splitlines()
-    if child.wait():
-        detail = f": {lines[-1]}" if lines else ""
-        raise NumericError(f"the curve.csv writer exited with code {child.returncode}{detail}")
-    rest.seek(0)
-    with path.open("ab") as fh:
-        shutil.copyfileobj(rest, fh)
+        A child that fails raises `NumericError` with its last stderr line.
+        """
+        if self.child is None:
+            return
+        lines = self.child.stderr.read().decode(errors="replace").splitlines()
+        if code := self.child.wait():
+            detail = f": {lines[-1]}" if lines else ""
+            raise NumericError(f"the curve.csv writer exited with code {code}{detail}")
+        self.rest.seek(0)
+        with self.path.open("ab") as fh:
+            shutil.copyfileobj(self.rest, fh)
 
 
 def cmd_encode(args) -> int:
@@ -378,20 +383,15 @@ def cmd_simulate(args) -> int:
     L = 2 ** (circuit.n_qubits // 2)
     ordering = check_ordering(circuit.provenance.get("ordering", cfg.ordering))
     # the child starts here, so that its start-up overlaps the statevector run
-    with _curve_child(2**circuit.n_qubits) as child:
+    with _CurveRows(2**circuit.n_qubits) as curve:
         state = run(circuit)
         if args.exact:
             probs = np.abs(state)
             np.square(probs, out=probs)
         else:
             draw = shot_draw(state, cfg.shots, cfg.seed)  # checks the options
-        with _out_dir(cfg) as out, ExitStack() as files:
-            curve = out / "curve.csv"
-            with _csv_file(curve, cfg) as fh:
-                if child is None:
-                    state_to_csv(state, fh)
-            if child is not None:
-                rest = files.enter_context(_send_curve(child, curve, state))
+        with _out_dir(cfg) as out:
+            curve.write(out / "curve.csv", cfg, state)
             # each 2^N array is dropped once the last artifact that needs it is written
             del state
             if not args.exact:
@@ -404,8 +404,7 @@ def cmd_simulate(args) -> int:
             grid = decode_probabilities(probs, L, ordering)
             del probs
             (out / "reconstructed.pgm").write_bytes(write_pgm(grid))
-            if child is not None:
-                _wait_curve(child, curve, rest)
+            curve.finish()
             label = "exact probabilities" if args.exact else f"{cfg.shots} shots, seed {cfg.seed}"
             print(f"simulated {circuit.n_qubits}-qubit circuit ({label}); wrote reconstructed.pgm")
     return 0

@@ -944,6 +944,35 @@ class TestExitCodes:
         assert children[0].returncode is not None
         assert list(tmp_path.iterdir()) == [circuit]
 
+    def test_failed_curve_header_kills_the_child(self, tmp_path, capsys, monkeypatch, children):
+        # the child is running when curve.csv's header fails to write: it is
+        # killed and reaped, and neither --out-dir nor a temporary file is left
+        circuit = tmp_path / "circuit.json"
+        circuit.write_bytes(serialize(identity_circuit(16, 1)))
+        csv_file = cli._csv_file
+
+        def refused(path, cfg):
+            if path.name != "curve.csv":
+                return csv_file(path, cfg)
+            assert children[0].poll() is None  # running
+            raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+        killed = []
+        kill = subprocess.Popen.kill  # the spy's, which is Popen's
+
+        def spied(child):
+            killed.append(child)
+            kill(child)
+
+        monkeypatch.setattr(cli, "_csv_file", refused)
+        monkeypatch.setattr(subprocess.Popen, "kill", spied)
+        out = tmp_path / "new" / "deeper"
+        assert run_cli("simulate", "--circuit", str(circuit), "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == f"numeric error: out of memory: {NUMPY_OUT_OF_MEMORY}\n"
+        assert killed == children and len(children) == 1
+        assert children[0].returncode is not None
+        assert list(tmp_path.iterdir()) == [circuit]
+
     def test_failure_before_the_handoff_leaves_no_child(self, tmp_path, capsys, children):
         # the child starts before the statevector run; an option error after
         # it exits 3, kills the child and makes no --out-dir
@@ -1164,6 +1193,30 @@ class TestExitCodes:
         assert_one_line_error(capsys, f"validation error: target_l={argv[-1]} must be >= 2")
         assert not (out / "amplitude_state.json").exists()
         assert not (out / "circuit.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["encode"], ["compile"], ["analyze", "--sweep", "chi", "--chi-list", "2"]],
+        ids=["encode", "compile", "analyze"])
+    @pytest.mark.parametrize("image, side", [
+        ("builtin:digit", 100), ("{file}", 100), ("{file}", 12)],
+        ids=["builtin", "smaller-file", "larger-file"])
+    def test_target_l_not_a_power_of_two_rejected(self, tmp_path, out, capsys, monkeypatch,
+                                                  command, image, side):
+        # refused before any input is read, whether the image is built in,
+        # a file smaller than --target-l (which would not be downscaled) or
+        # a larger one
+        def read(*args):
+            raise AssertionError("the image was read")
+
+        monkeypatch.setattr("qimgload.cli.get_image", read)
+        monkeypatch.setattr("qimgload.cli.load_image", read)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+        assert run_cli(*command, "--image", image.format(file=path), "--target-l", str(side),
+                       "--out-dir", str(out)) == 3
+        assert_one_line_error(
+            capsys, f"validation error: target_l={side} must be >= 2 and a power of two")
+        assert not out.exists()
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_statevector_norm_drift_rejected(self, tmp_path, out, capsys, exact):
